@@ -6,14 +6,15 @@ minimum color count against the value bound.
     python scripts/batch_verify.py --count 200 --seed 7 --out summary.json
 
 Exits 1 if any instance fails; the summary then carries a replayable config
-and the serialized instance for every failure.
+and the serialized instance for every failure.  Exits 2 on bad input and 3
+when a search cap is exceeded or generation gives up, as the CLI does.
 """
 
 import argparse
 import sys
 
 from supercolor import dump_json, mixed_configs
-from supercolor.cli import batch_verify, caps_from_env
+from supercolor.cli import EXPECTED_ERRORS, batch_verify, caps_from_env, error_exit
 
 
 def main() -> int:
@@ -25,14 +26,17 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    configs = mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max)
-    report = batch_verify(
-        configs,
-        list_trials=args.trials,
-        seed=args.seed,
-        caps=caps_from_env(),
-        out=args.out,
-    )
+    try:
+        configs = mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max)
+        report = batch_verify(
+            configs,
+            list_trials=args.trials,
+            seed=args.seed,
+            caps=caps_from_env(),
+            out=args.out,
+        )
+    except EXPECTED_ERRORS as e:
+        return error_exit(e)
     sys.stdout.write(dump_json(report.to_payload()))
     print(f"batch of {args.count} finished in {report.timing:.2f}s", file=sys.stderr)
     return 1 if report.results["failures"] else 0

@@ -10,7 +10,6 @@ both the per-element list-length bound and the recursive constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     GroundSet,
     InputError,
     SetFn,
+    bit_indices,
     require_valid,
 )
 
@@ -41,15 +41,10 @@ class Partition:
             union |= p.mask
         if union != self.ground.full_mask:
             raise InputError("partition parts do not cover the ground set")
-        index = {}
-        for i, p in enumerate(self.parts):
-            for name in p.names:
-                index[name] = i
-        object.__setattr__(self, "_part_index", index)
 
     def index_of(self, name: str) -> int:
-        self.ground.index(name)  # raises on unknown names
-        return self._part_index[name]  # type: ignore[attr-defined]
+        bit = 1 << self.ground.index(name)  # raises on unknown names
+        return next(i for i, p in enumerate(self.parts) if p.mask & bit)
 
     def part_of(self, name: str) -> ElemSet:
         return self.parts[self.index_of(name)]
@@ -69,65 +64,81 @@ class ReductionResult:
     attainers: Mapping[ElemSet, ElemSet]
 
 
-@lru_cache(maxsize=None)
-def effective_family(g: SetFn) -> tuple[ElemSet, ...]:
-    """Sets with value >= 2 and no proper subset of equal or larger value."""
-    require_valid(g)
-    entries = g.entries
-    out = []
-    for m, v in entries:
-        if v < 2:
-            continue
-        if any(m2 != m and m2 & ~m == 0 and v2 >= v for m2, v2 in entries):
-            continue
-        out.append(ElemSet(g.ground, m))
-    return tuple(out)
+def effective_entries(entries) -> list[tuple[int, int]]:
+    """The (mask, value) entries with value >= 2 and no proper subset of equal
+    or larger value, in the given order.  The function is taken as valid."""
+    return [
+        (m, v) for m, v in entries
+        if v >= 2 and not any(m2 != m and m2 & ~m == 0 and v2 >= v for m2, v2 in entries)
+    ]
 
 
-@lru_cache(maxsize=None)
-def bunch_partition(g: SetFn) -> Partition:
-    """Maximal effective sets plus singletons of uncovered elements.
+def part_masks(eff, live: int) -> list[int]:
+    """Bunch partition of the live mask, sorted: the maximal effective sets
+    plus singletons of uncovered elements.
 
     The result is always a genuine partition for a valid input; an overlap
     here would mean an upstream validity bug, so it surfaces as a hard error.
     """
-    eff = effective_family(g)
-    eff_masks = [x.mask for x in eff]
-    maximal = [
-        m for m in eff_masks
-        if not any(m2 != m and m & ~m2 == 0 for m2 in eff_masks)
-    ]
-    covered = 0
-    for m in eff_masks:
+    masks = [m for m, _ in eff]
+    parts = [m for m in masks if not any(m2 != m and m & ~m2 == 0 for m2 in masks)]
+    covered = 0  # every effective set lies in a maximal one
+    for m in parts:
         covered |= m
-    parts = list(maximal)
-    for i in range(g.ground.size):
-        if not (covered >> i) & 1:
-            parts.append(1 << i)
-    parts.sort()
+    parts = sorted(parts + [1 << i for i in bit_indices(live & ~covered)])
+    # the parts cover covered | live; they are disjoint iff their sizes add up
+    if 0 in parts or covered & ~live or sum(m.bit_count() for m in parts) != live.bit_count():
+        raise RuntimeError("bunch partition is not a partition of the ground set (internal bug)")
+    return parts
+
+
+def d_values(eff, ground: GroundSet, mask: int) -> dict[str, int]:
+    """Per-element bound of each element of mask: max of 1 and the largest
+    effective value covering it."""
+    return {
+        ground.names[i]: max((v for m, v in eff if (m >> i) & 1), default=1)
+        for i in bit_indices(mask)
+    }
+
+
+def reduce_entries(g: SetFn, kmask: int) -> tuple[SetFn, dict[int, tuple[int, int]]]:
+    """Reduce g by the removal mask, staying on g's ground set: each set drops
+    its k-elements, sets that met k lose one unit of value, and sets with the
+    same residual merge by maximum.  The result is valid for every k, and is
+    checked to be.  Returns it and, per residual, (value, least attaining mask).
+    """
+    best: dict[int, tuple[int, int]] = {}
+    for m, v in g.entries:
+        hat = v - 1 if m & kmask else v
+        proj = m & ~kmask
+        cur = best.get(proj)
+        if cur is None or hat > cur[0] or (hat == cur[0] and m < cur[1]):
+            best[proj] = (hat, m)
+    reduced = SetFn(g.ground, tuple((p, hv[0]) for p, hv in best.items()))
     try:
-        return Partition(g.ground, tuple(ElemSet(g.ground, m) for m in parts))
+        require_valid(reduced)
     except InputError as e:
-        raise RuntimeError(f"bunch partition is not a partition (internal bug): {e}") from e
+        raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
+    return reduced, best
 
 
-@lru_cache(maxsize=None)
-def _d_items(g: SetFn) -> tuple[tuple[str, int], ...]:
-    eff = [(x.mask, g.value(x)) for x in effective_family(g)]
-    out = []
-    for i, name in enumerate(g.ground.names):
-        bit = 1 << i
-        best = 1
-        for m, v in eff:
-            if m & bit and v > best:
-                best = v
-        out.append((name, best))
-    return tuple(out)
+def effective_family(g: SetFn) -> tuple[ElemSet, ...]:
+    """Sets with value >= 2 and no proper subset of equal or larger value."""
+    require_valid(g)
+    return tuple(ElemSet(g.ground, m) for m, _ in effective_entries(g.entries))
+
+
+def bunch_partition(g: SetFn) -> Partition:
+    """Maximal effective sets plus singletons of uncovered elements."""
+    require_valid(g)
+    parts = part_masks(effective_entries(g.entries), g.ground.full_mask)
+    return Partition(g.ground, tuple(ElemSet(g.ground, m) for m in parts))
 
 
 def d_function(g: SetFn) -> dict[str, int]:
     """Per-element bound: max of 1 and the largest effective value covering it."""
-    return dict(_d_items(g))
+    require_valid(g)
+    return d_values(effective_entries(g.entries), g.ground, g.ground.full_mask)
 
 
 def is_partial_transversal(p: Partition, k: ElemSet) -> bool:
@@ -136,47 +147,18 @@ def is_partial_transversal(p: Partition, k: ElemSet) -> bool:
 
 
 def reduce(g: SetFn, k: ElemSet) -> ReductionResult:
-    """Reduce g by the removal set k.
-
-    Each set drops its k-elements; sets that met k lose one unit of value, and
-    sets projecting to the same residual are merged by taking the maximum.
-    The result lives on the ground set without k and is again a valid
-    intersecting-supermodular function, for every k.
-    """
+    """Reduce g by the removal set k (see reduce_entries); the result lives on
+    the ground set without k."""
     require_valid(g)
     if k.ground != g.ground:
         raise InputError("removal set lives on a different ground set")
-    kmask = k.mask
-    ground = g.ground
-    keep = [i for i in range(ground.size) if not (kmask >> i) & 1]
-    new_ground = GroundSet(tuple(ground.names[i] for i in keep))
-    new_bit = {old: 1 << pos for pos, old in enumerate(keep)}
-
-    def remap(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= new_bit[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    best: dict[int, tuple[int, int]] = {}
-    for m, v in g.entries:
-        hat = v - 1 if m & kmask else v
-        proj = m & ~kmask
-        cur = best.get(proj)
-        if cur is None or hat > cur[0] or (hat == cur[0] and m < cur[1]):
-            best[proj] = (hat, m)
-
-    reduced = SetFn(new_ground, tuple((remap(p), hv[0]) for p, hv in best.items()))
-    try:
-        require_valid(reduced)
-    except InputError as e:
-        raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
-    attainers = {
-        ElemSet(new_ground, remap(p)): ElemSet(ground, hv[1]) for p, hv in best.items()
-    }
-    return ReductionResult(reduced, attainers)
+    reduced, best = reduce_entries(g, k.mask)
+    names = g.ground.names_of
+    new_ground = GroundSet(names(g.ground.full_mask & ~k.mask))
+    return ReductionResult(
+        SetFn.from_names(new_ground, ((names(m), v) for m, v in reduced.entries)),
+        {new_ground.subset(names(p)): ElemSet(g.ground, hv[1]) for p, hv in best.items()},
+    )
 
 
 def cover_witness(g: SetFn, x: ElemSet) -> tuple[ElemSet, ElemSet]:

@@ -28,7 +28,6 @@ from .core import (
     dump_json,
     instance_payload,
     load_instance,
-    require_valid,
 )
 from . import bunch, encode, gen, oracle, pi as pi_mod
 from .matching import common_transversal
@@ -131,7 +130,6 @@ def _pick_side(g1, g2, side: int):
 def _cmd_analyze(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
     g = _pick_side(g1, g2, args.side)
-    require_valid(g)
     eff = bunch.effective_family(g)
     partition = bunch.bunch_partition(g)
     part_values = [
@@ -223,7 +221,10 @@ def _load_lists(path) -> dict:
         raise InputError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise InputError("lists file must map element names to color lists")
-    return {name: list(colors) for name, colors in doc.items()}
+    for name, colors in doc.items():
+        if not isinstance(colors, list) or any(isinstance(c, (list, dict)) for c in colors):
+            raise InputError(f"colors of {name!r} must be a list of JSON scalars")
+    return doc
 
 
 def _cmd_color(args, caps) -> tuple[int, dict]:
@@ -329,6 +330,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# reported by exit code; the JSON parser raises RecursionError on deep nesting
+EXPECTED_ERRORS = (InputError, RecursionError, ResourceLimitError, GenerationError)
+
+
+def error_exit(e: Exception) -> int:
+    """Print e to stderr; return 3 for a cap or exhausted generator, else 2."""
+    print(f"error: {e}", file=sys.stderr)
+    return 3 if isinstance(e, (ResourceLimitError, GenerationError)) else 2
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -338,12 +349,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         caps = caps_from_env()
         code, payload = args.handler(args, caps)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ResourceLimitError, GenerationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    except EXPECTED_ERRORS as e:
+        return error_exit(e)
     sys.stdout.write(dump_json(payload))
     print(f"{args.command} finished in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
@@ -412,3 +419,7 @@ def batch_verify(
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(report.to_payload()))
     return report
+
+
+if __name__ == "__main__":
+    main()

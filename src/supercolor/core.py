@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_ELEMENTS = 64
@@ -240,14 +239,21 @@ def is_intersecting(x: ElemSet, y: ElemSet) -> bool:
     """True iff X∩Y, X\\Y and Y\\X are all nonempty."""
     if x.ground != y.ground:
         raise InputError("operands live on different ground sets")
-    return bool(x.mask & y.mask) and bool(x.mask & ~y.mask) and bool(y.mask & ~x.mask)
+    return _masks_intersecting(x.mask, y.mask)
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _masks_intersecting(a: int, b: int) -> bool:
     return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
-@lru_cache(maxsize=None)
 def check_intersecting_family(g: SetFn) -> Report:
     """Check closure under union/intersection of every intersecting pair."""
     masks = [m for m, _ in g.entries]
@@ -269,7 +275,6 @@ def check_intersecting_family(g: SetFn) -> Report:
     return Report(tuple(violations))
 
 
-@lru_cache(maxsize=None)
 def check_supermodular(g: SetFn) -> Report:
     """Check g(X)+g(Y) <= g(X∪Y)+g(X∩Y) on every intersecting pair.
 

@@ -83,6 +83,9 @@ def parse_graph(text: str) -> Multigraph:
         if not isinstance(e, list) or len(e) != 2:
             raise InputError("each edge must be a [s, t] pair")
         pairs.append((e[0], e[1]))
+    for name in (*doc["S"], *doc["T"], *(v for pair in pairs for v in pair)):
+        if isinstance(name, (list, dict)):
+            raise InputError(f"vertex names must be JSON scalars, got {name!r}")
     return Multigraph.from_pairs(doc["S"], doc["T"], pairs)
 
 

@@ -25,6 +25,7 @@ from .core import (
     ElemSet,
     InputError,
     SetFn,
+    _masks_intersecting,
     check_capacity,
     check_supermodular,
     require_capacity,
@@ -62,10 +63,6 @@ class GenConfig:
 
 def _ground(n: int) -> GroundSet:
     return GroundSet(tuple(string.ascii_lowercase[:n]))
-
-
-def _masks_intersecting(a: int, b: int) -> bool:
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
 # -- laminar ----------------------------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import ElemSet, InputError, ResourceLimitError, SetFn
-from .bunch import bunch_partition
+from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices, require_valid
+from .bunch import effective_entries, part_masks
 
 SUBSET_SCAN_LIMIT = 24
 
@@ -183,41 +183,43 @@ class TransversalResult:
     case_tag: str  # "a": matched side 1 implies matched side 2; "b": converse
 
 
-def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
-    """Nonempty common partial transversal of both bunch partitions.
+def transversal_mask(parts1: list[int], parts2: list[int], live: int) -> tuple[int, str]:
+    """Nonempty common partial transversal of two partitions of the live mask,
+    as a mask, with its case tag.
 
     Builds the part-versus-part bipartite graph with one edge per element and
     extracts a closed matching on the larger side; the matched edges name the
     transversal elements.
     """
+    case = "a" if len(parts1) >= len(parts2) else "b"
+    lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
+    owner_lead, owner_follow = (
+        {i: j for j, part in enumerate(parts) for i in bit_indices(part)} for parts in (lead, follow)
+    )
+    graph = BipartiteGraph(
+        tuple(range(len(lead))),
+        tuple(range(len(follow))),
+        tuple((owner_lead[i], owner_follow[i], i) for i in bit_indices(live)),
+    )
+    k = sum(1 << e.tag for e in closed_matching(graph).edges)  # one edge per element
+
+    if __debug__:
+        # every element of a K-hit lead part must lie in a K-hit follow part
+        hit_lead, hit_follow = (sum(part for part in parts if part & k) for parts in (lead, follow))
+        if hit_lead & ~hit_follow:
+            raise RuntimeError("transversal case condition failed (internal bug)")
+    return k, case
+
+
+def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
+    """Nonempty common partial transversal of both bunch partitions."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     if g1.ground.size == 0:
         raise InputError("common transversal needs a nonempty ground set")
-    p1 = bunch_partition(g1)
-    p2 = bunch_partition(g2)
-    edges = []
-    for name in g1.ground.names:
-        edges.append((p1.index_of(name), p2.index_of(name), name))
-
-    if len(p1) >= len(p2):
-        graph = BipartiteGraph(tuple(range(len(p1))), tuple(range(len(p2))), tuple(edges))
-        case = "a"
-    else:
-        graph = BipartiteGraph(
-            tuple(range(len(p2))),
-            tuple(range(len(p1))),
-            tuple(Edge(j, i, name) for i, j, name in edges),
-        )
-        case = "b"
-    m = closed_matching(graph)
-    k = g1.ground.subset(e.tag for e in m.edges)
-
-    if __debug__:
-        lead, follow = (p1, p2) if case == "a" else (p2, p1)
-        hit_lead = {part for part in lead if part.mask & k.mask}
-        hit_follow = {part for part in follow if part.mask & k.mask}
-        for name in g1.ground.names:
-            if lead.part_of(name) in hit_lead and follow.part_of(name) not in hit_follow:
-                raise RuntimeError("transversal case condition failed (internal bug)")
-    return TransversalResult(k, case)
+    full = g1.ground.full_mask
+    for g in (g1, g2):
+        require_valid(g)
+    parts = [part_masks(effective_entries(g.entries), full) for g in (g1, g2)]
+    k, case = transversal_mask(*parts, full)
+    return TransversalResult(ElemSet(g1.ground, k), case)

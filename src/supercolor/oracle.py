@@ -21,6 +21,7 @@ from .core import (
     ResourceLimitError,
     SetFn,
     Violation,
+    bit_indices,
     delta,
     require_capacity,
 )
@@ -62,11 +63,8 @@ def _search(names: Sequence[str], domains: Sequence[Sequence], constraints) -> C
     for ci, (mask, bound) in enumerate(constraints):
         remaining.append(mask.bit_count())
         bounds.append(bound)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            per_elem[low.bit_length() - 1].append(ci)
-            rest ^= low
+        for i in bit_indices(mask):
+            per_elem[i].append(ci)
     counts: list[dict] = [{} for _ in constraints]
     distinct = [0] * len(constraints)
     assignment: list = [None] * n

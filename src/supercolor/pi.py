@@ -25,12 +25,13 @@ from .core import (
     Report,
     SetFn,
     Violation,
+    bit_indices,
     delta,
     require_capacity,
     require_valid,
 )
-from .bunch import bunch_partition, d_function, reduce
-from .matching import common_transversal
+from .bunch import d_function, d_values, effective_entries, part_masks, reduce_entries
+from .matching import transversal_mask
 from . import oracle
 
 
@@ -82,38 +83,33 @@ def dominates(assignment, g: SetFn) -> Report:
     return Report(tuple(violations))
 
 
-def _construct(g1: SetFn, g2: SetFn, trace: list | None) -> tuple[dict, dict]:
-    ground = g1.ground
-    if ground.size <= 1:
-        ones = {name: 1 for name in ground.names}
-        return dict(ones), dict(ones)
+def _construct(ground, live: int, g1: SetFn, g2: SetFn, trace: list | None) -> tuple[dict, dict]:
+    # g1, g2 live on the caller's ground; their sets lie inside the live mask
+    if live & (live - 1) == 0:
+        ones = {name: 1 for name in ground.names_of(live)}
+        return ones, dict(ones)
 
-    result = common_transversal(g1, g2)
-    k, case = result.k, result.case_tag
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    parts = [part_masks(eff, live) for eff in effs]
+    k, case = transversal_mask(parts[0], parts[1], live)
     if trace is not None:
-        trace.append({"universe": list(ground.names), "k": list(k.names), "case": case})
-    sub1, sub2 = _construct(reduce(g1, k).reduced, reduce(g2, k).reduced, trace)
+        names = ground.names_of
+        trace.append({"universe": list(names(live)), "k": list(names(k)), "case": case})
+    subs = _construct(ground, live & ~k, reduce_entries(g1, k)[0], reduce_entries(g2, k)[0], trace)
 
-    if case == "a":
-        lead_g, lead_sub = g1, sub1
-        follow_g, follow_sub = g2, sub2
-    else:
-        lead_g, lead_sub = g2, sub2
-        follow_g, follow_sub = g1, sub1
-    lead_parts = bunch_partition(lead_g)
-    follow_d = d_function(follow_g)
-
-    lead_pi = {}
-    follow_pi = {}
-    for name in ground.names:
-        if name in k:
-            lead_pi[name] = 1
-            follow_pi[name] = follow_d[name]
+    lead, follow = (0, 1) if case == "a" else (1, 0)
+    hit = sum(part for part in parts[lead] if part & k)  # parts are disjoint
+    follow_d = d_values(effs[follow], ground, k)
+    pis = ({}, {})
+    for i in bit_indices(live):
+        name = ground.names[i]
+        if (k >> i) & 1:
+            pis[lead][name] = 1
+            pis[follow][name] = follow_d[name]
         else:
-            hit = bool(lead_parts.part_of(name).mask & k.mask)
-            lead_pi[name] = lead_sub[name] + (1 if hit else 0)
-            follow_pi[name] = follow_sub[name]
-    return (lead_pi, follow_pi) if case == "a" else (follow_pi, lead_pi)
+            pis[lead][name] = subs[lead][name] + ((hit >> i) & 1)
+            pis[follow][name] = subs[follow][name]
+    return pis
 
 
 def construct_pi(g1: SetFn, g2: SetFn, check: bool = __debug__) -> PiPair:
@@ -133,7 +129,7 @@ def construct_pi_traced(
         require_valid(g)
         require_capacity(g)
     trace: list | None = [] if want_trace else None
-    pi1, pi2 = _construct(g1, g2, trace)
+    pi1, pi2 = _construct(g1.ground, g1.ground.full_mask, g1, g2, trace)
     pair = PiPair(pi1, pi2)
     if check:
         report = verify_conditions(g1, g2, pair)

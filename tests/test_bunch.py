@@ -19,6 +19,7 @@ from supercolor import (
     reduce,
     sample_partial_transversal,
 )
+from supercolor.bunch import part_masks
 from conftest import names_of_sets
 
 
@@ -169,6 +170,19 @@ def test_partition_validation(abc_ground):
             abc_ground,
             (abc_ground.subset(["a", "b"]), abc_ground.subset(["b", "c"])),
         )
+
+
+@pytest.mark.parametrize(
+    "eff, live",
+    [
+        ([(0b011, 2), (0b110, 2)], 0b111),  # two maximal sets overlap
+        ([(0b1000, 2)], 0b0111),  # a part outside the live set
+        ([(0b0, 2)], 0b1),  # an empty part
+    ],
+)
+def test_part_masks_rejects_non_partitions(eff, live):
+    with pytest.raises(RuntimeError, match="internal bug"):
+        part_masks(eff, live)
 
 
 def test_reduction_invariants_random():

@@ -1,7 +1,27 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from supercolor import GenConfig, dump_json
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv, **env):
+    """Run a fresh interpreter on the package from this checkout."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +135,47 @@ def test_color_with_lists(capsys, tmp_path):
     lists.write_text('{"a": ["red"], "b": ["red"]}')
     code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
     assert code == 1 and payload["coloring"] is None
+
+
+def test_unhashable_colors_are_exit_2(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"elements": ["a"], "g1": [], "g2": []}')
+    lists = tmp_path / "lists.json"
+    lists.write_text('{"a": [[1]]}')
+    code, _ = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+    assert code == 2
+
+
+def test_unhashable_vertex_names_are_exit_2(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"S": [["x"]], "T": ["t"], "edges": [[["x"], "t"]]}')
+    code, _ = run_cli(capsys, "encode-bipartite", str(graph))
+    assert code == 2
+
+
+def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    code, _ = run_cli(capsys, "check", str(p))
+    assert code == 2
+
+
+@pytest.mark.parametrize("module", ["supercolor", "supercolor.cli"])
+def test_module_entry_points(capsys, example_path, module):
+    assert run(["check", str(example_path)]) == 0
+    expected = capsys.readouterr().out
+    proc = run_python("-m", module, "check", str(example_path))
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def test_batch_verify_script_cap_is_exit_3():
+    proc = run_python(
+        str(ROOT / "scripts" / "batch_verify.py"), "--count", "5", "--seed", "7",
+        SUPERCOLOR_CAPS="list_budget=1",
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: list search budget 1 exceeded")
 
 
 def test_color_requires_exactly_one_mode(capsys, example_path):

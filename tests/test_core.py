@@ -15,6 +15,7 @@ from supercolor import (
     is_intersecting,
     parse_instance,
 )
+from supercolor.core import bit_indices
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -157,3 +158,10 @@ def test_delta_bounds_every_value(pairs):
     d = delta(fn, fn)
     assert d >= 1
     assert all(d >= v for _, v in fn.entries)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_bit_indices_round_trip(mask):
+    indices = list(bit_indices(mask))
+    assert indices == sorted(set(indices))
+    assert sum(1 << i for i in indices) == mask

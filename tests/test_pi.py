@@ -1,10 +1,13 @@
 import pytest
 
 from supercolor import (
+    GenConfig,
     GroundSet,
     InputError,
     PiPair,
     SetFn,
+    bunch_partition,
+    common_transversal,
     construct_pi,
     construct_pi_traced,
     d_function,
@@ -12,6 +15,7 @@ from supercolor import (
     dominates,
     gen_instance,
     mixed_configs,
+    reduce,
     schrijver_pi,
     verify_conditions,
 )
@@ -81,6 +85,45 @@ def test_conditions_hold_on_random_instances():
         g1, g2 = gen_instance(cfg)
         pair = construct_pi(g1, g2, check=False)
         assert verify_conditions(g1, g2, pair).all_ok, cfg
+
+
+def _reference_pi(g1, g2, trace):
+    """The recursion spelled out with the public per-step functions, each on
+    its own smaller ground set: a slow reference for construct_pi."""
+    ground = g1.ground
+    if ground.size <= 1:
+        return {u: 1 for u in ground.names}, {u: 1 for u in ground.names}
+    result = common_transversal(g1, g2)
+    k, case = result.k, result.case_tag
+    trace.append({"universe": list(ground.names), "k": list(k.names), "case": case})
+    subs = _reference_pi(reduce(g1, k).reduced, reduce(g2, k).reduced, trace)
+    lead, follow = (0, 1) if case == "a" else (1, 0)
+    parts = bunch_partition((g1, g2)[lead])
+    d = d_function((g1, g2)[follow])
+    pis = ({}, {})
+    for u in ground.names:
+        if u in k:
+            pis[lead][u], pis[follow][u] = 1, d[u]
+        else:
+            hit = bool(parts.part_of(u).mask & k.mask)
+            pis[lead][u] = subs[lead][u] + hit
+            pis[follow][u] = subs[follow][u]
+    return pis
+
+
+def test_construct_pi_matches_public_steps():
+    configs = mixed_configs(seed=79, count=150, n_min=6, n_max=10)
+    configs += [GenConfig(seed=s, n_elements=10, strategy="bipartite") for s in range(30)]
+    cases = set()
+    for cfg in configs:
+        g1, g2 = gen_instance(cfg)
+        pair, trace = construct_pi_traced(g1, g2)
+        want_trace = []
+        pi1, pi2 = _reference_pi(g1, g2, want_trace)
+        got = (list(pair.pi1.items()), list(pair.pi2.items()), trace)
+        assert got == (list(pi1.items()), list(pi2.items()), want_trace), cfg
+        cases.update(level["case"] for level in trace)
+    assert cases == {"a", "b"}
 
 
 def test_pointwise_bound_tighter_than_global():
