@@ -6,15 +6,16 @@ minimum color count against the value bound.
     python scripts/batch_verify.py --count 200 --seed 7 --out summary.json
 
 Exits 1 if any instance fails; the summary then carries a replayable config
-and the serialized instance for every failure.  Exits 2 on bad input and 3
-when a search cap is exceeded or generation gives up, as the CLI does.
+and the serialized instance for every failure.  Exits 2 on bad input, 3
+when a search cap is exceeded or generation gives up, and 4 on an internal
+error, as the CLI does.
 """
 
 import argparse
 import sys
 
 from supercolor import dump_json, mixed_configs
-from supercolor.cli import EXPECTED_ERRORS, batch_verify, caps_from_env, error_exit
+from supercolor.cli import batch_verify, caps_from_env, error_exit
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
             caps=caps_from_env(),
             out=args.out,
         )
-    except EXPECTED_ERRORS as e:
+    except Exception as e:  # the exit code tells expected errors from internal ones
         return error_exit(e)
     sys.stdout.write(dump_json(report.to_payload()))
     print(f"batch of {args.count} finished in {report.timing:.2f}s", file=sys.stderr)

@@ -57,7 +57,6 @@ from .oracle import (
     verify_main_theorem,
 )
 from .encode import (
-    Multigraph,
     check_degree_identity,
     coloring_is_proper,
     encode_bipartite,

@@ -1,7 +1,8 @@
 """Command-line front end: machine JSON on stdout, diagnostics on stderr.
 
 Exit codes: 0 success / property holds, 1 property violated or coloring
-absent, 2 input or parse error, 3 resource cap exceeded.  Identical argv,
+absent, 2 input or parse error, 3 resource cap exceeded, 4 internal error
+(any other exception; its traceback goes to stderr).  Identical argv,
 files and seeds produce byte-identical stdout; timing never goes to stdout.
 """
 
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -89,10 +91,6 @@ def _sets_payload(sets) -> list:
     return [list(x.names) for x in sets]
 
 
-def _report_payload(report) -> dict:
-    return report.to_dict()
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_check(args, caps) -> tuple[int, dict]:
@@ -102,14 +100,14 @@ def _cmd_check(args, caps) -> tuple[int, dict]:
     for key, g in (("g1", g1), ("g2", g2)):
         family = check_intersecting_family(g)
         if family.ok:
-            supermodular = _report_payload(check_supermodular(g))
+            supermodular = check_supermodular(g).to_dict()
         else:
             supermodular = {"ok": False, "skipped": "family not intersecting-closed"}
         capacity = check_capacity(g)
         results[key] = {
-            "family": _report_payload(family),
+            "family": family.to_dict(),
             "supermodular": supermodular,
-            "capacity": _report_payload(capacity),
+            "capacity": capacity.to_dict(),
         }
         all_ok = all_ok and family.ok and supermodular.get("ok", False) and capacity.ok
     payload = {
@@ -180,9 +178,7 @@ def _cmd_transversal(args, caps) -> tuple[int, dict]:
 
 def _cmd_pi(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    d1 = bunch.d_function(g1)
-    d2 = bunch.d_function(g2)
-    f_map = {name: max(d1[name], d2[name]) for name in g1.ground.names}
+    f_map = oracle.tight_lengths(g1, g2)
     span = delta(g1, g2)
     if args.method == "keylemma":
         pair, trace = pi_mod.construct_pi_traced(g1, g2, check=False)
@@ -256,7 +252,7 @@ def _cmd_verify(args, caps) -> tuple[int, dict]:
         "trials": args.trials,
         "sigma": args.sigma if args.sigma is not None else delta(g1, g2) + 2,
         "ok": report.ok,
-        "violations": _report_payload(report)["violations"],
+        "violations": [v.to_dict() for v in report.violations],
     }
     return (0 if report.ok else 1), payload
 
@@ -335,7 +331,12 @@ EXPECTED_ERRORS = (InputError, RecursionError, ResourceLimitError, GenerationErr
 
 
 def error_exit(e: Exception) -> int:
-    """Print e to stderr; return 3 for a cap or exhausted generator, else 2."""
+    """Print e to stderr and return its exit code: 3 for a cap or exhausted
+    generator, 2 for any other expected error, 4 for an internal error."""
+    if not isinstance(e, EXPECTED_ERRORS):
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exception(e)
+        return 4
     print(f"error: {e}", file=sys.stderr)
     return 3 if isinstance(e, (ResourceLimitError, GenerationError)) else 2
 
@@ -349,9 +350,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         caps = caps_from_env()
         code, payload = args.handler(args, caps)
-    except EXPECTED_ERRORS as e:
+        text = dump_json(payload)
+    except Exception as e:  # the exit code tells expected errors from internal ones
         return error_exit(e)
-    sys.stdout.write(dump_json(payload))
+    sys.stdout.write(text)
     print(f"{args.command} finished in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 
@@ -401,7 +403,7 @@ def batch_verify(
                     "digest": instance_digest(g1, g2),
                     "instance": instance_payload(g1, g2),
                     "pi_conditions": conditions.to_dict(),
-                    "main_theorem": _report_payload(theorem),
+                    "main_theorem": theorem.to_dict(),
                     "min_k_equals_delta": threshold_ok,
                 }
             )

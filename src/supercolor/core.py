@@ -65,7 +65,7 @@ class GroundSet:
     def index(self, name: str) -> int:
         try:
             return self._index[name]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name from a file
             raise InputError(f"unknown element {name!r}") from None
 
     def subset(self, names: Iterable[str]) -> "ElemSet":
@@ -216,6 +216,13 @@ class Violation:
     subjects: tuple[tuple[str, ...], ...]
     values: tuple[int, ...] = ()
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "subjects": [list(s) for s in self.subjects],
+            "values": list(self.values),
+        }
+
 
 @dataclass(frozen=True)
 class Report:
@@ -226,13 +233,7 @@ class Report:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "subjects": [list(s) for s in v.subjects], "values": list(v.values)}
-                for v in self.violations
-            ],
-        }
+        return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
 def is_intersecting(x: ElemSet, y: ElemSet) -> bool:

@@ -9,65 +9,13 @@ encoded functions are trivially valid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .core import GroundSet, InputError, Report, SetFn, Violation
 from .bunch import d_function
+from .matching import BipartiteGraph
 
 
-@dataclass(frozen=True, eq=False)
-class Multigraph:
-    """Bipartite multigraph; edges are (s, t, edge_id) with distinct ids."""
-
-    s_vertices: tuple[str, ...]
-    t_vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_vertices", tuple(self.s_vertices))
-        object.__setattr__(self, "t_vertices", tuple(self.t_vertices))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if len(set(self.s_vertices)) != len(self.s_vertices):
-            raise InputError("duplicate S-vertex names")
-        if len(set(self.t_vertices)) != len(self.t_vertices):
-            raise InputError("duplicate T-vertex names")
-        s_set, t_set = set(self.s_vertices), set(self.t_vertices)
-        ids = set()
-        for s, t, eid in self.edges:
-            if s not in s_set:
-                raise InputError(f"edge endpoint {s!r} not an S-vertex")
-            if t not in t_set:
-                raise InputError(f"edge endpoint {t!r} not a T-vertex")
-            if eid in ids:
-                raise InputError(f"duplicate edge id {eid!r}")
-            ids.add(eid)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        s_vertices,
-        t_vertices,
-        pairs,
-    ) -> "Multigraph":
-        """Build from (s, t) pairs, assigning stable ids "s~t~i" with i the
-        0-based index among parallel copies of the same pair."""
-        seen: dict[tuple[str, str], int] = {}
-        edges = []
-        for s, t in pairs:
-            i = seen.get((s, t), 0)
-            seen[(s, t)] = i + 1
-            edges.append((s, t, f"{s}~{t}~{i}"))
-        return cls(tuple(s_vertices), tuple(t_vertices), tuple(edges))
-
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(eid for _, _, eid in self.edges)
-
-    def degree(self, vertex: str, side: str) -> int:
-        pos = 0 if side == "s" else 1
-        return sum(1 for e in self.edges if e[pos] == vertex)
-
-
-def parse_graph(text: str) -> Multigraph:
+def parse_graph(text: str) -> BipartiteGraph:
     """Read {"S": [...], "T": [...], "edges": [["s","t"], ...]}."""
     try:
         doc = json.loads(text)
@@ -86,10 +34,10 @@ def parse_graph(text: str) -> Multigraph:
     for name in (*doc["S"], *doc["T"], *(v for pair in pairs for v in pair)):
         if isinstance(name, (list, dict)):
             raise InputError(f"vertex names must be JSON scalars, got {name!r}")
-    return Multigraph.from_pairs(doc["S"], doc["T"], pairs)
+    return BipartiteGraph.from_pairs(doc["S"], doc["T"], pairs)
 
 
-def load_graph(path) -> Multigraph:
+def load_graph(path) -> BipartiteGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -98,7 +46,7 @@ def load_graph(path) -> Multigraph:
     return parse_graph(text)
 
 
-def encode_bipartite(g: Multigraph) -> tuple[SetFn, SetFn]:
+def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
     """Ground set = edge ids; one entry per non-isolated vertex, mapping its
     incident edges to its degree."""
     if not g.edges:
@@ -120,7 +68,7 @@ def encode_bipartite(g: Multigraph) -> tuple[SetFn, SetFn]:
     return sides[0], sides[1]
 
 
-def check_degree_identity(g: Multigraph) -> Report:
+def check_degree_identity(g: BipartiteGraph) -> Report:
     """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
     max{deg(s), deg(t)}."""
     g1, g2 = encode_bipartite(g)
@@ -137,7 +85,7 @@ def check_degree_identity(g: Multigraph) -> Report:
     return Report(tuple(violations))
 
 
-def coloring_is_proper(g: Multigraph, phi) -> bool:
+def coloring_is_proper(g: BipartiteGraph, phi) -> bool:
     """True iff no two edges sharing a vertex get the same color."""
     for _, _, eid in g.edges:
         if eid not in phi:

@@ -32,7 +32,8 @@ from .core import (
     require_valid,
 )
 from .bunch import Partition
-from .encode import Multigraph, encode_bipartite
+from .encode import encode_bipartite
+from .matching import BipartiteGraph
 
 STRATEGIES = ("laminar", "closure", "rank_complement", "bipartite")
 
@@ -208,13 +209,13 @@ def _rank_complement_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -
 
 # -- bipartite ---------------------------------------------------------------
 
-def random_multigraph(rng: random.Random, n_edges: int) -> Multigraph:
+def random_multigraph(rng: random.Random, n_edges: int) -> BipartiteGraph:
     ns = rng.randint(1, n_edges)
     nt = rng.randint(1, n_edges)
     s_names = tuple(f"s{i}" for i in range(1, ns + 1))
     t_names = tuple(f"t{i}" for i in range(1, nt + 1))
     pairs = [(rng.choice(s_names), rng.choice(t_names)) for _ in range(n_edges)]
-    return Multigraph.from_pairs(s_names, t_names, pairs)
+    return BipartiteGraph.from_pairs(s_names, t_names, pairs)
 
 
 # -- public surface ----------------------------------------------------------

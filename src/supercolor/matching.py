@@ -1,5 +1,5 @@
-"""Bipartite graphs with tagged parallel edges, closed matchings, and common
-partial transversals of two bunch partitions.
+"""Bipartite multigraphs, closed matchings, and common partial transversals
+of two bunch partitions.
 
 A closed matching is a nonempty matching M such that every edge leaving a
 matched S-vertex ends at a matched T-vertex.  It always exists when
@@ -22,11 +22,14 @@ SUBSET_SCAN_LIMIT = 24
 class Edge(NamedTuple):
     s: Hashable
     t: Hashable
-    tag: Hashable
+    id: Hashable
 
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
+    """Bipartite multigraph; edges are (s, t, id) with distinct ids, so
+    parallel edges stay apart."""
+
     s_vertices: tuple
     t_vertices: tuple
     edges: tuple[Edge, ...]
@@ -41,19 +44,42 @@ class BipartiteGraph:
             raise InputError("duplicate T-vertex ids")
         s_index = {v: i for i, v in enumerate(self.s_vertices)}
         t_index = {v: i for i, v in enumerate(self.t_vertices)}
+        ids = set()
         for e in self.edges:
             if e.s not in s_index:
                 raise InputError(f"edge references unknown S-vertex {e.s!r}")
             if e.t not in t_index:
                 raise InputError(f"edge references unknown T-vertex {e.t!r}")
+            if e.id in ids:
+                raise InputError(f"duplicate edge id {e.id!r}")
+            ids.add(e.id)
         object.__setattr__(self, "_s_index", s_index)
         object.__setattr__(self, "_t_index", t_index)
+
+    @classmethod
+    def from_pairs(cls, s_vertices, t_vertices, pairs) -> "BipartiteGraph":
+        """Build from (s, t) pairs, assigning stable ids "s~t~i" with i the
+        0-based index among parallel copies of the same pair."""
+        seen: dict[tuple, int] = {}
+        edges = []
+        for s, t in pairs:
+            i = seen.get((s, t), 0)
+            seen[(s, t)] = i + 1
+            edges.append((s, t, f"{s}~{t}~{i}"))
+        return cls(tuple(s_vertices), tuple(t_vertices), tuple(edges))
 
     def s_index(self, v) -> int:
         return self._s_index[v]  # type: ignore[attr-defined]
 
     def t_index(self, v) -> int:
         return self._t_index[v]  # type: ignore[attr-defined]
+
+    def edge_ids(self) -> tuple:
+        return tuple(e.id for e in self.edges)
+
+    def degree(self, vertex, side: str) -> int:
+        pos = 0 if side == "s" else 1
+        return sum(1 for e in self.edges if e[pos] == vertex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,28 +120,25 @@ def _gosper_next(v: int) -> int:
     return (((r ^ v) >> 2) // c) | r
 
 
-def closed_matching(g: BipartiteGraph) -> Matching:
-    """Nonempty matching whose matched S-side has all its edges inside the
-    matched T-side.
+def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
+    """Sorted (S-index, T-index) pairs of a closed matching, from the S-side
+    adjacency masks over T-indices 0..nt-1; s_names names S-vertices in
+    errors.
 
     The minimal tight set V is found by scanning subsets of S ordered by
     (size, set-as-integer); the first hit is inclusion-minimal, satisfies
     |Γ(V)| = |V|, and admits a perfect matching onto Γ(V) by Hall.
     """
-    ns, nt = len(g.s_vertices), len(g.t_vertices)
+    ns = len(adj)
     if ns < nt:
         raise InputError(f"closed matching needs |S| >= |T|, got {ns} < {nt}")
     if ns == 0:
         raise InputError("closed matching needs a nonempty S side")
     if ns > SUBSET_SCAN_LIMIT:
         raise ResourceLimitError(f"subset scan over |S| = {ns} > {SUBSET_SCAN_LIMIT}")
-
-    adj_mask = [0] * ns
-    for e in g.edges:
-        adj_mask[g.s_index(e.s)] |= 1 << g.t_index(e.t)
-    for i, m in enumerate(adj_mask):
+    for i, m in enumerate(adj):
         if m == 0:
-            raise InputError(f"isolated S-vertex {g.s_vertices[i]!r}")
+            raise InputError(f"isolated S-vertex {s_names[i]!r}")
 
     tight = None
     for size in range(1, ns + 1):
@@ -125,7 +148,7 @@ def closed_matching(g: BipartiteGraph) -> Matching:
             rest = v
             while rest:
                 low = rest & -rest
-                gamma |= adj_mask[low.bit_length() - 1]
+                gamma |= adj[low.bit_length() - 1]
                 rest ^= low
             if gamma.bit_count() <= size:
                 tight = (v, gamma)
@@ -143,7 +166,7 @@ def closed_matching(g: BipartiteGraph) -> Matching:
     match_t: dict[int, int] = {}
 
     def augment(si: int, seen: set[int]) -> bool:
-        rest = adj_mask[si] & gamma
+        rest = adj[si] & gamma
         while rest:
             low = rest & -rest
             ti = low.bit_length() - 1
@@ -156,17 +179,29 @@ def closed_matching(g: BipartiteGraph) -> Matching:
                 return True
         return False
 
-    v_indices = [i for i in range(ns) if (vmask >> i) & 1]
-    for si in v_indices:
+    for si in bit_indices(vmask):
         if not augment(si, set()):
             raise RuntimeError("Hall condition failed on the tight set (internal bug)")
+
+    matched_t = sum(1 << ti for ti in match_t)
+    if any(adj[si] & ~matched_t for si in match_t.values()):
+        raise RuntimeError("matching is not closed (internal bug)")
+    return sorted((si, ti) for ti, si in match_t.items())
+
+
+def closed_matching(g: BipartiteGraph) -> Matching:
+    """Nonempty matching whose matched S-side has all its edges inside the
+    matched T-side (see closed_pairs)."""
+    adj = [0] * len(g.s_vertices)
+    for e in g.edges:
+        adj[g.s_index(e.s)] |= 1 << g.t_index(e.t)
+    picked = closed_pairs(adj, len(g.t_vertices), g.s_vertices)
 
     # realize matched vertex pairs with the first concrete edge between them
     edge_for: dict[tuple[int, int], Edge] = {}
     for e in g.edges:
         key = (g.s_index(e.s), g.t_index(e.t))
         edge_for.setdefault(key, e)
-    picked = sorted(((si, ti) for ti, si in match_t.items()))
     m = Matching(tuple(edge_for[pair] for pair in picked))
 
     covered_s = m.s_covered
@@ -183,25 +218,21 @@ class TransversalResult:
     case_tag: str  # "a": matched side 1 implies matched side 2; "b": converse
 
 
-def transversal_mask(parts1: list[int], parts2: list[int], live: int) -> tuple[int, str]:
-    """Nonempty common partial transversal of two partitions of the live mask,
-    as a mask, with its case tag.
+def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
+    """Nonempty common partial transversal of two partitions of one mask, as
+    a mask, with its case tag.
 
-    Builds the part-versus-part bipartite graph with one edge per element and
-    extracts a closed matching on the larger side; the matched edges name the
-    transversal elements.
+    Takes a closed matching of the part-versus-part graph, one edge per
+    element, with the larger side as S; each matched pair of parts gives
+    its least common element.
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
-    owner_lead, owner_follow = (
-        {i: j for j, part in enumerate(parts) for i in bit_indices(part)} for parts in (lead, follow)
-    )
-    graph = BipartiteGraph(
-        tuple(range(len(lead))),
-        tuple(range(len(follow))),
-        tuple((owner_lead[i], owner_follow[i], i) for i in bit_indices(live)),
-    )
-    k = sum(1 << e.tag for e in closed_matching(graph).edges)  # one edge per element
+    adj = [sum(1 << t for t, f in enumerate(follow) if f & s) for s in lead]
+    k = 0
+    for s, t in closed_pairs(adj, len(follow), range(len(lead))):
+        common = lead[s] & follow[t]
+        k |= common & -common
 
     if __debug__:
         # every element of a K-hit lead part must lie in a K-hit follow part
@@ -221,5 +252,5 @@ def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
     for g in (g1, g2):
         require_valid(g)
     parts = [part_masks(effective_entries(g.entries), full) for g in (g1, g2)]
-    k, case = transversal_mask(*parts, full)
+    k, case = transversal_mask(*parts)
     return TransversalResult(ElemSet(g1.ground, k), case)

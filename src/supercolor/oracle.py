@@ -166,22 +166,34 @@ def find_list_coloring(
     return _search(g1.ground.names, domains, _constraints(g1, g2))
 
 
-def random_lists(
-    g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
-) -> dict[str, tuple[int, ...]]:
-    """Per-element lists of the tight length max{d1(u), d2(u)}, drawn without
-    replacement from the pool {1..sigma_size}."""
+def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
+    """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
+    if g1.ground != g2.ground:
+        raise InputError("functions live on different ground sets")
     d1 = d_function(g1)
     d2 = d_function(g2)
+    return {name: max(d1[name], d2[name]) for name in g1.ground.names}
+
+
+def _draw_lists(
+    lengths: Mapping[str, int], sigma_size: int, rng: random.Random
+) -> dict[str, tuple[int, ...]]:
     lists = {}
-    for name in g1.ground.names:
-        need = max(d1[name], d2[name])
+    for name, need in lengths.items():
         if sigma_size < need:
             raise InputError(
                 f"color pool of {sigma_size} too small for list length {need}"
             )
         lists[name] = tuple(sorted(rng.sample(range(1, sigma_size + 1), need)))
     return lists
+
+
+def random_lists(
+    g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
+) -> dict[str, tuple[int, ...]]:
+    """Per-element lists of the tight length max{d1(u), d2(u)}, drawn without
+    replacement from the pool {1..sigma_size}."""
+    return _draw_lists(tight_lengths(g1, g2), sigma_size, rng)
 
 
 def verify_main_theorem(
@@ -201,10 +213,11 @@ def verify_main_theorem(
         raise InputError("trials must be nonnegative")
     if sigma_size is None:
         sigma_size = delta(g1, g2) + 2
+    lengths = tight_lengths(g1, g2)
     rng = random.Random(seed)
     violations = []
     for trial in range(trials):
-        lists = random_lists(g1, g2, sigma_size, rng)
+        lists = _draw_lists(lengths, sigma_size, rng)
         if find_list_coloring(g1, g2, lists, caps) is None:
             subjects = tuple(
                 (name, *map(str, lists[name])) for name in g1.ground.names

@@ -63,10 +63,7 @@ class ConditionReport:
             "i_ok": self.i_ok,
             "ii_ok": self.ii_ok,
             "iii_ok": self.iii_ok,
-            "witnesses": [
-                {"kind": v.kind, "subjects": [list(s) for s in v.subjects], "values": list(v.values)}
-                for v in self.witnesses
-            ],
+            "witnesses": [v.to_dict() for v in self.witnesses],
         }
 
 
@@ -91,7 +88,7 @@ def _construct(ground, live: int, g1: SetFn, g2: SetFn, trace: list | None) -> t
 
     effs = [effective_entries(g.entries) for g in (g1, g2)]
     parts = [part_masks(eff, live) for eff in effs]
-    k, case = transversal_mask(parts[0], parts[1], live)
+    k, case = transversal_mask(*parts)
     if trace is not None:
         names = ground.names_of
         trace.append({"universe": list(names(live)), "k": list(names(k)), "case": case})

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from supercolor import GenConfig, dump_json
+from supercolor import GenConfig, cli, dump_json
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
 
@@ -146,6 +147,13 @@ def test_unhashable_colors_are_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unhashable_set_members_are_exit_2(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"elements": ["a", "b"], "g1": [{"set": [["a"]], "value": 1}], "g2": []}')
+    code, _ = run_cli(capsys, "check", str(inst))
+    assert code == 2
+
+
 def test_unhashable_vertex_names_are_exit_2(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text('{"S": [["x"]], "T": ["t"], "edges": [[["x"], "t"]]}')
@@ -176,6 +184,31 @@ def test_batch_verify_script_cap_is_exit_3():
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: list search budget 1 exceeded")
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_is_exit_4(capsys, example_path, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_check", _raise_runtime_error)
+    assert run(["check", str(example_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: boom")
+
+
+def test_batch_verify_script_internal_error_is_exit_4(capsys, monkeypatch):
+    path = ROOT / "scripts" / "batch_verify.py"
+    spec = importlib.util.spec_from_file_location("batch_verify_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "batch_verify", _raise_runtime_error)
+    monkeypatch.setattr(sys, "argv", ["batch_verify.py", "--count", "1"])
+    assert script.main() == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: boom")
 
 
 def test_color_requires_exactly_one_mode(capsys, example_path):

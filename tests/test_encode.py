@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercolor import (
+    BipartiteGraph,
     InputError,
     check_capacity,
     check_degree_identity,
@@ -14,19 +15,18 @@ from supercolor import (
     encode_bipartite,
     parse_graph,
 )
-from supercolor.encode import Multigraph
 from supercolor.gen import random_multigraph
 
 
 def test_single_edge():
-    g = Multigraph.from_pairs(("s",), ("t",), [("s", "t")])
+    g = BipartiteGraph.from_pairs(("s",), ("t",), [("s", "t")])
     g1, g2 = encode_bipartite(g)
     assert [(x.names, v) for x, v in g1.items()] == [((("s~t~0"),), 1)]
     assert [(x.names, v) for x, v in g2.items()] == [((("s~t~0"),), 1)]
 
 
 def test_star():
-    g = Multigraph.from_pairs(
+    g = BipartiteGraph.from_pairs(
         ("s",), ("t1", "t2", "t3"), [("s", "t1"), ("s", "t2"), ("s", "t3")]
     )
     g1, g2 = encode_bipartite(g)
@@ -35,7 +35,7 @@ def test_star():
 
 
 def test_parallel_edges():
-    g = Multigraph.from_pairs(("s",), ("t",), [("s", "t"), ("s", "t")])
+    g = BipartiteGraph.from_pairs(("s",), ("t",), [("s", "t"), ("s", "t")])
     g1, g2 = encode_bipartite(g)
     assert [(x.names, v) for x, v in g1.items()] == [(("s~t~0", "s~t~1"), 2)]
     assert g1.entries == g2.entries
@@ -58,9 +58,9 @@ def test_degree_identity_random_graphs():
 
 
 def test_coloring_is_proper_basics():
-    single = Multigraph.from_pairs(("s",), ("t",), [("s", "t")])
+    single = BipartiteGraph.from_pairs(("s",), ("t",), [("s", "t")])
     assert coloring_is_proper(single, {"s~t~0": 7})
-    path = Multigraph.from_pairs(("s",), ("t1", "t2"), [("s", "t1"), ("s", "t2")])
+    path = BipartiteGraph.from_pairs(("s",), ("t1", "t2"), [("s", "t1"), ("s", "t2")])
     assert not coloring_is_proper(path, {"s~t1~0": 1, "s~t2~0": 1})
     assert coloring_is_proper(path, {"s~t1~0": 1, "s~t2~0": 2})
     with pytest.raises(InputError):
@@ -77,7 +77,7 @@ def test_proper_iff_dominating(data):
         (f"s{data.draw(st.integers(1, ns))}", f"t{data.draw(st.integers(1, nt))}")
         for _ in range(n_edges)
     ]
-    g = Multigraph.from_pairs(
+    g = BipartiteGraph.from_pairs(
         tuple(f"s{i}" for i in range(1, ns + 1)),
         tuple(f"t{i}" for i in range(1, nt + 1)),
         pairs,
@@ -100,7 +100,7 @@ def test_parse_graph():
 
 def test_encode_rejects_empty_and_oversized():
     with pytest.raises(InputError):
-        encode_bipartite(Multigraph.from_pairs(("s",), ("t",), []))
+        encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), []))
     many = [("s", "t")] * 65
     with pytest.raises(InputError):
-        encode_bipartite(Multigraph.from_pairs(("s",), ("t",), many))
+        encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), many))

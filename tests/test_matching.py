@@ -5,17 +5,26 @@ import pytest
 from supercolor import (
     BipartiteGraph,
     InputError,
+    ResourceLimitError,
     SetFn,
     bunch_partition,
     closed_matching,
     common_transversal,
+    construct_pi,
+    encode_bipartite,
+    gen_instance,
     is_partial_transversal,
+    mixed_configs,
     neighbors,
+    random_multigraph,
 )
+from supercolor.bunch import effective_entries, part_masks
+from supercolor.core import bit_indices
+from supercolor.matching import transversal_mask
 
 
 def graph(s, t, pairs):
-    return BipartiteGraph(tuple(s), tuple(t), tuple((a, b, f"{a}{b}") for a, b in pairs))
+    return BipartiteGraph.from_pairs(s, t, pairs)
 
 
 def test_neighbors():
@@ -127,8 +136,6 @@ def test_common_transversal_worked_example(example_instance):
 
 
 def test_common_transversal_condition_holds_randomly():
-    from supercolor import gen_instance, mixed_configs
-
     for cfg in mixed_configs(seed=23, count=60, n_max=7):
         g1, g2 = gen_instance(cfg)
         result = common_transversal(g1, g2)
@@ -140,3 +147,38 @@ def test_common_transversal_condition_holds_randomly():
         for name in g1.ground.names:
             if lead.part_of(name).mask & result.k.mask:
                 assert follow.part_of(name).mask & result.k.mask
+
+
+def _transversal_by_graph(parts1, parts2):
+    """transversal_mask through the explicit part graph and the public
+    closed_matching: one edge per element, tagged with its index."""
+    case = "a" if len(parts1) >= len(parts2) else "b"
+    lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
+    owner_lead, owner_follow = (
+        {i: j for j, part in enumerate(parts) for i in bit_indices(part)} for parts in (lead, follow)
+    )
+    graph = BipartiteGraph(
+        range(len(lead)),
+        range(len(follow)),
+        [(owner_lead[i], owner_follow[i], i) for i in bit_indices(sum(lead))],
+    )
+    return sum(1 << e.id for e in closed_matching(graph).edges), case
+
+
+def test_transversal_mask_matches_explicit_graph():
+    cases = set()
+    for cfg in mixed_configs(seed=61, count=320, n_min=2, n_max=10):
+        g1, g2 = gen_instance(cfg)
+        full = g1.ground.full_mask
+        parts = [part_masks(effective_entries(g.entries), full) for g in (g1, g2)]
+        got = transversal_mask(*parts)
+        assert got == _transversal_by_graph(*parts), cfg
+        cases.add(got[1])
+    assert cases == {"a", "b"}
+
+
+def test_subset_scan_cap_fires_on_the_recursion():
+    # a 32-edge graph whose recursion reaches a part graph with |S| = 25
+    g1, g2 = encode_bipartite(random_multigraph(random.Random(1969818431), 32))
+    with pytest.raises(ResourceLimitError, match=r"\|S\| = 25 > 24"):
+        construct_pi(g1, g2)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from supercolor import (
+    BipartiteGraph,
     GroundSet,
     InputError,
     ResourceLimitError,
@@ -19,7 +20,6 @@ from supercolor import (
     random_lists,
     verify_main_theorem,
 )
-from supercolor.encode import Multigraph
 
 
 def test_empty_families_one_color(abc_ground):
@@ -38,7 +38,7 @@ def test_worked_example_threshold(example_instance):
 
 
 def test_star_threshold():
-    star = Multigraph.from_pairs(("s",), ("t1", "t2", "t3"), [("s", "t1"), ("s", "t2"), ("s", "t3")])
+    star = BipartiteGraph.from_pairs(("s",), ("t1", "t2", "t3"), [("s", "t1"), ("s", "t2"), ("s", "t3")])
     g1, g2 = encode_bipartite(star)
     assert find_k_coloring(g1, g2, 2) is None
     assert find_k_coloring(g1, g2, 3) is not None
@@ -113,6 +113,12 @@ def test_verify_main_theorem_pool_too_small(example_instance):
     g1, g2 = example_instance
     with pytest.raises(InputError):
         verify_main_theorem(g1, g2, trials=1, sigma_size=2, seed=0)
+
+
+def test_verify_main_theorem_rejects_invalid_without_trials(abc_ground):
+    not_closed = SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "c"], 1)])
+    with pytest.raises(InputError, match="not intersecting-closed"):
+        verify_main_theorem(not_closed, SetFn(abc_ground, ()), trials=0)
 
 
 def test_search_determinism(example_instance):
