@@ -7,6 +7,9 @@ still exists.  Shorter lists may or may not admit a coloring; the interesting
 output is the failure rate, which must be zero at the full bound.
 
     python scripts/tightness_probe.py --count 100 --seed 3
+
+Exits 0 after printing the counts, 2 on bad input, 3 when a search cap is
+exceeded or generation gives up, and 4 on an internal error, as the CLI does.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from supercolor import (
     gen_instance,
     mixed_configs,
 )
+from supercolor.cli import error_exit
 
 
 def main() -> int:
@@ -31,6 +35,15 @@ def main() -> int:
     parser.add_argument("--draws", type=int, default=5, help="list draws per instance")
     args = parser.parse_args()
 
+    try:
+        counts = probe(args)
+    except Exception as e:  # the exit code tells expected errors from internal ones
+        return error_exit(e)
+    sys.stdout.write(dump_json(counts))
+    return 0
+
+
+def probe(args) -> dict:
     colorable = 0
     uncolorable = 0
     skipped = 0
@@ -53,18 +66,13 @@ def main() -> int:
             else:
                 colorable += 1
     total = colorable + uncolorable
-    sys.stdout.write(
-        dump_json(
-            {
-                "draws": total,
-                "colorable": colorable,
-                "uncolorable": uncolorable,
-                "skipped_trivial_instances": skipped,
-                "failure_rate": (uncolorable / total) if total else None,
-            }
-        )
-    )
-    return 0
+    return {
+        "draws": total,
+        "colorable": colorable,
+        "uncolorable": uncolorable,
+        "skipped_trivial_instances": skipped,
+        "failure_rate": (uncolorable / total) if total else None,
+    }
 
 
 if __name__ == "__main__":

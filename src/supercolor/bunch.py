@@ -128,10 +128,20 @@ def effective_family(g: SetFn) -> tuple[ElemSet, ...]:
     return tuple(ElemSet(g.ground, m) for m, _ in effective_entries(g.entries))
 
 
+def partition_masks(g: SetFn) -> list[int]:
+    """Validate g and return part_masks of its whole ground set.  An empty set
+    of value >= 2 would be an effective set covering nothing, i.e. an empty
+    part, so it is rejected as input."""
+    require_valid(g)
+    for m, v in g.entries:
+        if m == 0 and v >= 2:
+            raise InputError(f"the empty set has value {v} >= 2, so there is no bunch partition")
+    return part_masks(effective_entries(g.entries), g.ground.full_mask)
+
+
 def bunch_partition(g: SetFn) -> Partition:
     """Maximal effective sets plus singletons of uncovered elements."""
-    require_valid(g)
-    parts = part_masks(effective_entries(g.entries), g.ground.full_mask)
+    parts = partition_masks(g)
     return Partition(g.ground, tuple(ElemSet(g.ground, m) for m in parts))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices, require_valid
-from .bunch import effective_entries, part_masks
+from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices
+from .bunch import partition_masks
 
 SUBSET_SCAN_LIMIT = 24
 
@@ -248,9 +248,5 @@ def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
         raise InputError("functions live on different ground sets")
     if g1.ground.size == 0:
         raise InputError("common transversal needs a nonempty ground set")
-    full = g1.ground.full_mask
-    for g in (g1, g2):
-        require_valid(g)
-    parts = [part_masks(effective_entries(g.entries), full) for g in (g1, g2)]
-    k, case = transversal_mask(*parts)
+    k, case = transversal_mask(*(partition_masks(g) for g in (g1, g2)))
     return TransversalResult(ElemSet(g1.ground, k), case)

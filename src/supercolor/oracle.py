@@ -6,7 +6,10 @@ constrained set can no longer reach its required number of distinct colors,
 even if every remaining element contributed a fresh one.  The bound is exact
 on fully assigned sets, so a completed assignment needs no final recheck; the
 pruning never discards a satisfiable branch, hence the first assignment found
-is the canonically smallest one.
+is the canonically smallest one.  Before any element is assigned, the search
+is refused outright when some set's bound exceeds the number of distinct
+colors in the union of its elements' domains, since no assignment can give the
+set more colors than its elements can take.
 """
 
 from __future__ import annotations
@@ -61,9 +64,12 @@ def _search(names: Sequence[str], domains: Sequence[Sequence], constraints) -> C
     remaining = []
     bounds = []
     for ci, (mask, bound) in enumerate(constraints):
-        remaining.append(mask.bit_count())
+        elems = list(bit_indices(mask))
+        if len(set().union(*(domains[i] for i in elems))) < bound:
+            return None  # pigeonhole: too few colors to reach the bound
+        remaining.append(len(elems))
         bounds.append(bound)
-        for i in bit_indices(mask):
+        for i in elems:
             per_elem[i].append(ci)
     counts: list[dict] = [{} for _ in constraints]
     distinct = [0] * len(constraints)
@@ -112,7 +118,11 @@ def find_k_coloring(
     g1: SetFn, g2: SetFn, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
     """First assignment U -> {1..k} (in canonical order) dominating both
-    functions, or None after exhausting the search space."""
+    functions, or None after exhausting the search space.
+
+    Only colors up to max(1, |U|) are tried: renumbering colors in order of
+    first use keeps a coloring dominating and never makes it larger, so the
+    canonically smallest one never uses a color above |U|."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     if k < 1:
@@ -122,7 +132,7 @@ def find_k_coloring(
         raise ResourceLimitError(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
-    colors = tuple(range(1, k + 1))
+    colors = tuple(range(1, min(k, max(1, n)) + 1))
     return _search(g1.ground.names, [colors] * n, _constraints(g1, g2))
 
 

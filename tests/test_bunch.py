@@ -10,6 +10,7 @@ from supercolor import (
     bunch_partition,
     check_capacity,
     check_supermodular,
+    common_transversal,
     cover_witness,
     d_function,
     effective_family,
@@ -54,6 +55,15 @@ def test_partition_worked_example(example_g):
 def test_partition_empty_family_is_singletons(abc_ground):
     p = bunch_partition(SetFn(abc_ground, ()))
     assert names_of_sets(p.parts) == {("a",), ("b",), ("c",)}
+
+
+def test_partition_rejects_empty_set_of_value_two(abc_ground):
+    g = SetFn(abc_ground, ((0, 2),))
+    with pytest.raises(InputError, match="empty set"):
+        bunch_partition(g)
+    with pytest.raises(InputError, match="empty set"):
+        common_transversal(g, SetFn(abc_ground, ()))
+    assert d_function(g) == {"a": 1, "b": 1, "c": 1}
 
 
 def test_d_function_worked_example(example_g):

@@ -123,6 +123,18 @@ def test_color_with_k(capsys, example_path):
     assert code == 1 and not payload["found"]
 
 
+def test_color_with_huge_k(capsys, tmp_path):
+    inst = tmp_path / "two.json"
+    inst.write_text(
+        '{"elements": ["a", "b"], "g1": [{"set": ["a", "b"], "value": 2}], "g2": []}'
+    )
+    code, huge = run_cli(capsys, "color", str(inst), "--k", "100000000000")
+    assert code == 0
+    code, two = run_cli(capsys, "color", str(inst), "--k", "2")
+    assert code == 0
+    assert huge["coloring"] == two["coloring"] == {"a": 1, "b": 2}
+
+
 def test_color_with_lists(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(
@@ -186,6 +198,23 @@ def test_batch_verify_script_cap_is_exit_3():
     assert proc.stderr.startswith("error: list search budget 1 exceeded")
 
 
+def test_tightness_probe_script_cap_is_exit_3():
+    proc = run_python(
+        str(ROOT / "scripts" / "tightness_probe.py"), "--count", "100", "--seed", "3",
+        "--n-max", "9",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: list search budget 10000000 exceeded")
+
+
+def test_tightness_probe_script_bad_input_is_exit_2():
+    proc = run_python(str(ROOT / "scripts" / "tightness_probe.py"), "--n-max", "11")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: need 1 <= n_min <= n_max")
+
+
 def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError("boom")
 
@@ -205,6 +234,19 @@ def test_batch_verify_script_internal_error_is_exit_4(capsys, monkeypatch):
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "batch_verify", _raise_runtime_error)
     monkeypatch.setattr(sys, "argv", ["batch_verify.py", "--count", "1"])
+    assert script.main() == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: boom")
+
+
+def test_tightness_probe_script_internal_error_is_exit_4(capsys, monkeypatch):
+    path = ROOT / "scripts" / "tightness_probe.py"
+    spec = importlib.util.spec_from_file_location("tightness_probe_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "find_list_coloring", _raise_runtime_error)
+    monkeypatch.setattr(sys, "argv", ["tightness_probe.py", "--count", "5"])
     assert script.main() == 4
     captured = capsys.readouterr()
     assert captured.out == ""

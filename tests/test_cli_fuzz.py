@@ -1,0 +1,146 @@
+"""Fuzz of the CLI exit-code contract: whatever the input files hold, every
+command exits 0, 1, 2 or 3, never 4 (internal error)."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from supercolor import GenConfig, GenerationError, gen_instance, instance_payload
+from supercolor.cli import run
+from supercolor.gen import STRATEGIES
+
+
+NAMES = ("a", "b", "c", "d", "e")  # the element names gen_instance uses
+S_VERTICES = ("s1", "s2", "s3")
+T_VERTICES = ("t1", "t2")
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(NAMES + S_VERTICES),
+    st.text(max_size=3),
+)
+junk = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def shapes(valid, keys):
+    """Well-formed documents, ones with a single field replaced by anything
+    at all, and anything at all."""
+    corrupted = st.tuples(valid, st.sampled_from(keys), junk).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+    return st.one_of(valid, valid, valid, corrupted, junk)
+
+
+def generated(cfg):
+    try:
+        return instance_payload(*gen_instance(cfg))
+    except GenerationError:
+        return {}
+
+
+name = st.one_of(st.sampled_from(NAMES), st.sampled_from(NAMES), scalars)
+entry = st.one_of(
+    st.fixed_dictionaries(
+        {"set": st.lists(name, max_size=4), "value": st.integers(-2, 5)},
+        optional={"extra": junk},
+    ),
+    junk,
+)
+supermodular = st.builds(
+    GenConfig,
+    seed=st.integers(0, 2**32 - 1),
+    n_elements=st.integers(1, len(NAMES)),
+    strategy=st.sampled_from(STRATEGIES),
+).map(generated)
+arbitrary = st.fixed_dictionaries(
+    {
+        "elements": st.lists(name, min_size=1, max_size=5),
+        "g1": st.lists(entry, max_size=4),
+        "g2": st.lists(entry, max_size=4),
+    }
+)
+extra_entry = st.tuples(supermodular, st.sampled_from(("g1", "g2")), entry).map(
+    lambda t: {**t[0], t[1]: [*t[0].get(t[1], []), t[2]]}
+)
+instance = shapes(
+    st.one_of(supermodular, supermodular, extra_entry, arbitrary),
+    ("elements", "g1", "g2", "unknown"),
+)
+lists = shapes(
+    st.fixed_dictionaries(
+        {u: st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True) for u in NAMES}
+    ),
+    (*NAMES, "unknown"),
+)
+graph = shapes(
+    st.fixed_dictionaries(
+        {
+            "S": st.permutations(S_VERTICES),
+            "T": st.permutations(T_VERTICES),
+            "edges": st.lists(
+                st.tuples(st.sampled_from(S_VERTICES), st.sampled_from(T_VERTICES)).map(list),
+                min_size=1,
+                max_size=6,
+            ),
+        }
+    ),
+    ("S", "T", "edges", "unknown"),
+)
+
+
+def file_text(docs):
+    """Mostly the JSON text of a generated document, sometimes raw text that
+    may not parse."""
+    text = docs.map(json.dumps)
+    return st.one_of(text, text, text, st.text(max_size=20))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    inst_text=file_text(instance),
+    lists_text=file_text(lists),
+    graph_text=file_text(graph),
+    k=st.one_of(st.integers(1, 6), st.integers(-1, 6), st.integers(-(10**12), 10**12)),
+    side=st.one_of(st.integers(1, 2), st.integers(-1, 3)),
+)
+def test_cli_exit_codes_stay_in_contract(
+    tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side
+):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    inst = tmp_path / "inst.json"
+    inst.write_text(inst_text)
+    lists_file = tmp_path / "lists.json"
+    lists_file.write_text(lists_text)
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(graph_text)
+    commands = [
+        ["check", str(inst)],
+        ["analyze", str(inst), "--side", str(side)],
+        ["pi", str(inst)],
+        ["color", str(inst), "--lists", str(lists_file)],
+        ["color", str(inst), "--k", str(k)],
+        ["verify", str(inst), "--trials", "1"],
+        ["transversal", str(inst)],
+        ["encode-bipartite", str(graph_file)],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

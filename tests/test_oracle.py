@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from supercolor import (
     random_lists,
     verify_main_theorem,
 )
+from supercolor.oracle import tight_lengths
 
 
 def test_empty_families_one_color(abc_ground):
@@ -56,6 +58,61 @@ def test_k_coloring_canonical_first(example_instance):
     a = find_k_coloring(g1, g2, 4)
     b = find_k_coloring(g1, g2, 4)
     assert a == b  # deterministic, canonically smallest
+
+
+def test_k_coloring_clamps_huge_k(example_instance):
+    g1, g2 = example_instance
+    n = g1.ground.size
+    assert find_k_coloring(g1, g2, 10**11) == find_k_coloring(g1, g2, n)
+    empty = SetFn(GroundSet(()), ())
+    assert find_k_coloring(empty, empty, 10**11) == {}
+
+
+def brute_force_coloring(g1, g2, domains):
+    """First dominating assignment of a plain product over the domains, taken
+    in ground order: the reference for the pruned search."""
+    names = g1.ground.names
+    sets = [
+        (tuple(i for i in range(len(names)) if mask >> i & 1), bound)
+        for g in (g1, g2)
+        for mask, bound in g.entries
+    ]
+    for colors in itertools.product(*domains):
+        if all(len({colors[i] for i in idx}) >= bound for idx, bound in sets):
+            return dict(zip(names, colors))
+    return None
+
+
+def test_search_matches_brute_force():
+    rng = random.Random(17)
+    outcomes = set()
+    configs = mixed_configs(seed=2024, count=300, n_max=5)
+    for cfg in configs:
+        g1, g2 = gen_instance(cfg)
+        n = g1.ground.size
+        for k in range(1, delta(g1, g2) + 2):
+            expected = brute_force_coloring(g1, g2, [range(1, k + 1)] * n)
+            assert find_k_coloring(g1, g2, k) == expected, (cfg, k)
+            outcomes.add(("k", expected is not None))
+        tight = tight_lengths(g1, g2)
+        sigma = delta(g1, g2) + 2
+        for shorten in (0, 1):
+            lists = {
+                u: sorted(rng.sample(range(1, sigma + 1), max(1, need - shorten)))
+                for u, need in tight.items()
+            }
+            domains = [lists[u] for u in g1.ground.names]
+            expected = brute_force_coloring(g1, g2, domains)
+            assert find_list_coloring(g1, g2, lists) == expected, (cfg, lists)
+            outcomes.add(("list", expected is not None))
+    assert outcomes == {("k", True), ("k", False), ("list", True), ("list", False)}
+
+
+def test_min_k_matches_delta_at_ten_elements():
+    # k < delta is refused by counting colors, not by enumerating k^10
+    for cfg in mixed_configs(seed=4242, count=15, n_min=10, n_max=10):
+        g1, g2 = gen_instance(cfg)
+        assert min_k(g1, g2) == delta(g1, g2), cfg
 
 
 def test_list_coloring_singleton_lists(abc_ground):
