@@ -17,7 +17,6 @@ import random
 import sys
 
 from supercolor import (
-    d_function,
     delta,
     dump_json,
     find_list_coloring,
@@ -25,6 +24,7 @@ from supercolor import (
     mixed_configs,
 )
 from supercolor.cli import error_exit
+from supercolor.oracle import tight_lengths
 
 
 def main() -> int:
@@ -49,8 +49,7 @@ def probe(args) -> dict:
     skipped = 0
     for cfg in mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
         g1, g2 = gen_instance(cfg)
-        d1, d2 = d_function(g1), d_function(g2)
-        bound = {u: max(d1[u], d2[u]) for u in g1.ground.names}
+        bound = tight_lengths(g1, g2)
         if all(b == 1 for b in bound.values()):
             skipped += 1  # nothing to shorten
             continue

@@ -23,9 +23,8 @@ from .core import (
     InputError,
     ResourceLimitError,
     SetFn,
+    _check_pairs,
     check_capacity,
-    check_intersecting_family,
-    check_supermodular,
     delta,
     dump_json,
     instance_payload,
@@ -98,9 +97,9 @@ def _cmd_check(args, caps) -> tuple[int, dict]:
     results = {}
     all_ok = True
     for key, g in (("g1", g1), ("g2", g2)):
-        family = check_intersecting_family(g)
+        family, unequal = _check_pairs(g)
         if family.ok:
-            supermodular = check_supermodular(g).to_dict()
+            supermodular = unequal.to_dict()
         else:
             supermodular = {"ok": False, "skipped": "family not intersecting-closed"}
         capacity = check_capacity(g)

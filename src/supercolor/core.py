@@ -77,9 +77,6 @@ class GroundSet:
             mask |= bit
         return ElemSet(self, mask)
 
-    def from_mask(self, mask: int) -> "ElemSet":
-        return ElemSet(self, mask)
-
     def empty(self) -> "ElemSet":
         return ElemSet(self, 0)
 
@@ -174,10 +171,6 @@ class SetFn:
         object.__setattr__(self, "_values", dict(canon))
 
     @classmethod
-    def from_sets(cls, ground: GroundSet, pairs: Iterable[tuple[ElemSet, int]]) -> "SetFn":
-        return cls(ground, tuple((x.mask, v) for x, v in pairs))
-
-    @classmethod
     def from_names(
         cls, ground: GroundSet, pairs: Iterable[tuple[Iterable[str], int]]
     ) -> "SetFn":
@@ -255,25 +248,40 @@ def _masks_intersecting(a: int, b: int) -> bool:
     return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
-def check_intersecting_family(g: SetFn) -> Report:
-    """Check closure under union/intersection of every intersecting pair."""
-    masks = [m for m, _ in g.entries]
-    present = set(masks)
-    violations: list[Violation] = []
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
+def _check_pairs(g: SetFn) -> tuple[Report, Report]:
+    """One walk over the intersecting pairs of g's family, in entry order.
+
+    Returns the missing unions and intersections (union first within a pair)
+    and the supermodular violations g(X)+g(Y) > g(X∪Y)+g(X∩Y) among the pairs
+    whose union and intersection are both present.
+    """
+    values = g._values  # type: ignore[attr-defined]
+    names = g.ground.names_of
+    entries = g.entries
+    missing: list[Violation] = []
+    unequal: list[Violation] = []
+    for i, (a, va) in enumerate(entries):
+        for b, vb in entries[i + 1 :]:
             if not _masks_intersecting(a, b):
                 continue
-            missing = [m for m in (a | b, a & b) if m not in present]
-            for m in missing:
-                kind = "missing_union" if m == a | b else "missing_intersection"
-                violations.append(
-                    Violation(
-                        kind,
-                        (g.ground.names_of(a), g.ground.names_of(b), g.ground.names_of(m)),
-                    )
+            vu = values.get(a | b)
+            vi = values.get(a & b)
+            if vu is None:
+                missing.append(Violation("missing_union", (names(a), names(b), names(a | b))))
+            if vi is None:
+                missing.append(
+                    Violation("missing_intersection", (names(a), names(b), names(a & b)))
                 )
-    return Report(tuple(violations))
+            elif vu is not None and va + vb > vu + vi:
+                unequal.append(
+                    Violation("supermodular", (names(a), names(b)), (va + vb, vu + vi))
+                )
+    return Report(tuple(missing)), Report(tuple(unequal))
+
+
+def check_intersecting_family(g: SetFn) -> Report:
+    """Check closure under union/intersection of every intersecting pair."""
+    return _check_pairs(g)[0]
 
 
 def check_supermodular(g: SetFn) -> Report:
@@ -282,31 +290,13 @@ def check_supermodular(g: SetFn) -> Report:
     Requires the family to be intersecting-closed; otherwise the inequality
     is not even well defined and an InputError names a missing set.
     """
-    family = check_intersecting_family(g)
+    family, supermodular = _check_pairs(g)
     if not family.ok:
         v = family.violations[0]
         raise InputError(
             f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
         )
-    masks = [m for m, _ in g.entries]
-    violations: list[Violation] = []
-    for i, a in enumerate(masks):
-        va = g.value_of_mask(a)
-        for b in masks[i + 1 :]:
-            if not _masks_intersecting(a, b):
-                continue
-            vb = g.value_of_mask(b)
-            lhs = va + vb
-            rhs = g.value_of_mask(a | b) + g.value_of_mask(a & b)
-            if lhs > rhs:
-                violations.append(
-                    Violation(
-                        "supermodular",
-                        (g.ground.names_of(a), g.ground.names_of(b)),
-                        (lhs, rhs),
-                    )
-                )
-    return Report(tuple(violations))
+    return supermodular
 
 
 def check_capacity(g: SetFn) -> Report:

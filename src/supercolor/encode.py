@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .core import GroundSet, InputError, Report, SetFn, Violation
-from .bunch import d_function
+from .core import MAX_ELEMENTS, GroundSet, InputError, Report, SetFn, Violation
 from .matching import BipartiteGraph
+from .oracle import tight_lengths
 
 
 def parse_graph(text: str) -> BipartiteGraph:
@@ -51,8 +51,8 @@ def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
     incident edges to its degree."""
     if not g.edges:
         raise InputError("graph has no edges")
-    if len(g.edges) > 64:
-        raise InputError(f"at most 64 edges supported, got {len(g.edges)}")
+    if len(g.edges) > MAX_ELEMENTS:
+        raise InputError(f"at most {MAX_ELEMENTS} edges supported, got {len(g.edges)}")
     ground = GroundSet(g.edge_ids())
     sides = []
     for pos, vertices in ((0, g.s_vertices), (1, g.t_vertices)):
@@ -71,14 +71,12 @@ def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
 def check_degree_identity(g: BipartiteGraph) -> Report:
     """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
     max{deg(s), deg(t)}."""
-    g1, g2 = encode_bipartite(g)
-    d1 = d_function(g1)
-    d2 = d_function(g2)
+    bound = tight_lengths(*encode_bipartite(g))
     s_deg = {v: g.degree(v, "s") for v in g.s_vertices}
     t_deg = {v: g.degree(v, "t") for v in g.t_vertices}
     violations = []
     for s, t, eid in g.edges:
-        got = max(d1[eid], d2[eid])
+        got = bound[eid]
         want = max(s_deg[s], t_deg[t])
         if got != want:
             violations.append(Violation("degree_identity", ((eid,), (s, t)), (got, want)))

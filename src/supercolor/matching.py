@@ -59,13 +59,16 @@ class BipartiteGraph:
     @classmethod
     def from_pairs(cls, s_vertices, t_vertices, pairs) -> "BipartiteGraph":
         """Build from (s, t) pairs, assigning stable ids "s~t~i" with i the
-        0-based index among parallel copies of the same pair."""
-        seen: dict[tuple, int] = {}
+        0-based index among earlier edges with the same "s~t" text.  The text
+        after the last "~" is all digits, so the ids are distinct even when
+        distinct pairs print alike ("a~b", "c" and "a", "b~c"; 1 and "1")."""
+        seen: dict[str, int] = {}
         edges = []
         for s, t in pairs:
-            i = seen.get((s, t), 0)
-            seen[(s, t)] = i + 1
-            edges.append((s, t, f"{s}~{t}~{i}"))
+            key = f"{s}~{t}"
+            i = seen.get(key, 0)
+            seen[key] = i + 1
+            edges.append((s, t, f"{key}~{i}"))
         return cls(tuple(s_vertices), tuple(t_vertices), tuple(edges))
 
     def s_index(self, v) -> int:

@@ -49,6 +49,17 @@ def test_check_flags_violations(capsys, tmp_path):
     assert payload["results"]["g1"]["capacity"]["ok"] is False
 
 
+@pytest.mark.parametrize("name", ["not_closed", "not_supermodular"])
+def test_check_stdout_pinned(capsys, name):
+    """Every violation's kind, subjects, values and order, byte for byte:
+    not_closed has both missing kinds and a skipped supermodular check;
+    not_supermodular is closed with three inequality violations."""
+    data = ROOT / "tests" / "data"
+    code = run(["check", str(data / f"{name}.json")])
+    assert code == 1
+    assert capsys.readouterr().out == (data / f"{name}.check.out").read_text()
+
+
 def test_analyze_worked_example(capsys, example_path):
     code, payload = run_cli(capsys, "analyze", str(example_path), "--side", "1")
     assert code == 0
@@ -273,6 +284,31 @@ def test_encode_bipartite(capsys, tmp_path):
     assert {tuple(e["set"]): e["value"] for e in payload["g1"]} == {
         ("s~t1~0", "s~t2~0"): 2
     }
+
+
+@pytest.mark.parametrize(
+    "doc, ids",
+    [
+        (
+            {"S": ["a~b", "a"], "T": ["c", "b~c"], "edges": [["a~b", "c"], ["a", "b~c"]]},
+            ["a~b~c~0", "a~b~c~1"],
+        ),
+        ({"S": [1, "1"], "T": [2], "edges": [[1, 2], ["1", 2]]}, ["1~2~0", "1~2~1"]),
+    ],
+)
+def test_encode_bipartite_distinct_ids_for_pairs_that_print_alike(capsys, tmp_path, doc, ids):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    code, payload = run_cli(capsys, "encode-bipartite", str(graph))
+    assert code == 0
+    assert payload["elements"] == ids
+
+
+def test_encode_bipartite_edge_cap_is_exit_2(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"S": ["s"], "T": ["t"], "edges": [["s", "t"]] * 65}))
+    assert run(["encode-bipartite", str(graph)]) == 2
+    assert "at most 64 edges supported, got 65" in capsys.readouterr().err
 
 
 def test_gen_deterministic_stdout(capsys, tmp_path):

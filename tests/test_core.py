@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,8 @@ from supercolor import (
     is_intersecting,
     parse_instance,
 )
-from supercolor.core import bit_indices
+from supercolor import cli, core
+from supercolor.core import Report, Violation, _masks_intersecting, bit_indices, require_valid
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -100,6 +104,137 @@ def test_supermodular_requires_closed_family(abc_ground):
     g = SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "c"], 1)])
     with pytest.raises(InputError, match="missing"):
         check_supermodular(g)
+
+
+# The two-walk checks as they stood before the single pair walk: the closure
+# walk, then a second walk for the inequality.  Kept as the reference that
+# the single walk must reproduce exactly.
+
+def _ref_check_intersecting_family(g: SetFn) -> Report:
+    masks = [m for m, _ in g.entries]
+    present = set(masks)
+    violations: list[Violation] = []
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if not _masks_intersecting(a, b):
+                continue
+            missing = [m for m in (a | b, a & b) if m not in present]
+            for m in missing:
+                kind = "missing_union" if m == a | b else "missing_intersection"
+                violations.append(
+                    Violation(
+                        kind,
+                        (g.ground.names_of(a), g.ground.names_of(b), g.ground.names_of(m)),
+                    )
+                )
+    return Report(tuple(violations))
+
+
+def _ref_check_supermodular(g: SetFn) -> Report:
+    family = _ref_check_intersecting_family(g)
+    if not family.ok:
+        v = family.violations[0]
+        raise InputError(
+            f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
+        )
+    masks = [m for m, _ in g.entries]
+    violations: list[Violation] = []
+    for i, a in enumerate(masks):
+        va = g.value_of_mask(a)
+        for b in masks[i + 1 :]:
+            if not _masks_intersecting(a, b):
+                continue
+            vb = g.value_of_mask(b)
+            lhs = va + vb
+            rhs = g.value_of_mask(a | b) + g.value_of_mask(a & b)
+            if lhs > rhs:
+                violations.append(
+                    Violation(
+                        "supermodular",
+                        (g.ground.names_of(a), g.ground.names_of(b)),
+                        (lhs, rhs),
+                    )
+                )
+    return Report(tuple(violations))
+
+
+def _ref_require_valid(g: SetFn) -> None:
+    report = _ref_check_supermodular(g)
+    if not report.ok:
+        v = report.violations[0]
+        raise InputError(
+            "function is not supermodular: "
+            f"{{{','.join(v.subjects[0])}}}, {{{','.join(v.subjects[1])}}} "
+            f"give {v.values[0]} > {v.values[1]}"
+        )
+
+
+def _outcome(check, g):
+    """The report a check returns, or the message of the InputError it raises."""
+    try:
+        return check(g)
+    except InputError as e:
+        return str(e)
+
+
+def _random_family(rng: random.Random) -> SetFn:
+    """A family on 3 to 6 elements, closed under intersecting pairs more than
+    half the time, with values either random or convex in |X| (so
+    supermodular on a closed family)."""
+    n = rng.randint(3, 6)
+    ground = GroundSet(tuple("abcdef"[:n]))
+    masks = {rng.randrange(1 << n) for _ in range(rng.randint(3, 10))}
+    if rng.random() < 0.6:
+        grown = True
+        while grown:
+            grown = False
+            for a in list(masks):
+                for b in list(masks):
+                    if _masks_intersecting(a, b) and not {a | b, a & b} <= masks:
+                        masks |= {a | b, a & b}
+                        grown = True
+    if rng.random() < 0.5:
+        values = {m: rng.randint(-2, 4) for m in masks}
+    else:
+        values = {m: m.bit_count() ** 2 - 3 for m in masks}
+    return SetFn(ground, tuple(values.items()))
+
+
+def test_pair_walk_matches_two_walk_reference():
+    rng = random.Random(20170901)
+    seen = Counter()
+    for _ in range(400):
+        g = _random_family(rng)
+        family = check_intersecting_family(g)
+        assert family == _ref_check_intersecting_family(g)
+        supermodular = _outcome(check_supermodular, g)
+        assert supermodular == _outcome(_ref_check_supermodular, g)
+        assert _outcome(require_valid, g) == _outcome(_ref_require_valid, g)
+        if not family.ok:
+            seen["not_closed"] += 1
+            if len({v.kind for v in family.violations}) == 2:
+                seen["both_missing_kinds"] += 1
+        elif not supermodular.ok:
+            seen["not_supermodular"] += 1
+            if len(supermodular.violations) > 1:
+                seen["several_inequalities"] += 1
+        else:
+            seen["valid"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
+def test_one_pair_walk_per_check(monkeypatch, example_path):
+    calls = []
+    walk = core._check_pairs
+    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    monkeypatch.setattr(cli, "_check_pairs", core._check_pairs)
+    g1, _ = parse_instance(example_path.read_text())
+    require_valid(g1)
+    assert len(calls) == 1
+    check_supermodular(g1)
+    assert len(calls) == 2
+    assert cli.run(["check", str(example_path)]) == 0
+    assert len(calls) == 4  # one walk per side
 
 
 def test_capacity(example_g, abc_ground):
