@@ -8,8 +8,9 @@ output is the failure rate, which must be zero at the full bound.
 
     python scripts/tightness_probe.py --count 100 --seed 3
 
-Exits 0 after printing the counts, 2 on bad input, 3 when a search cap is
-exceeded or generation gives up, and 4 on an internal error, as the CLI does.
+Exits 0 after printing the counts, 2 on bad input, 3 when a search cap
+(SUPERCOLOR_CAPS, read as the CLI reads it) is exceeded or generation gives
+up, and 4 on an internal error, as the CLI does.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from supercolor import (
     gen_instance,
     mixed_configs,
 )
-from supercolor.cli import error_exit
+from supercolor.cli import caps_from_env, error_exit
 from supercolor.oracle import tight_lengths
 
 
@@ -44,6 +45,7 @@ def main() -> int:
 
 
 def probe(args) -> dict:
+    caps = caps_from_env()
     colorable = 0
     uncolorable = 0
     skipped = 0
@@ -60,7 +62,7 @@ def probe(args) -> dict:
                 u: tuple(sorted(rng.sample(range(1, sigma + 1), max(1, b - 1))))
                 for u, b in bound.items()
             }
-            if find_list_coloring(g1, g2, lists) is None:
+            if find_list_coloring(g1, g2, lists, caps) is None:
                 uncolorable += 1
             else:
                 colorable += 1

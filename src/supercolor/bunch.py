@@ -101,25 +101,20 @@ def d_values(eff, ground: GroundSet, mask: int) -> dict[str, int]:
     }
 
 
-def reduce_entries(g: SetFn, kmask: int) -> tuple[SetFn, dict[int, tuple[int, int]]]:
-    """Reduce g by the removal mask, staying on g's ground set: each set drops
-    its k-elements, sets that met k lose one unit of value, and sets with the
-    same residual merge by maximum.  The result is valid for every k, and is
-    checked to be.  Returns it and, per residual, (value, least attaining mask).
-    """
+def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
+    """Reduce (mask, value) entries by the removal mask, staying on their
+    ground set: each set drops its k-elements, sets that met k lose one unit of
+    value, and sets with the same residual merge by maximum.  Returns, per
+    residual, (value, least attaining mask).  Valid entries stay valid for any
+    k, and reducing only the effective entries keeps the effective family."""
     best: dict[int, tuple[int, int]] = {}
-    for m, v in g.entries:
+    for m, v in entries:
         hat = v - 1 if m & kmask else v
         proj = m & ~kmask
         cur = best.get(proj)
         if cur is None or hat > cur[0] or (hat == cur[0] and m < cur[1]):
             best[proj] = (hat, m)
-    reduced = SetFn(g.ground, tuple((p, hv[0]) for p, hv in best.items()))
-    try:
-        require_valid(reduced)
-    except InputError as e:
-        raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
-    return reduced, best
+    return best
 
 
 def effective_family(g: SetFn) -> tuple[ElemSet, ...]:
@@ -158,17 +153,20 @@ def is_partial_transversal(p: Partition, k: ElemSet) -> bool:
 
 def reduce(g: SetFn, k: ElemSet) -> ReductionResult:
     """Reduce g by the removal set k (see reduce_entries); the result lives on
-    the ground set without k."""
+    the ground set without k and is checked to be valid."""
     require_valid(g)
     if k.ground != g.ground:
         raise InputError("removal set lives on a different ground set")
-    reduced, best = reduce_entries(g, k.mask)
+    best = reduce_entries(g.entries, k.mask)
     names = g.ground.names_of
     new_ground = GroundSet(names(g.ground.full_mask & ~k.mask))
-    return ReductionResult(
-        SetFn.from_names(new_ground, ((names(m), v) for m, v in reduced.entries)),
-        {new_ground.subset(names(p)): ElemSet(g.ground, hv[1]) for p, hv in best.items()},
-    )
+    reduced = SetFn.from_names(new_ground, ((names(p), hv[0]) for p, hv in best.items()))
+    try:
+        require_valid(reduced)
+    except InputError as e:
+        raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
+    attainers = {new_ground.subset(names(p)): ElemSet(g.ground, hv[1]) for p, hv in best.items()}
+    return ReductionResult(reduced, attainers)
 
 
 def cover_witness(g: SetFn, x: ElemSet) -> tuple[ElemSet, ElemSet]:

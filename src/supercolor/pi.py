@@ -8,12 +8,12 @@ A pair of functions pi1, pi2: U -> N certifies list-colorability when
 
 construct_pi builds such a pair by recursion on the ground set: peel off a
 common partial transversal K of the two bunch partitions, reduce both
-functions by K, solve the smaller instance, then extend.  On the side whose
-matched parts drove the matching, K-elements take value 1 and elements of
-K-hit parts are shifted up by one; on the other side, K-elements take their
-full per-element bound.  The alternative schrijver_pi splits one dominating
-coloring into complementary halves; it meets (i) only against the global
-color count, not the pointwise bound.
+effective families by K, solve the smaller instance, then extend.  On the
+side whose matched parts drove the matching, K-elements take value 1 and
+elements of K-hit parts are shifted up by one; on the other side, K-elements
+take their full per-element bound.  The alternative schrijver_pi splits one
+dominating coloring into complementary halves; it meets (i) only against the
+global color count, not the pointwise bound.
 """
 
 from __future__ import annotations
@@ -80,19 +80,19 @@ def dominates(assignment, g: SetFn) -> Report:
     return Report(tuple(violations))
 
 
-def _construct(ground, live: int, g1: SetFn, g2: SetFn, trace: list | None) -> tuple[dict, dict]:
-    # g1, g2 live on the caller's ground; their sets lie inside the live mask
+def _construct(ground, live: int, effs: list, trace: list | None) -> tuple[dict, dict]:
+    # effs: both sides' effective (mask, value) lists, inside the live mask
     if live & (live - 1) == 0:
         ones = {name: 1 for name in ground.names_of(live)}
         return ones, dict(ones)
 
-    effs = [effective_entries(g.entries) for g in (g1, g2)]
     parts = [part_masks(eff, live) for eff in effs]
     k, case = transversal_mask(*parts)
     if trace is not None:
         names = ground.names_of
         trace.append({"universe": list(names(live)), "k": list(names(k)), "case": case})
-    subs = _construct(ground, live & ~k, reduce_entries(g1, k)[0], reduce_entries(g2, k)[0], trace)
+    reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
+    subs = _construct(ground, live & ~k, [effective_entries(r) for r in reduced], trace)
 
     lead, follow = (0, 1) if case == "a" else (1, 0)
     hit = sum(part for part in parts[lead] if part & k)  # parts are disjoint
@@ -126,7 +126,8 @@ def construct_pi_traced(
         require_valid(g)
         require_capacity(g)
     trace: list | None = [] if want_trace else None
-    pi1, pi2 = _construct(g1.ground, g1.ground.full_mask, g1, g2, trace)
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    pi1, pi2 = _construct(g1.ground, g1.ground.full_mask, effs, trace)
     pair = PiPair(pi1, pi2)
     if check:
         report = verify_conditions(g1, g2, pair)

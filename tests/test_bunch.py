@@ -14,13 +14,17 @@ from supercolor import (
     cover_witness,
     d_function,
     effective_family,
+    encode_bipartite,
     gen_instance,
     is_partial_transversal,
     mixed_configs,
+    random_multigraph,
     reduce,
     sample_partial_transversal,
 )
-from supercolor.bunch import part_masks
+from supercolor.bunch import effective_entries, part_masks, reduce_entries
+from supercolor.core import bit_indices, require_valid
+from supercolor.matching import transversal_mask
 from conftest import names_of_sets
 
 
@@ -210,3 +214,34 @@ def test_reduction_invariants_random():
                     assert d1[u] < d0[u]
                 else:
                     assert d1[u] == d0[u]
+
+
+def _reduce(entries, kmask):
+    return [(p, hv[0]) for p, hv in reduce_entries(entries, kmask).items()]
+
+
+def test_reducing_effective_entries_keeps_the_effective_family():
+    """construct_pi reduces only the effective entries at each level and
+    validates nothing there.  It may because eff(reduce(g, K)) equals
+    eff(reduce(eff(g), K)) and reduce(g, K) stays valid.  Checked on every
+    level of the construction, for its K, a random K and every singleton K."""
+    rng = random.Random(1707)
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=83, count=100, n_min=6, n_max=10)]
+    instances += [encode_bipartite(random_multigraph(random.Random(s), 32)) for s in range(3)]
+    checked = 0
+    for g1, g2 in instances:
+        live = g1.ground.full_mask
+        while live & (live - 1):
+            effs = [effective_entries(g.entries) for g in (g1, g2)]
+            k, _ = transversal_mask(*(part_masks(eff, live) for eff in effs))
+            ks = [k, rng.getrandbits(g1.ground.size) & live] + [1 << i for i in bit_indices(live)]
+            for g, eff in zip((g1, g2), effs):
+                for kmask in ks:
+                    full = SetFn(g.ground, tuple(_reduce(g.entries, kmask)))
+                    require_valid(full)
+                    got = effective_entries(_reduce(eff, kmask))
+                    assert sorted(got) == sorted(effective_entries(full.entries)), (g, kmask)
+                    checked += 1
+            g1, g2 = (SetFn(g.ground, tuple(_reduce(g.entries, k))) for g in (g1, g2))
+            live &= ~k
+    assert checked >= 2000

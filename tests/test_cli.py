@@ -219,6 +219,15 @@ def test_tightness_probe_script_cap_is_exit_3():
     assert proc.stderr.startswith("error: list search budget 10000000 exceeded")
 
 
+def test_tightness_probe_script_reads_caps_from_env():
+    proc = run_python(
+        str(ROOT / "scripts" / "tightness_probe.py"), SUPERCOLOR_CAPS="list_budget=1"
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: list search budget 1 exceeded")
+
+
 def test_tightness_probe_script_bad_input_is_exit_2():
     proc = run_python(str(ROOT / "scripts" / "tightness_probe.py"), "--n-max", "11")
     assert proc.returncode == 2

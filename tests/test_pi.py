@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from supercolor import (
@@ -13,12 +15,15 @@ from supercolor import (
     d_function,
     delta,
     dominates,
+    encode_bipartite,
     gen_instance,
     mixed_configs,
+    random_multigraph,
     reduce,
     schrijver_pi,
     verify_conditions,
 )
+from supercolor import core
 
 
 def test_dominates_injective_always_ok(example_g):
@@ -124,6 +129,16 @@ def test_construct_pi_matches_public_steps():
         assert got == (list(pi1.items()), list(pi2.items()), want_trace), cfg
         cases.update(level["case"] for level in trace)
     assert cases == {"a", "b"}
+
+
+def test_construct_pi_validates_once(monkeypatch):
+    g1, g2 = encode_bipartite(random_multigraph(random.Random(3280387012), 32))
+    assert len(construct_pi_traced(g1, g2, check=False)[1]) == 27
+    calls = []
+    walk = core._check_pairs
+    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    construct_pi(g1, g2, check=False)
+    assert calls == [g1, g2]  # one pair walk per side, at entry; none per level
 
 
 def test_pointwise_bound_tighter_than_global():
