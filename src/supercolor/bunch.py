@@ -4,7 +4,7 @@ reduction of a set function by a removal set.
 The effective family keeps the sets that actually constrain a coloring: value
 at least 2 and no proper subset of equal or larger value.  Its maximal members,
 padded with singletons, always partition the universe; that partition drives
-both the per-element list-length bound and the recursive constructions.
+both the per-element list-length bound and the level-by-level construction.
 """
 
 from __future__ import annotations
@@ -92,13 +92,10 @@ def part_masks(eff, live: int) -> list[int]:
     return parts
 
 
-def d_values(eff, ground: GroundSet, mask: int) -> dict[str, int]:
-    """Per-element bound of each element of mask: max of 1 and the largest
-    effective value covering it."""
-    return {
-        ground.names[i]: max((v for m, v in eff if (m >> i) & 1), default=1)
-        for i in bit_indices(mask)
-    }
+def d_values(eff, mask: int) -> dict[int, int]:
+    """Per-element bound of each element of mask, by index: max of 1 and the
+    largest effective value covering it."""
+    return {i: max((v for m, v in eff if (m >> i) & 1), default=1) for i in bit_indices(mask)}
 
 
 def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
@@ -143,7 +140,8 @@ def bunch_partition(g: SetFn) -> Partition:
 def d_function(g: SetFn) -> dict[str, int]:
     """Per-element bound: max of 1 and the largest effective value covering it."""
     require_valid(g)
-    return d_values(effective_entries(g.entries), g.ground, g.ground.full_mask)
+    d = d_values(effective_entries(g.entries), g.ground.full_mask)
+    return {name: d[i] for i, name in enumerate(g.ground.names)}
 
 
 def is_partial_transversal(p: Partition, k: ElemSet) -> bool:

@@ -217,8 +217,9 @@ def _load_lists(path) -> dict:
     if not isinstance(doc, dict):
         raise InputError("lists file must map element names to color lists")
     for name, colors in doc.items():
-        if not isinstance(colors, list) or any(isinstance(c, (list, dict)) for c in colors):
-            raise InputError(f"colors of {name!r} must be a list of JSON scalars")
+        # a boolean would equal the color 1 or 0 and break the coloring
+        if not isinstance(colors, list) or any(isinstance(c, (list, dict, bool)) for c in colors):
+            raise InputError(f"colors of {name!r} must be a list of numbers, strings or nulls")
     return doc
 
 

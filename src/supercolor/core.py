@@ -176,9 +176,6 @@ class SetFn:
     ) -> "SetFn":
         return cls(ground, tuple((ground.subset(ns).mask, v) for ns, v in pairs))
 
-    def sets(self) -> tuple[ElemSet, ...]:
-        return tuple(ElemSet(self.ground, m) for m, _ in self.entries)
-
     def items(self) -> Iterator[tuple[ElemSet, int]]:
         for mask, value in self.entries:
             yield ElemSet(self.ground, mask), value

@@ -6,14 +6,15 @@ A pair of functions pi1, pi2: U -> N certifies list-colorability when
      distinct values, and
 (iii) pi_i(u) <= d_i(u) pointwise.
 
-construct_pi builds such a pair by recursion on the ground set: peel off a
+construct_pi builds such a pair in one loop over the ground set: peel off a
 common partial transversal K of the two bunch partitions, reduce both
-effective families by K, solve the smaller instance, then extend.  On the
-side whose matched parts drove the matching, K-elements take value 1 and
-elements of K-hit parts are shifted up by one; on the other side, K-elements
-take their full per-element bound.  The alternative schrijver_pi splits one
-dominating coloring into complementary halves; it meets (i) only against the
-global color count, not the pointwise bound.
+effective families by K, and repeat on the smaller instance; then extend back
+level by level.  On the side whose matched parts drove the matching,
+K-elements take value 1 and elements of K-hit parts are shifted up by one; on
+the other side, K-elements take their full per-element bound.  The
+alternative schrijver_pi splits one dominating coloring into complementary
+halves; it meets (i) only against the global color count, not the pointwise
+bound.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     require_capacity,
     require_valid,
 )
-from .bunch import d_function, d_values, effective_entries, part_masks, reduce_entries
+from .bunch import d_values, effective_entries, part_masks, reduce_entries
 from .matching import transversal_mask
 from . import oracle
 
@@ -72,87 +73,94 @@ def dominates(assignment, g: SetFn) -> Report:
     for name in g.ground.names:
         if name not in assignment:
             raise InputError(f"assignment missing element {name!r}")
+    colors = [assignment[name] for name in g.ground.names]
     violations = []
-    for x, bound in g.items():
-        got = len({assignment[name] for name in x.names})
+    for m, bound in g.entries:
+        got = len({colors[i] for i in bit_indices(m)})
         if got < bound:
-            violations.append(Violation("domination", (x.names,), (got, bound)))
+            violations.append(Violation("domination", (g.ground.names_of(m),), (got, bound)))
     return Report(tuple(violations))
 
 
-def _construct(ground, live: int, effs: list, trace: list | None) -> tuple[dict, dict]:
-    # effs: both sides' effective (mask, value) lists, inside the live mask
-    if live & (live - 1) == 0:
-        ones = {name: 1 for name in ground.names_of(live)}
-        return ones, dict(ones)
-
-    parts = [part_masks(eff, live) for eff in effs]
-    k, case = transversal_mask(*parts)
-    if trace is not None:
-        names = ground.names_of
-        trace.append({"universe": list(names(live)), "k": list(names(k)), "case": case})
-    reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
-    subs = _construct(ground, live & ~k, [effective_entries(r) for r in reduced], trace)
-
-    lead, follow = (0, 1) if case == "a" else (1, 0)
-    hit = sum(part for part in parts[lead] if part & k)  # parts are disjoint
-    follow_d = d_values(effs[follow], ground, k)
-    pis = ({}, {})
-    for i in bit_indices(live):
-        name = ground.names[i]
-        if (k >> i) & 1:
-            pis[lead][name] = 1
-            pis[follow][name] = follow_d[name]
-        else:
-            pis[lead][name] = subs[lead][name] + ((hit >> i) & 1)
-            pis[follow][name] = subs[follow][name]
-    return pis
-
-
-def construct_pi(g1: SetFn, g2: SetFn, check: bool = __debug__) -> PiPair:
-    """Build a pair satisfying (i)-(iii) for two valid capacity-bounded
-    functions on a shared ground set."""
-    pair, _ = construct_pi_traced(g1, g2, check=check, want_trace=False)
-    return pair
-
-
-def construct_pi_traced(
-    g1: SetFn, g2: SetFn, check: bool = __debug__, want_trace: bool = True
-) -> tuple[PiPair, list]:
-    """As construct_pi, but also return the per-level (universe, K, case) log."""
+def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
+    """Validate, peel levels forward, then write both sides' values on
+    element indices in one backward pass.  One record per level: (live, K,
+    case, mask of the lead parts K hits, follow side's bound of each K-element
+    by index)."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     for g in (g1, g2):
         require_valid(g)
         require_capacity(g)
-    trace: list | None = [] if want_trace else None
-    effs = [effective_entries(g.entries) for g in (g1, g2)]
-    pi1, pi2 = _construct(g1.ground, g1.ground.full_mask, effs, trace)
-    pair = PiPair(pi1, pi2)
+    ground = g1.ground
+    entry_effs = effs = [effective_entries(g.entries) for g in (g1, g2)]
+    live, levels = ground.full_mask, []
+    while live & (live - 1):  # at most one element left: 1 on both sides
+        parts = [part_masks(eff, live) for eff in effs]
+        k, case = transversal_mask(*parts)
+        lead, follow = (0, 1) if case == "a" else (1, 0)
+        hit = sum(part for part in parts[lead] if part & k)  # parts are disjoint
+        levels.append((live, k, case, hit, d_values(effs[follow], k)))
+        reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
+        effs = [effective_entries(r) for r in reduced]
+        live &= ~k
+
+    pis = ([1] * ground.size, [1] * ground.size)
+    for _, k, case, hit, follow_d in reversed(levels):
+        lead, follow = (0, 1) if case == "a" else (1, 0)
+        for i in bit_indices(hit & ~k):
+            pis[lead][i] += 1
+        for i, bound in follow_d.items():
+            pis[lead][i] = 1
+            pis[follow][i] = bound
+    pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
     if check:
-        report = verify_conditions(g1, g2, pair)
+        report = _condition_report(g1, g2, pair, entry_effs)
         if not report.all_ok:
             raise RuntimeError(
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
             )
-    return pair, trace if trace is not None else []
+    return pair, levels
+
+
+def construct_pi(g1: SetFn, g2: SetFn, check: bool = __debug__) -> PiPair:
+    """Build a pair satisfying (i)-(iii) for two valid capacity-bounded
+    functions on a shared ground set."""
+    return _build(g1, g2, check)[0]
+
+
+def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = __debug__) -> tuple[PiPair, list]:
+    """As construct_pi, but also return the per-level (universe, K, case) log."""
+    pair, levels = _build(g1, g2, check)
+    names = g1.ground.names_of
+    return pair, [
+        {"universe": list(names(live)), "k": list(names(k)), "case": case}
+        for live, k, case, _, _ in levels
+    ]
 
 
 def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
     """Evaluate (i), (ii), (iii) exactly and list every witness of failure."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
-    ground = g1.ground
-    for name in ground.names:
+    for name in g1.ground.names:
         if name not in pair.pi1 or name not in pair.pi2:
             raise InputError(f"pair missing element {name!r}")
-    d1 = d_function(g1)
-    d2 = d_function(g2)
+    for g in (g1, g2):
+        require_valid(g)
+    return _condition_report(g1, g2, pair, [effective_entries(g.entries) for g in (g1, g2)])
+
+
+def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> ConditionReport:
+    """(i)-(iii) for valid functions with effective entries effs and a pair
+    defined on their whole ground set."""
+    ground = g1.ground
+    d1, d2 = (d_values(eff, ground.full_mask) for eff in effs)
     witnesses = []
 
     i_ok = True
-    for name in ground.names:
-        bound = max(d1[name], d2[name])
+    for i, name in enumerate(ground.names):
+        bound = max(d1[i], d2[i])
         if pair.pi1[name] + pair.pi2[name] - 1 > bound:
             i_ok = False
             witnesses.append(
@@ -169,11 +177,11 @@ def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
 
     iii_ok = True
     for side, (pi, d) in enumerate(((pair.pi1, d1), (pair.pi2, d2)), start=1):
-        for name in ground.names:
-            if pi[name] > d[name]:
+        for i, name in enumerate(ground.names):
+            if pi[name] > d[i]:
                 iii_ok = False
                 witnesses.append(
-                    Violation("condition_iii", ((name,),), (side, pi[name], d[name]))
+                    Violation("condition_iii", ((name,),), (side, pi[name], d[i]))
                 )
     return ConditionReport(i_ok, ii_ok, iii_ok, tuple(witnesses))
 

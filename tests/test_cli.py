@@ -170,6 +170,21 @@ def test_unhashable_colors_are_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_boolean_colors_are_exit_2(capsys, tmp_path):
+    # true == 1 in Python, so {"a": [1], "b": [true]} would read as one color
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        '{"elements": ["a", "b"], "g1": [{"set": ["a", "b"], "value": 2}], "g2": []}'
+    )
+    lists = tmp_path / "lists.json"
+    lists.write_text('{"a": [1], "b": [true]}')
+    code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+    assert code == 2 and payload is None
+    lists.write_text('{"a": [1], "b": [2]}')
+    code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+    assert code == 0 and payload["coloring"] == {"a": 1, "b": 2}
+
+
 def test_unhashable_set_members_are_exit_2(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"elements": ["a", "b"], "g1": [{"set": [["a"]], "value": 1}], "g2": []}')

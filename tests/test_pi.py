@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from supercolor import (
+    BipartiteGraph,
     GenConfig,
     GroundSet,
     InputError,
@@ -139,6 +141,35 @@ def test_construct_pi_validates_once(monkeypatch):
     monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
     construct_pi(g1, g2, check=False)
     assert calls == [g1, g2]  # one pair walk per side, at entry; none per level
+
+
+def test_construct_pi_check_validates_once(monkeypatch):
+    g1, g2 = encode_bipartite(random_multigraph(random.Random(3280387012), 32))
+    calls = []
+    walk = core._check_pairs
+    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    construct_pi(g1, g2, check=True)
+    assert calls == [g1, g2]  # the final check reuses the entry validation
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_construct_pi_stack_does_not_grow_with_levels():
+    pairs = [("s1", "t1")] * 63 + [("s2", "t1")]
+    g1, g2 = encode_bipartite(BipartiteGraph.from_pairs(["s1", "s2"], ["t1"], pairs))
+    assert len(construct_pi_traced(g1, g2, check=False)[1]) == 63
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        pair = construct_pi(g1, g2, check=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verify_conditions(g1, g2, pair).all_ok
 
 
 def test_pointwise_bound_tighter_than_global():
