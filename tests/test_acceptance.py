@@ -518,6 +518,23 @@ def test_golden_digests(summaries, n, key):
     assert summary[key] == GOLDEN[(n, key)]
 
 
+def test_golden_deep_pairs_digest():
+    """Pins construct_pi on 32-edge encodings, whose part graphs reach the
+    subset-scan limit; criteria 2 and 3 stop at n = 8.  A graph that hits a
+    cap is recorded as "cap", so a change in which graphs fail moves the
+    digest too."""
+    acc = []
+    for s in range(200):
+        g1, g2 = sc.encode_bipartite(sc.random_multigraph(random.Random(s), 32))
+        try:
+            pair = sc.construct_pi(g1, g2, check=True)
+        except sc.ResourceLimitError:
+            acc.append("cap")
+            continue
+        acc.append((sorted(pair.pi1.items()), sorted(pair.pi2.items())))
+    assert _digest(acc) == "837feea634de4231c24e8d6ee4a9b0155a04f6fbb2fdf81d56c41c8d87a98e05"
+
+
 def test_criterion_9_determinism(summaries):
     started = time.monotonic()
     identical = True
