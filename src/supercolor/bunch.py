@@ -5,6 +5,13 @@ The effective family keeps the sets that actually constrain a coloring: value
 at least 2 and no proper subset of equal or larger value.  Its maximal members,
 padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
+
+The mask-level helpers (effective_entries, part_masks, d_values,
+reduce_entries) run at every level of construct_pi, on a handful of entries
+each, so they are plain loops over (mask, value) pairs: at that size the cost
+is per-call overhead, not the asymptotics.  part_masks takes the maximal sets
+greedily by descending size and checks that every other set lies strictly
+inside the part holding its lowest bit, which is how an overlap surfaces.
 """
 
 from __future__ import annotations
@@ -67,35 +74,70 @@ class ReductionResult:
 def effective_entries(entries) -> list[tuple[int, int]]:
     """The (mask, value) entries with value >= 2 and no proper subset of equal
     or larger value, in the given order.  The function is taken as valid."""
-    return [
-        (m, v) for m, v in entries
-        if v >= 2 and not any(m2 != m and m2 & ~m == 0 and v2 >= v for m2, v2 in entries)
-    ]
+    big = [(m, v) for m, v in entries if v >= 2]  # only these can dominate
+    eff = []
+    for m, v in big:
+        outside = ~m
+        for m2, v2 in big:
+            if v2 >= v and not m2 & outside and m2 != m:
+                break
+        else:
+            eff.append((m, v))
+    return eff
+
+
+_NOT_A_PARTITION = "bunch partition is not a partition of the ground set (internal bug)"
 
 
 def part_masks(eff, live: int) -> list[int]:
     """Bunch partition of the live mask, sorted: the maximal effective sets
     plus singletons of uncovered elements.
 
-    The result is always a genuine partition for a valid input; an overlap
-    here would mean an upstream validity bug, so it surfaces as a hard error.
+    The masks are taken greedily by descending size: one that misses every
+    part taken so far is maximal and becomes a part, and every other one must
+    lie strictly inside the part that holds its lowest bit.  That holds
+    exactly when the maximal sets are distinct and pairwise disjoint, which
+    is always so for a valid input; otherwise, or when a part is empty or
+    leaves the live mask, an upstream validity bug surfaces as a hard error.
     """
-    masks = [m for m, _ in eff]
-    parts = [m for m in masks if not any(m2 != m and m & ~m2 == 0 for m2 in masks)]
-    covered = 0  # every effective set lies in a maximal one
-    for m in parts:
-        covered |= m
-    parts = sorted(parts + [1 << i for i in bit_indices(live & ~covered)])
-    # the parts cover covered | live; they are disjoint iff their sizes add up
-    if 0 in parts or covered & ~live or sum(m.bit_count() for m in parts) != live.bit_count():
-        raise RuntimeError("bunch partition is not a partition of the ground set (internal bug)")
+    parts = []
+    covered = 0
+    for m in sorted([m for m, _ in eff], key=int.bit_count, reverse=True):
+        if m & covered:
+            low = m & -m
+            for p in parts:
+                if p & low:
+                    break
+            # if no part holds the lowest bit, p is a part without it
+            if m == p or m & ~p:
+                raise RuntimeError(_NOT_A_PARTITION)
+        elif m:
+            parts.append(m)
+            covered |= m
+        elif not covered:  # only empty sets: the empty set is a maximal one
+            raise RuntimeError(_NOT_A_PARTITION)
+    if covered & ~live:
+        raise RuntimeError(_NOT_A_PARTITION)
+    rest = live & ~covered
+    while rest:  # singletons of the uncovered elements
+        low = rest & -rest
+        parts.append(low)
+        rest ^= low
+    parts.sort()
     return parts
 
 
 def d_values(eff, mask: int) -> dict[int, int]:
     """Per-element bound of each element of mask, by index: max of 1 and the
     largest effective value covering it."""
-    return {i: max((v for m, v in eff if (m >> i) & 1), default=1) for i in bit_indices(mask)}
+    d = dict.fromkeys(bit_indices(mask), 1)
+    for m, v in eff:
+        common = m & mask
+        if common:
+            for i in bit_indices(common):
+                if v > d[i]:
+                    d[i] = v
+    return d
 
 
 def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
@@ -105,9 +147,10 @@ def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
     residual, (value, least attaining mask).  Valid entries stay valid for any
     k, and reducing only the effective entries keeps the effective family."""
     best: dict[int, tuple[int, int]] = {}
+    keep = ~kmask
     for m, v in entries:
         hat = v - 1 if m & kmask else v
-        proj = m & ~kmask
+        proj = m & keep
         cur = best.get(proj)
         if cur is None or hat > cur[0] or (hat == cur[0] and m < cur[1]):
             best[proj] = (hat, m)

@@ -75,7 +75,7 @@ def caps_from_env(env=os.environ) -> SearchCaps:
         key, _, num = part.partition("=")
         key = key.strip()
         num = num.strip()
-        if not num.isdigit():
+        if not num.isdecimal():  # isdigit also takes "²", which int() rejects
             raise InputError(f"bad SUPERCOLOR_CAPS entry {part!r}")
         if key == "k_search":
             k_search = int(num)
@@ -84,6 +84,16 @@ def caps_from_env(env=os.environ) -> SearchCaps:
         else:
             raise InputError(f"unknown SUPERCOLOR_CAPS key {key!r}")
     return SearchCaps(k_search_elements=k_search, list_budget=list_budget)
+
+
+def _write_json(path, payload) -> None:
+    """Write payload as canonical JSON; a path that cannot be written is bad
+    input, as an unreadable one is for load_instance."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(payload))
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None
 
 
 def _sets_payload(sets) -> list:
@@ -268,8 +278,7 @@ def _cmd_gen(args, caps) -> tuple[int, dict]:
     g1, g2 = gen.gen_instance(cfg)
     payload = instance_payload(g1, g2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload))
+        _write_json(args.out, payload)
     return 0, payload
 
 
@@ -418,8 +427,7 @@ def batch_verify(
         seed=seed,
     )
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(report.to_payload()))
+        _write_json(out, report.to_payload())
     return report
 
 

@@ -6,6 +6,10 @@ matched S-vertex ends at a matched T-vertex.  It always exists when
 |S| >= |T| and S has no isolated vertex: take an inclusion-minimal nonempty
 V ⊆ S with |Γ(V)| <= |V| (then |Γ(V)| = |V| and Hall's condition holds
 strictly below V) and match V onto Γ(V).
+
+transversal_mask runs at every level of construct_pi: it builds the
+part-versus-part adjacency masks and its case-condition masks with plain
+loops over the two partitions and hands the masks to closed_pairs.
 """
 
 from __future__ import annotations
@@ -231,7 +235,15 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
-    adj = [sum(1 << t for t, f in enumerate(follow) if f & s) for s in lead]
+    adj = []
+    for part in lead:
+        a = 0
+        bit = 1
+        for f in follow:
+            if f & part:
+                a |= bit
+            bit <<= 1
+        adj.append(a)
     k = 0
     for s, t in closed_pairs(adj, len(follow), range(len(lead))):
         common = lead[s] & follow[t]
@@ -239,7 +251,13 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
 
     if __debug__:
         # every element of a K-hit lead part must lie in a K-hit follow part
-        hit_lead, hit_follow = (sum(part for part in parts if part & k) for parts in (lead, follow))
+        hit_lead = hit_follow = 0
+        for part in lead:
+            if part & k:
+                hit_lead |= part
+        for part in follow:
+            if part & k:
+                hit_follow |= part
         if hit_lead & ~hit_follow:
             raise RuntimeError("transversal case condition failed (internal bug)")
     return k, case

@@ -99,7 +99,10 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
         parts = [part_masks(eff, live) for eff in effs]
         k, case = transversal_mask(*parts)
         lead, follow = (0, 1) if case == "a" else (1, 0)
-        hit = sum(part for part in parts[lead] if part & k)  # parts are disjoint
+        hit = 0
+        for part in parts[lead]:
+            if part & k:
+                hit |= part
         levels.append((live, k, case, hit, d_values(effs[follow], k)))
         reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
         effs = [effective_entries(r) for r in reduced]

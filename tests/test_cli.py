@@ -364,6 +364,33 @@ def test_caps_env_rejects_garbage(monkeypatch, capsys, example_path):
     assert code == 2
 
 
+def test_caps_env_rejects_non_ascii_digits(monkeypatch, capsys, example_path):
+    # "²" passes str.isdigit but not int()
+    monkeypatch.setenv("SUPERCOLOR_CAPS", "k_search=²")
+    assert run(["check", str(example_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad SUPERCOLOR_CAPS entry 'k_search=²'\n"
+
+
+def test_gen_unwritable_out_is_exit_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["gen", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def test_batch_verify_script_unwritable_out_is_exit_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    proc = run_python(
+        str(ROOT / "scripts" / "batch_verify.py"), "--count", "1", "--out", str(out)
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+
+
 def test_caps_parsing_defaults():
     caps = caps_from_env({})
     assert caps.k_search_elements == 10 and caps.list_budget == 10_000_000
