@@ -165,10 +165,13 @@ def _cmd_reduce(args, caps) -> tuple[int, dict]:
     red1 = bunch.reduce(g1, k)
     red2 = bunch.reduce(g2, k)
     payload = instance_payload(red1.reduced, red2.reduced)
-    payload["attainers"] = {
-        key: {",".join(x.names): list(z.names) for x, z in sorted(res.attainers.items(), key=lambda kv: kv[0].mask)}
-        for key, res in (("g1", red1), ("g2", red2))
-    }
+    payload["attainers"] = attainers = {"g1": {}, "g2": {}}
+    for key, res in (("g1", red1), ("g2", red2)):
+        for x, z in sorted(res.attainers.items(), key=lambda kv: kv[0].mask):
+            name = ",".join(x.names)  # two sets print alike if names hold ","
+            if name in attainers[key]:
+                raise InputError(f"two reduced {key} sets both print as {name!r} in attainers")
+            attainers[key][name] = list(z.names)
     payload["removed"] = list(k.names)
     return 0, payload
 

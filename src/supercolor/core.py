@@ -68,14 +68,18 @@ class GroundSet:
         except (KeyError, TypeError):  # TypeError: an unhashable name from a file
             raise InputError(f"unknown element {name!r}") from None
 
-    def subset(self, names: Iterable[str]) -> "ElemSet":
+    def mask_of(self, names: Iterable[str]) -> int:
+        """Mask of the named elements; the inverse of names_of."""
         mask = 0
         for name in names:
             bit = 1 << self.index(name)
             if mask & bit:
                 raise InputError(f"element {name!r} listed twice in one set")
             mask |= bit
-        return ElemSet(self, mask)
+        return mask
+
+    def subset(self, names: Iterable[str]) -> "ElemSet":
+        return ElemSet(self, self.mask_of(names))
 
     def empty(self) -> "ElemSet":
         return ElemSet(self, 0)
@@ -174,7 +178,7 @@ class SetFn:
     def from_names(
         cls, ground: GroundSet, pairs: Iterable[tuple[Iterable[str], int]]
     ) -> "SetFn":
-        return cls(ground, tuple((ground.subset(ns).mask, v) for ns, v in pairs))
+        return cls(ground, tuple((ground.mask_of(ns), v) for ns, v in pairs))
 
     def items(self) -> Iterator[tuple[ElemSet, int]]:
         for mask, value in self.entries:
@@ -364,7 +368,7 @@ def parse_instance(text: str) -> tuple[SetFn, SetFn]:
                 raise InputError(f'each {key} entry needs "set" and "value"')
             if not isinstance(entry["set"], list):
                 raise InputError(f'"set" must be a list of element names in {key}')
-            pairs.append((ground.subset(entry["set"]).mask, entry["value"]))
+            pairs.append((ground.mask_of(entry["set"]), entry["value"]))
         out.append(SetFn(ground, tuple(pairs)))
     return out[0], out[1]
 

@@ -56,15 +56,11 @@ def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
     ground = GroundSet(g.edge_ids())
     sides = []
     for pos, vertices in ((0, g.s_vertices), (1, g.t_vertices)):
-        pairs = []
-        for v in vertices:
-            mask = 0
-            for i, e in enumerate(g.edges):
-                if e[pos] == v:
-                    mask |= 1 << i
-            if mask:  # isolated vertices contribute nothing
-                pairs.append((mask, mask.bit_count()))
-        sides.append(SetFn(ground, tuple(pairs)))
+        masks = dict.fromkeys(vertices, 0)
+        for i, e in enumerate(g.edges):
+            masks[e[pos]] |= 1 << i
+        # isolated vertices contribute nothing
+        sides.append(SetFn(ground, tuple((m, m.bit_count()) for m in masks.values() if m)))
     return sides[0], sides[1]
 
 

@@ -8,8 +8,10 @@ V ⊆ S with |Γ(V)| <= |V| (then |Γ(V)| = |V| and Hall's condition holds
 strictly below V) and match V onto Γ(V).
 
 transversal_mask runs at every level of construct_pi: it builds the
-part-versus-part adjacency masks and its case-condition masks with plain
-loops over the two partitions and hands the masks to closed_pairs.
+part-versus-part adjacency masks with plain loops over the two partitions,
+hands them to closed_pairs, and returns with K the hit mask: the union of the
+matched lead parts, which are the K-hit ones.  It checks the case condition
+on every call, from the matched parts of both sides.
 """
 
 from __future__ import annotations
@@ -225,13 +227,14 @@ class TransversalResult:
     case_tag: str  # "a": matched side 1 implies matched side 2; "b": converse
 
 
-def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
+def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str, int]:
     """Nonempty common partial transversal of two partitions of one mask, as
-    a mask, with its case tag.
+    a mask, with its case tag and the union of the lead parts it hits.
 
     Takes a closed matching of the part-versus-part graph, one edge per
     element, with the larger side as S; each matched pair of parts gives
-    its least common element.
+    its least common element.  Each matched part holds exactly one element
+    of K, so the matched lead parts are the K-hit ones.
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
@@ -244,23 +247,16 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
                 a |= bit
             bit <<= 1
         adj.append(a)
-    k = 0
+    k = hit = hit_follow = 0
     for s, t in closed_pairs(adj, len(follow), range(len(lead))):
         common = lead[s] & follow[t]
         k |= common & -common
-
-    if __debug__:
-        # every element of a K-hit lead part must lie in a K-hit follow part
-        hit_lead = hit_follow = 0
-        for part in lead:
-            if part & k:
-                hit_lead |= part
-        for part in follow:
-            if part & k:
-                hit_follow |= part
-        if hit_lead & ~hit_follow:
-            raise RuntimeError("transversal case condition failed (internal bug)")
-    return k, case
+        hit |= lead[s]
+        hit_follow |= follow[t]
+    # every element of a K-hit lead part must lie in a K-hit follow part
+    if hit & ~hit_follow:
+        raise RuntimeError("transversal case condition failed (internal bug)")
+    return k, case, hit
 
 
 def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
@@ -269,5 +265,5 @@ def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
         raise InputError("functions live on different ground sets")
     if g1.ground.size == 0:
         raise InputError("common transversal needs a nonempty ground set")
-    k, case = transversal_mask(*(partition_masks(g) for g in (g1, g2)))
+    k, case, _ = transversal_mask(*(partition_masks(g) for g in (g1, g2)))
     return TransversalResult(ElemSet(g1.ground, k), case)

@@ -6,15 +6,15 @@ A pair of functions pi1, pi2: U -> N certifies list-colorability when
      distinct values, and
 (iii) pi_i(u) <= d_i(u) pointwise.
 
-construct_pi builds such a pair in one loop over the ground set: peel off a
-common partial transversal K of the two bunch partitions, reduce both
-effective families by K, and repeat on the smaller instance; then extend back
-level by level.  On the side whose matched parts drove the matching,
-K-elements take value 1 and elements of K-hit parts are shifted up by one; on
-the other side, K-elements take their full per-element bound.  The
-alternative schrijver_pi splits one dominating coloring into complementary
-halves; it meets (i) only against the global color count, not the pointwise
-bound.
+construct_pi builds such a pair in one forward loop over the ground set: peel
+off a common partial transversal K of the two bunch partitions, reduce both
+effective families by K, and repeat on the smaller instance.  Values start at
+1 and only grow: on the side whose matched parts drove the matching, the
+other elements of K-hit parts go up by one; on the other side, each K-element
+goes up by its per-element bound minus one.  A K-element leaves the live
+mask, so its value is final once it is peeled.  The alternative schrijver_pi
+splits one dominating coloring into complementary halves; it meets (i) only
+against the global color count, not the pointwise bound.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ def dominates(assignment, g: SetFn) -> Report:
 
 
 def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
-    """Validate, peel levels forward, then write both sides' values on
-    element indices in one backward pass.  One record per level: (live, K,
-    case, mask of the lead parts K hits, follow side's bound of each K-element
-    by index)."""
+    """Validate, then peel levels in one forward loop that raises both
+    sides' values on element indices as it goes.  One record per level:
+    (live, K, case)."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     for g in (g1, g2):
@@ -94,28 +93,20 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
         require_capacity(g)
     ground = g1.ground
     entry_effs = effs = [effective_entries(g.entries) for g in (g1, g2)]
+    pis = ([1] * ground.size, [1] * ground.size)
     live, levels = ground.full_mask, []
-    while live & (live - 1):  # at most one element left: 1 on both sides
-        parts = [part_masks(eff, live) for eff in effs]
-        k, case = transversal_mask(*parts)
+    while live & (live - 1):  # at most one element left: its value is final
+        k, case, hit = transversal_mask(*(part_masks(eff, live) for eff in effs))
         lead, follow = (0, 1) if case == "a" else (1, 0)
-        hit = 0
-        for part in parts[lead]:
-            if part & k:
-                hit |= part
-        levels.append((live, k, case, hit, d_values(effs[follow], k)))
+        for i in bit_indices(hit & ~k):
+            pis[lead][i] += 1
+        for i, bound in d_values(effs[follow], k).items():
+            pis[follow][i] += bound - 1
+        levels.append((live, k, case))
         reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
         effs = [effective_entries(r) for r in reduced]
         live &= ~k
 
-    pis = ([1] * ground.size, [1] * ground.size)
-    for _, k, case, hit, follow_d in reversed(levels):
-        lead, follow = (0, 1) if case == "a" else (1, 0)
-        for i in bit_indices(hit & ~k):
-            pis[lead][i] += 1
-        for i, bound in follow_d.items():
-            pis[lead][i] = 1
-            pis[follow][i] = bound
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
     if check:
         report = _condition_report(g1, g2, pair, entry_effs)
@@ -126,19 +117,19 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
     return pair, levels
 
 
-def construct_pi(g1: SetFn, g2: SetFn, check: bool = __debug__) -> PiPair:
+def construct_pi(g1: SetFn, g2: SetFn, check: bool = True) -> PiPair:
     """Build a pair satisfying (i)-(iii) for two valid capacity-bounded
     functions on a shared ground set."""
     return _build(g1, g2, check)[0]
 
 
-def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = __debug__) -> tuple[PiPair, list]:
+def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = True) -> tuple[PiPair, list]:
     """As construct_pi, but also return the per-level (universe, K, case) log."""
     pair, levels = _build(g1, g2, check)
     names = g1.ground.names_of
     return pair, [
         {"universe": list(names(live)), "k": list(names(k)), "case": case}
-        for live, k, case, _, _ in levels
+        for live, k, case in levels
     ]
 
 

@@ -233,7 +233,7 @@ def test_reducing_effective_entries_keeps_the_effective_family():
         live = g1.ground.full_mask
         while live & (live - 1):
             effs = [effective_entries(g.entries) for g in (g1, g2)]
-            k, _ = transversal_mask(*(part_masks(eff, live) for eff in effs))
+            k, _, _ = transversal_mask(*(part_masks(eff, live) for eff in effs))
             ks = [k, rng.getrandbits(g1.ground.size) & live] + [1 << i for i in bit_indices(live)]
             for g, eff in zip((g1, g2), effs):
                 for kmask in ks:

@@ -105,6 +105,27 @@ def test_reduce_emits_replayable_instance(capsys, example_path, tmp_path):
     ]
 
 
+def test_reduce_rejects_attainer_keys_that_print_alike(capsys, tmp_path):
+    # {a,b} and {"a,b"} survive removing z and both print as "a,b"
+    doc = {
+        "elements": ["a", "b", "a,b", "z"],
+        "g1": [
+            {"set": ["a", "b", "z"], "value": 1},
+            {"set": ["a,b", "z"], "value": 1},
+            {"set": ["z"], "value": 1},
+            {"set": ["a", "b", "a,b", "z"], "value": 1},
+        ],
+        "g2": [],
+    }
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code = run(["reduce", str(inst), "--k", "z"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'a,b'" in captured.err
+
+
 def test_transversal(capsys, example_path):
     code, payload = run_cli(capsys, "transversal", str(example_path))
     assert code == 0
@@ -248,6 +269,34 @@ def test_tightness_probe_script_bad_input_is_exit_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: need 1 <= n_min <= n_max")
+
+
+def test_checks_run_under_python_O(example_path):
+    # neither the case condition nor construct_pi's default check may
+    # depend on __debug__, which python -O turns off
+    script = """
+import json
+from supercolor import load_instance, pi
+from supercolor.matching import transversal_mask
+
+try:
+    transversal_mask([0b11], [0b1])
+    raised = None
+except RuntimeError as e:
+    raised = str(e)
+calls = []
+report = pi._condition_report
+pi._condition_report = lambda *args: calls.append(1) or report(*args)
+pi.construct_pi(*load_instance(%r))
+print(json.dumps({"debug": __debug__, "raised": raised, "checks": len(calls)}))
+""" % str(example_path)
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "raised": "transversal case condition failed (internal bug)",
+        "checks": 1,
+    }
 
 
 def _raise_runtime_error(*args, **kwargs):

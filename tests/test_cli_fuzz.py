@@ -118,9 +118,12 @@ def file_text(docs):
     graph_text=file_text(graph),
     k=st.one_of(st.integers(1, 6), st.integers(-1, 6), st.integers(-(10**12), 10**12)),
     side=st.one_of(st.integers(1, 2), st.integers(-1, 3)),
+    removal=st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)), max_size=4).map(
+        ",".join
+    ),
 )
 def test_cli_exit_codes_stay_in_contract(
-    tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side
+    tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side, removal
 ):
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
     inst = tmp_path / "inst.json"
@@ -132,7 +135,9 @@ def test_cli_exit_codes_stay_in_contract(
     commands = [
         ["check", str(inst)],
         ["analyze", str(inst), "--side", str(side)],
+        ["reduce", str(inst), "--k", removal],
         ["pi", str(inst)],
+        ["pi", str(inst), "--method", "schrijver"],
         ["color", str(inst), "--lists", str(lists_file)],
         ["color", str(inst), "--k", str(k)],
         ["verify", str(inst), "--trials", "1"],

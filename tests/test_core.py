@@ -31,6 +31,16 @@ def test_ground_set_rejects_duplicates_and_bad_names():
         GroundSet(tuple(f"e{i}" for i in range(65)))
 
 
+def test_mask_of_inverts_names_of(abc_ground):
+    assert abc_ground.mask_of(["c", "a"]) == 0b101
+    assert abc_ground.names_of(abc_ground.mask_of(["c", "a"])) == ("a", "c")
+    assert abc_ground.subset(["c", "a"]).mask == 0b101
+    with pytest.raises(InputError, match="listed twice"):
+        abc_ground.mask_of(["a", "a"])
+    with pytest.raises(InputError, match="unknown element 'x'"):
+        abc_ground.mask_of(["x"])
+
+
 def test_elem_set_ops(abc_ground):
     x = abc_ground.subset(["a", "b"])
     y = abc_ground.subset(["b", "c"])
