@@ -32,11 +32,9 @@ from .bunch import (
 from .matching import (
     BipartiteGraph,
     Edge,
-    Matching,
     TransversalResult,
     closed_matching,
     common_transversal,
-    neighbors,
 )
 from .pi import (
     ConditionReport,

@@ -156,7 +156,16 @@ def _cmd_analyze(args, caps) -> tuple[int, dict]:
 
 
 def _parse_names(raw: str) -> list[str]:
-    return [piece.strip() for piece in raw.split(",") if piece.strip()]
+    """--k names: a JSON array of exact names, or comma-separated and stripped."""
+    if not raw.startswith("["):
+        return [piece.strip() for piece in raw.split(",") if piece.strip()]
+    try:
+        names = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise InputError(f"--k is not a JSON array: {e}") from None
+    if not all(isinstance(n, str) for n in names):
+        raise InputError("--k must be a JSON array of element names")
+    return names
 
 
 def _cmd_reduce(args, caps) -> tuple[int, dict]:
@@ -300,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce both functions by a removal set")
     p.add_argument("file")
-    p.add_argument("--k", required=True, help="comma-separated element names")
+    p.add_argument("--k", required=True, help="comma-separated names, or a JSON array of names")
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("transversal", help="common partial transversal of both partitions")

@@ -39,6 +39,8 @@ STRATEGIES = ("laminar", "closure", "rank_complement", "bipartite")
 STRATEGY_MIX = (("closure", 40), ("rank_complement", 30), ("laminar", 20), ("bipartite", 10))
 
 MAX_GEN_ELEMENTS = 10
+REPAIR_MAX_PASSES = 200  # sweeps before _repair_supermodular gives up
+KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _closure_masks(rng: random.Random, n: int, cfg: GenConfig) -> list[int] | No
     return close_family(base, cfg.family_cap)
 
 
-def _repair_supermodular(values: dict[int, int], masks: list[int], max_passes: int = 200) -> bool:
+def _repair_supermodular(values: dict[int, int], masks: list[int]) -> bool:
     """Raise union values (inside capacity) or lower the smaller operand until
     every intersecting pair satisfies the inequality; False if it oscillates."""
     pairs = [
@@ -134,7 +136,7 @@ def _repair_supermodular(values: dict[int, int], masks: list[int], max_passes: i
         for b in masks[i + 1 :]
         if _masks_intersecting(a, b)
     ]
-    for _ in range(max_passes):
+    for _ in range(REPAIR_MAX_PASSES):
         dirty = False
         for a, b in pairs:
             need = values[a] + values[b] - values[a | b] - values[a & b]
@@ -272,10 +274,10 @@ def mixed_configs(seed: int, count: int, n_max: int = 8, n_min: int = 1) -> list
     return out
 
 
-def sample_partial_transversal(p: Partition, rng: random.Random, keep_p: float = 0.5) -> ElemSet:
+def sample_partial_transversal(p: Partition, rng: random.Random) -> ElemSet:
     """Pick at most one random element from each part, independently."""
     mask = 0
     for part in p.parts:
-        if rng.random() < keep_p:
+        if rng.random() < KEEP_PART_P:
             mask |= 1 << part.ground.index(rng.choice(part.names))
     return ElemSet(p.ground, mask)

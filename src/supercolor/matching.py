@@ -5,7 +5,8 @@ A closed matching is a nonempty matching M such that every edge leaving a
 matched S-vertex ends at a matched T-vertex.  It always exists when
 |S| >= |T| and S has no isolated vertex: take an inclusion-minimal nonempty
 V ⊆ S with |Γ(V)| <= |V| (then |Γ(V)| = |V| and Hall's condition holds
-strictly below V) and match V onto Γ(V).
+strictly below V) and match V onto Γ(V).  closed_pairs finds and checks it
+on adjacency masks; closed_matching maps its index pairs to a graph's edges.
 
 transversal_mask runs at every level of construct_pi: it builds the
 part-versus-part adjacency masks with plain loops over the two partitions,
@@ -17,7 +18,7 @@ on every call, from the matched parts of both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, NamedTuple
 
 from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices
 from .bunch import partition_masks
@@ -44,23 +45,20 @@ class BipartiteGraph:
         object.__setattr__(self, "s_vertices", tuple(self.s_vertices))
         object.__setattr__(self, "t_vertices", tuple(self.t_vertices))
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        if len(set(self.s_vertices)) != len(self.s_vertices):
+        s_set, t_set = set(self.s_vertices), set(self.t_vertices)
+        if len(s_set) != len(self.s_vertices):
             raise InputError("duplicate S-vertex ids")
-        if len(set(self.t_vertices)) != len(self.t_vertices):
+        if len(t_set) != len(self.t_vertices):
             raise InputError("duplicate T-vertex ids")
-        s_index = {v: i for i, v in enumerate(self.s_vertices)}
-        t_index = {v: i for i, v in enumerate(self.t_vertices)}
         ids = set()
         for e in self.edges:
-            if e.s not in s_index:
+            if e.s not in s_set:
                 raise InputError(f"edge references unknown S-vertex {e.s!r}")
-            if e.t not in t_index:
+            if e.t not in t_set:
                 raise InputError(f"edge references unknown T-vertex {e.t!r}")
             if e.id in ids:
                 raise InputError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
-        object.__setattr__(self, "_s_index", s_index)
-        object.__setattr__(self, "_t_index", t_index)
 
     @classmethod
     def from_pairs(cls, s_vertices, t_vertices, pairs) -> "BipartiteGraph":
@@ -77,49 +75,12 @@ class BipartiteGraph:
             edges.append((s, t, f"{key}~{i}"))
         return cls(tuple(s_vertices), tuple(t_vertices), tuple(edges))
 
-    def s_index(self, v) -> int:
-        return self._s_index[v]  # type: ignore[attr-defined]
-
-    def t_index(self, v) -> int:
-        return self._t_index[v]  # type: ignore[attr-defined]
-
     def edge_ids(self) -> tuple:
         return tuple(e.id for e in self.edges)
 
     def degree(self, vertex, side: str) -> int:
         pos = 0 if side == "s" else 1
         return sum(1 for e in self.edges if e[pos] == vertex)
-
-
-@dataclass(frozen=True, eq=False)
-class Matching:
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        s_seen = set()
-        t_seen = set()
-        for e in self.edges:
-            if e.s in s_seen or e.t in t_seen:
-                raise InputError("matching edges share an endpoint")
-            s_seen.add(e.s)
-            t_seen.add(e.t)
-
-    @property
-    def s_covered(self) -> frozenset:
-        return frozenset(e.s for e in self.edges)
-
-    @property
-    def t_covered(self) -> frozenset:
-        return frozenset(e.t for e in self.edges)
-
-
-def neighbors(g: BipartiteGraph, v: Iterable) -> set:
-    """T-side neighborhood of a subset of S."""
-    wanted = set(v)
-    unknown = wanted - set(g.s_vertices)
-    if unknown:
-        raise InputError(f"not S-vertices: {sorted(map(repr, unknown))}")
-    return {e.t for e in g.edges if e.s in wanted}
 
 
 def _gosper_next(v: int) -> int:
@@ -174,22 +135,21 @@ def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
     # perfect matching of V onto Γ(V) by augmenting paths, canonical order
     match_t: dict[int, int] = {}
 
-    def augment(si: int, seen: set[int]) -> bool:
+    def augment(si: int) -> bool:
+        nonlocal seen
         rest = adj[si] & gamma
-        while rest:
+        while rest := rest & ~seen:
             low = rest & -rest
+            seen |= low
             ti = low.bit_length() - 1
-            rest ^= low
-            if ti in seen:
-                continue
-            seen.add(ti)
-            if ti not in match_t or augment(match_t[ti], seen):
+            if ti not in match_t or augment(match_t[ti]):
                 match_t[ti] = si
                 return True
         return False
 
     for si in bit_indices(vmask):
-        if not augment(si, set()):
+        seen = 0  # T-vertices visited from this root, as a mask
+        if not augment(si):
             raise RuntimeError("Hall condition failed on the tight set (internal bug)")
 
     matched_t = sum(1 << ti for ti in match_t)
@@ -198,27 +158,18 @@ def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
     return sorted((si, ti) for ti, si in match_t.items())
 
 
-def closed_matching(g: BipartiteGraph) -> Matching:
-    """Nonempty matching whose matched S-side has all its edges inside the
-    matched T-side (see closed_pairs)."""
-    adj = [0] * len(g.s_vertices)
+def closed_matching(g: BipartiteGraph) -> tuple[Edge, ...]:
+    """A closed matching of g (see closed_pairs): for each matched pair, in
+    S-vertex order, the first edge of g between the two."""
+    s_pos = {v: i for i, v in enumerate(g.s_vertices)}
+    t_pos = {v: i for i, v in enumerate(g.t_vertices)}
+    adj = [0] * len(s_pos)
+    first: dict[tuple[int, int], Edge] = {}
     for e in g.edges:
-        adj[g.s_index(e.s)] |= 1 << g.t_index(e.t)
-    picked = closed_pairs(adj, len(g.t_vertices), g.s_vertices)
-
-    # realize matched vertex pairs with the first concrete edge between them
-    edge_for: dict[tuple[int, int], Edge] = {}
-    for e in g.edges:
-        key = (g.s_index(e.s), g.t_index(e.t))
-        edge_for.setdefault(key, e)
-    m = Matching(tuple(edge_for[pair] for pair in picked))
-
-    covered_s = m.s_covered
-    covered_t = m.t_covered
-    for e in g.edges:
-        if e.s in covered_s and e.t not in covered_t:
-            raise RuntimeError("matching is not closed (internal bug)")
-    return m
+        si, ti = s_pos[e.s], t_pos[e.t]
+        adj[si] |= 1 << ti
+        first.setdefault((si, ti), e)
+    return tuple(first[pair] for pair in closed_pairs(adj, len(t_pos), g.s_vertices))
 
 
 @dataclass(frozen=True, eq=False)

@@ -376,6 +376,11 @@ def criterion_6():
 
 # -- criterion 7: closed matchings on random graphs ----------------------------
 
+def _gamma(graph, sub) -> set:
+    """The T-side neighbour set of the S-vertices sub, from the edges."""
+    return {e.t for e in graph.edges if e.s in sub}
+
+
 def criterion_7():
     started = time.monotonic()
     rng = random.Random(1007)
@@ -392,15 +397,15 @@ def criterion_7():
             tuple(s), tuple(t), tuple(sc.Edge(a, b, i) for i, (a, b) in enumerate(pairs))
         )
         m = sc.closed_matching(graph)
-        v = m.s_covered
-        gamma = sc.neighbors(graph, v)
-        ok = bool(m.edges) and gamma == m.t_covered and len(gamma) == len(v)
+        v = {e.s for e in m}
+        covered_t = {e.t for e in m}
+        ok = bool(m) and len(v) == len(covered_t) == len(m) and _gamma(graph, v) == covered_t
         for size in range(1, len(v)):
             for sub in itertools.combinations(sorted(v), size):
-                if len(sc.neighbors(graph, sub)) <= size:
+                if len(_gamma(graph, sub)) <= size:
                     ok = False
         for e in graph.edges:
-            if e.s in v and e.t not in m.t_covered:
+            if e.s in v and e.t not in covered_t:
                 ok = False
         if not ok:
             violations += 1

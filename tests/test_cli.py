@@ -126,6 +126,33 @@ def test_reduce_rejects_attainer_keys_that_print_alike(capsys, tmp_path):
     assert "'a,b'" in captured.err
 
 
+def test_reduce_names_as_json_array(capsys, tmp_path):
+    # "a,b" holds a comma and " z" a leading space: only the JSON form names them
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"elements": ["a", "b", "a,b", " z"], "g1": [], "g2": []}))
+    for raw, removed in (('["a,b"]', ["a,b"]), ('[" z"]', [" z"]), ("a,b", ["a", "b"])):
+        code, payload = run_cli(capsys, "reduce", str(inst), "--k", raw)
+        assert code == 0, raw
+        assert payload["removed"] == removed
+        assert payload["elements"] == [x for x in ["a", "b", "a,b", " z"] if x not in removed]
+
+
+def test_reduce_json_names_match_the_comma_form(capsys, example_path):
+    assert run(["reduce", str(example_path), "--k", "f,j"]) == 0
+    comma = capsys.readouterr().out
+    assert run(["reduce", str(example_path), "--k", '["f", "j"]']) == 0
+    assert capsys.readouterr().out == comma
+
+
+@pytest.mark.parametrize("raw", ["[", '["f",', "[f]", '["f"] x', "[1]", '["f", null]', '[["f"]]'])
+def test_reduce_rejects_bad_json_names(capsys, example_path, raw):
+    code = run(["reduce", str(example_path), "--k", raw])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--k" in captured.err
+
+
 def test_transversal(capsys, example_path):
     code, payload = run_cli(capsys, "transversal", str(example_path))
     assert code == 0

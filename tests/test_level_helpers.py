@@ -1,5 +1,7 @@
 """Differential test of the per-level helpers of construct_pi against the
-comprehension-based versions they replaced, kept here verbatim as references.
+comprehension-based versions they replaced, kept here verbatim as references
+(and closed_pairs against its version that tracked visited T-vertices in a
+set).
 
 The helpers must give equal outputs, or raise the same exception type with
 the same message, on every level of real constructions and on small random
@@ -7,12 +9,13 @@ inputs that break their preconditions on purpose.
 """
 
 import random
+import sys
 from collections import Counter
 
 from supercolor import InputError, encode_bipartite, gen_instance, mixed_configs, random_multigraph
 from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
-from supercolor.core import bit_indices
-from supercolor.matching import closed_pairs, transversal_mask
+from supercolor.core import ResourceLimitError, bit_indices
+from supercolor.matching import SUBSET_SCAN_LIMIT, _gosper_next, closed_pairs, transversal_mask
 
 
 # -- references ---------------------------------------------------------------
@@ -67,6 +70,75 @@ def ref_transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str
         if hit_lead & ~hit_follow:
             raise RuntimeError("transversal case condition failed (internal bug)")
     return k, case
+
+
+def ref_closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
+    """Sorted (S-index, T-index) pairs of a closed matching, from the S-side
+    adjacency masks over T-indices 0..nt-1; s_names names S-vertices in
+    errors.
+
+    The minimal tight set V is found by scanning subsets of S ordered by
+    (size, set-as-integer); the first hit is inclusion-minimal, satisfies
+    |Γ(V)| = |V|, and admits a perfect matching onto Γ(V) by Hall.
+    """
+    ns = len(adj)
+    if ns < nt:
+        raise InputError(f"closed matching needs |S| >= |T|, got {ns} < {nt}")
+    if ns == 0:
+        raise InputError("closed matching needs a nonempty S side")
+    if ns > SUBSET_SCAN_LIMIT:
+        raise ResourceLimitError(f"subset scan over |S| = {ns} > {SUBSET_SCAN_LIMIT}")
+    for i, m in enumerate(adj):
+        if m == 0:
+            raise InputError(f"isolated S-vertex {s_names[i]!r}")
+
+    tight = None
+    for size in range(1, ns + 1):
+        v = (1 << size) - 1
+        while v < (1 << ns):
+            gamma = 0
+            rest = v
+            while rest:
+                low = rest & -rest
+                gamma |= adj[low.bit_length() - 1]
+                rest ^= low
+            if gamma.bit_count() <= size:
+                tight = (v, gamma)
+                break
+            v = _gosper_next(v)
+        if tight:
+            break
+    if tight is None:  # impossible: V = S is tight because |Γ(S)| <= |T| <= |S|
+        raise RuntimeError("no tight subset found (internal bug)")
+    vmask, gamma = tight
+    if gamma.bit_count() != vmask.bit_count():
+        raise RuntimeError("minimal tight set is not tight (internal bug)")
+
+    # perfect matching of V onto Γ(V) by augmenting paths, canonical order
+    match_t: dict[int, int] = {}
+
+    def augment(si: int, seen: set[int]) -> bool:
+        rest = adj[si] & gamma
+        while rest:
+            low = rest & -rest
+            ti = low.bit_length() - 1
+            rest ^= low
+            if ti in seen:
+                continue
+            seen.add(ti)
+            if ti not in match_t or augment(match_t[ti], seen):
+                match_t[ti] = si
+                return True
+        return False
+
+    for si in bit_indices(vmask):
+        if not augment(si, set()):
+            raise RuntimeError("Hall condition failed on the tight set (internal bug)")
+
+    matched_t = sum(1 << ti for ti in match_t)
+    if any(adj[si] & ~matched_t for si in match_t.values()):
+        raise RuntimeError("matching is not closed (internal bug)")
+    return sorted((si, ti) for ti, si in match_t.items())
 
 
 # -- comparison ---------------------------------------------------------------
@@ -194,3 +266,75 @@ def test_helpers_match_references_on_small_random_inputs():
     assert seen["part_masks", RuntimeError] >= 1000, seen
     assert seen["transversal_mask", InputError] >= 100, seen
     assert seen["transversal_mask", RuntimeError] >= 10, seen
+
+
+def augment_depth(adj, nt) -> int:
+    """Longest chain of nested augment calls in ref_closed_pairs(adj, nt):
+    the length of its longest augmenting path."""
+    depth = deepest = 0
+
+    def on_call(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code.co_name != "augment":
+            return None
+        depth += 1
+        deepest = max(deepest, depth)
+        return on_return
+
+    def on_return(frame, event, arg):
+        nonlocal depth
+        if event == "return":
+            depth -= 1
+        return on_return
+
+    sys.settrace(on_call)
+    try:
+        ref_closed_pairs(adj, nt, range(len(adj)))
+    finally:
+        sys.settrace(None)
+    return deepest
+
+
+def _ladder(rng, n):
+    """Adjacency masks of an n-cycle ladder: s_i meets t_i and t_(i+1) for
+    i < n-1, and s_(n-1) meets t_0 and t_(n-1).  Only the whole of S is
+    tight, and the last S-vertex's augmenting path runs through all the
+    others.  Some random extra edges and a random T-relabelling keep the
+    paths long in most draws."""
+    adj = [(1 << i) | (1 << (i + 1)) for i in range(n - 1)] + [1 | (1 << (n - 1))]
+    for _ in range(rng.randint(0, 2)):
+        adj[rng.randrange(n)] |= 1 << rng.randrange(n)
+    if rng.random() < 0.5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        adj = [sum(1 << perm[t] for t in bit_indices(m)) for m in adj]
+    return adj
+
+
+def test_closed_pairs_matches_reference():
+    rng = random.Random(1707)
+    cases = [([], 0), ([0], 0), ([1, 0], 1), ([0b11], 2)]
+    for _ in range(2200):
+        ns = rng.randint(1, 12)
+        nt = rng.randint(1, ns)
+        density = rng.random() / 2
+        adj = [
+            (1 << rng.randrange(nt)) | sum(1 << t for t in range(nt) if rng.random() < density)
+            for _ in range(ns)
+        ]
+        if rng.random() < 0.05:  # break a precondition: an isolated vertex or |S| < |T|
+            adj[rng.randrange(ns)] = 0
+        elif rng.random() < 0.05:
+            nt = ns + 1
+        cases.append((adj, nt))
+    ladders = []
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        ladders.append((_ladder(rng, n), n))
+    kinds = Counter()
+    for adj, nt in cases + ladders:
+        kind = same(closed_pairs, ref_closed_pairs, adj, nt, [f"s{i}" for i in range(len(adj))])[0]
+        kinds[kind] += 1
+    assert kinds["ok"] >= 2000 and kinds[InputError] >= 100, kinds
+    long_paths = sum(augment_depth(adj, nt) >= 8 for adj, nt in ladders)
+    assert long_paths >= 100, long_paths

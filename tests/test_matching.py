@@ -15,7 +15,6 @@ from supercolor import (
     gen_instance,
     is_partial_transversal,
     mixed_configs,
-    neighbors,
     random_multigraph,
 )
 from supercolor.bunch import effective_entries, part_masks
@@ -27,24 +26,19 @@ def graph(s, t, pairs):
     return BipartiteGraph.from_pairs(s, t, pairs)
 
 
-def test_neighbors():
-    g = graph(["s1"], ["t1", "t2"], [("s1", "t1"), ("s1", "t2")])
-    assert neighbors(g, []) == set()
-    assert neighbors(g, ["s1"]) == {"t1", "t2"}
-    with pytest.raises(InputError):
-        neighbors(g, ["nope"])
+def gamma(g: BipartiteGraph, v) -> set:
+    """Γ(v): the T-side neighbour set of the S-vertices v, from g's edges."""
+    return {e.t for e in g.edges if e.s in v}
 
 
 def test_closed_matching_shared_sink():
     g = graph(["s1", "s2"], ["t1"], [("s1", "t1"), ("s2", "t1")])
-    m = closed_matching(g)
-    assert [(e.s, e.t) for e in m.edges] == [("s1", "t1")]
+    assert [(e.s, e.t) for e in closed_matching(g)] == [("s1", "t1")]
 
 
 def test_closed_matching_perfect_pairs():
     g = graph(["s1", "s2"], ["t1", "t2"], [("s1", "t1"), ("s2", "t2")])
-    m = closed_matching(g)
-    assert [(e.s, e.t) for e in m.edges] == [("s1", "t1")]
+    assert [(e.s, e.t) for e in closed_matching(g)] == [("s1", "t1")]
 
 
 def test_closed_matching_complete_two_by_two():
@@ -54,8 +48,8 @@ def test_closed_matching_complete_two_by_two():
         [("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2")],
     )
     m = closed_matching(g)
-    assert m.s_covered == {"s1", "s2"}
-    assert m.t_covered == {"t1", "t2"}
+    assert {e.s for e in m} == {"s1", "s2"}
+    assert {e.t for e in m} == {"t1", "t2"}
 
 
 def test_closed_matching_preconditions():
@@ -66,19 +60,20 @@ def test_closed_matching_preconditions():
 
 
 def check_closed(g: BipartiteGraph, m) -> None:
-    assert m.edges, "matching must be nonempty"
-    v = m.s_covered
-    gamma = neighbors(g, v)
-    assert gamma == m.t_covered
-    assert len(gamma) == len(v)
+    assert m, "matching must be nonempty"
+    assert set(m) <= set(g.edges)
+    v = {e.s for e in m}
+    covered_t = {e.t for e in m}
+    assert len(v) == len(covered_t) == len(m), "matching edges share an endpoint"
+    assert gamma(g, v) == covered_t
     # strict Hall surplus below the tight set
     members = sorted(v)
     for size in range(1, len(members)):
         for sub in _subsets(members, size):
-            assert len(neighbors(g, sub)) > size
+            assert len(gamma(g, sub)) > size
     for e in g.edges:
         if e.s in v:
-            assert e.t in m.t_covered
+            assert e.t in covered_t
 
 
 def _subsets(items, size):
@@ -162,7 +157,7 @@ def _transversal_by_graph(parts1, parts2):
         range(len(follow)),
         [(owner_lead[i], owner_follow[i], i) for i in bit_indices(sum(lead))],
     )
-    return sum(1 << e.id for e in closed_matching(graph).edges), case
+    return sum(1 << e.id for e in closed_matching(graph)), case
 
 
 def test_transversal_mask_matches_explicit_graph():
