@@ -8,11 +8,13 @@ V ⊆ S with |Γ(V)| <= |V| (then |Γ(V)| = |V| and Hall's condition holds
 strictly below V) and match V onto Γ(V).  closed_pairs finds and checks it
 on adjacency masks; closed_matching maps its index pairs to a graph's edges.
 
-transversal_mask runs at every level of construct_pi: it builds the
-part-versus-part adjacency masks with plain loops over the two partitions,
-hands them to closed_pairs, and returns with K the hit mask: the union of the
-matched lead parts, which are the K-hit ones.  It checks the case condition
-on every call, from the matched parts of both sides.
+transversal_mask runs at every level of construct_pi.  Most levels end at its
+singleton step: the first lead part inside one follow part is the first tight
+set of closed_pairs' scan, so it is returned without the part graph.  Else it
+builds the part-versus-part adjacency masks with plain loops over the two
+partitions, hands them to closed_pairs, and returns with K the hit mask: the
+union of the matched lead parts, which are the K-hit ones.  It checks the case
+condition on that path, from the matched parts of both sides.
 """
 
 from __future__ import annotations
@@ -186,9 +188,23 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str, in
     element, with the larger side as S; each matched pair of parts gives
     its least common element.  Each matched part holds exactly one element
     of K, so the matched lead parts are the K-hit ones.
+
+    Singleton step: if |lead| <= SUBSET_SCAN_LIMIT, no lead part is empty and
+    both cover one mask, closed_pairs would not raise, and its first candidate
+    is V = {s}, s the first lead part inside the follow part holding its lowest
+    bit (|Γ(V)| = 1).  K is that bit and the hit mask is the part, as the scan
+    gives.  Other inputs take the general path and raise its errors.
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
+    if len(lead) <= SUBSET_SCAN_LIMIT and 0 not in lead and sum(lead) == sum(follow):
+        for part in lead:
+            low = part & -part
+            for f in follow:
+                if f & low:
+                    break
+            if not part & ~f:
+                return low, case, part
     adj = []
     for part in lead:
         a = 0

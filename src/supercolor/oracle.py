@@ -6,7 +6,9 @@ constrained set can no longer reach its required number of distinct colors,
 even if every remaining element contributed a fresh one.  The bound is exact
 on fully assigned sets, so a completed assignment needs no final recheck; the
 pruning never discards a satisfiable branch, hence the first assignment found
-is the canonically smallest one.  Before any element is assigned, the search
+is the canonically smallest one.  A k-coloring search also skips colorings
+whose colors are not numbered in order of first use; the canonically
+smallest one is never among them.  Before any element is assigned, the search
 is refused outright when some set's bound exceeds the number of distinct
 colors in the union of its elements' domains, since no assignment can give the
 set more colors than its elements can take.
@@ -56,7 +58,12 @@ def _constraints(g1: SetFn, g2: SetFn) -> list[tuple[int, int]] | None:
     return out
 
 
-def _search(names: Sequence[str], domains: Sequence[Sequence], constraints) -> Coloring | None:
+def _search(
+    names: Sequence[str], domains: Sequence[Sequence], constraints, first_use: bool = False
+) -> Coloring | None:
+    """First dominating assignment in canonical order, or None.  With
+    first_use, for k-colorings whose domains are 1..k, element i tries only
+    colors up to 1 + the largest color used before it (see find_k_coloring)."""
     n = len(names)
     if constraints is None:
         return None
@@ -97,19 +104,19 @@ def _search(names: Sequence[str], domains: Sequence[Sequence], constraints) -> C
                 del counts[ci][color]
                 distinct[ci] -= 1
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, top: int) -> bool:
         if i == n:
             return True
-        for color in domains[i]:
+        for color in domains[i][: top + 1] if first_use else domains[i]:
             feasible = place(i, color)
             if feasible:
                 assignment[i] = color
-                if dfs(i + 1):
+                if dfs(i + 1, top + (color > top) if first_use else top):
                     return True
             unplace(i, color)
         return False
 
-    if dfs(0):
+    if dfs(0, 0):
         return {name: assignment[i] for i, name in enumerate(names)}
     return None
 
@@ -122,7 +129,9 @@ def find_k_coloring(
 
     Only colors up to max(1, |U|) are tried: renumbering colors in order of
     first use keeps a coloring dominating and never makes it larger, so the
-    canonically smallest one never uses a color above |U|."""
+    canonically smallest one never uses a color above |U|.  For the same
+    reason it already numbers its colors in order of first use, so the search
+    gives element i only colors up to 1 + the largest used before it."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     if k < 1:
@@ -133,7 +142,7 @@ def find_k_coloring(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
     colors = tuple(range(1, min(k, max(1, n)) + 1))
-    return _search(g1.ground.names, [colors] * n, _constraints(g1, g2))
+    return _search(g1.ground.names, [colors] * n, _constraints(g1, g2), first_use=True)
 
 
 def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
@@ -160,7 +169,8 @@ def find_list_coloring(
         raise InputError("functions live on different ground sets")
     domains = []
     budget = 1
-    for name in g1.ground.names:
+    names = g1.ground.names
+    for at, name in enumerate(names):
         if name not in lists:
             raise InputError(f"no color list for element {name!r}")
         pool = lists[name]
@@ -171,9 +181,10 @@ def find_list_coloring(
         budget *= len(dom)
         if budget > caps.list_budget:
             raise ResourceLimitError(
-                f"list search budget {caps.list_budget} exceeded"
+                f"list search budget {caps.list_budget} exceeded: product {budget}"
+                f" at element {name!r} ({at + 1} of {len(names)})"
             )
-    return _search(g1.ground.names, domains, _constraints(g1, g2))
+    return _search(names, domains, _constraints(g1, g2))
 
 
 def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:

@@ -280,6 +280,7 @@ def test_tightness_probe_script_cap_is_exit_3():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: list search budget 10000000 exceeded")
+    assert proc.stderr.endswith(": product 10077696 at element 'i' (9 of 9)\n")
 
 
 def test_tightness_probe_script_reads_caps_from_env():

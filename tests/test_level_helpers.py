@@ -4,15 +4,24 @@ comprehension-based versions they replaced, kept here verbatim as references
 set).
 
 The helpers must give equal outputs, or raise the same exception type with
-the same message, on every level of real constructions and on small random
-inputs that break their preconditions on purpose.
+the same message, on every level of real constructions, on small random
+inputs that break their preconditions on purpose, and on explicit inputs at
+the guards of transversal_mask's singleton step.
 """
 
 import random
 import sys
 from collections import Counter
 
-from supercolor import InputError, encode_bipartite, gen_instance, mixed_configs, random_multigraph
+from supercolor import (
+    InputError,
+    construct_pi_traced,
+    encode_bipartite,
+    gen_instance,
+    mixed_configs,
+    random_multigraph,
+)
+from supercolor import matching
 from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
 from supercolor.core import ResourceLimitError, bit_indices
 from supercolor.matching import SUBSET_SCAN_LIMIT, _gosper_next, closed_pairs, transversal_mask
@@ -266,6 +275,48 @@ def test_helpers_match_references_on_small_random_inputs():
     assert seen["part_masks", RuntimeError] >= 1000, seen
     assert seen["transversal_mask", InputError] >= 100, seen
     assert seen["transversal_mask", RuntimeError] >= 10, seen
+
+
+SINGLE = [1 << i for i in range(SUBSET_SCAN_LIMIT + 1)]
+
+# (parts1, parts2, what the reference gives) at the guards of transversal_mask's
+# singleton step; each pair is also compared the other way round
+SINGLETON_CASES = [
+    (SINGLE, [sum(SINGLE)], ResourceLimitError),  # 25 lead parts, all inside one follow part
+    (SINGLE[:-1], [sum(SINGLE[:-1])], "ok"),  # 24 of them
+    ([0b01, 0b10], [0b01], InputError),  # different masks: lead part 0b10 is isolated
+    ([0, 0b01, 0b10], [0b11], InputError),  # a zero lead part before a tight one
+    ([0b01, 0b10, 0], [0b11], InputError),  # and after it
+    ([0b1], [], InputError),  # an empty follow side
+    ([], [], InputError),
+    ([0b0011, 0b0100, 0b1000], [0b0101, 0b1010], "ok"),  # tight part at index 1
+    ([0b00011, 0b01100, 0b10000], [0b00101, 0b11010], "ok"),  # at the last index
+    ([0b0011, 0b1100], [0b0101, 0b1010], "ok"),  # no tight part: V = S
+    ([0b0011, 0b1100, 0b110000], [0b0101, 0b1010, 0b110000], "ok"),  # tight at index 2 of 3
+]
+
+
+def test_singleton_step_matches_reference_at_its_guards():
+    for parts1, parts2, kind in SINGLETON_CASES:
+        assert same(k_and_case, ref_transversal_mask, parts1, parts2)[0] == kind
+        same(k_and_case, ref_transversal_mask, parts2, parts1)
+
+
+def test_singleton_step_settles_most_levels(monkeypatch):
+    calls = 0
+    scan = matching.closed_pairs
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return scan(*args)
+
+    monkeypatch.setattr(matching, "closed_pairs", counting)
+    levels = 0
+    for seed in range(20):
+        g1, g2 = encode_bipartite(random_multigraph(random.Random(seed), 32))
+        levels += len(construct_pi_traced(g1, g2)[1])
+    assert 0 < calls < levels, (calls, levels)
 
 
 def augment_depth(adj, nt) -> int:

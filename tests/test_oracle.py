@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,11 @@ from supercolor import (
     min_k,
     mixed_configs,
     random_lists,
+    random_multigraph,
     verify_main_theorem,
 )
-from supercolor.oracle import tight_lengths
+from supercolor.core import bit_indices
+from supercolor.oracle import _constraints, tight_lengths
 
 
 def test_empty_families_one_color(abc_ground):
@@ -183,3 +186,85 @@ def test_search_determinism(example_instance):
     r1 = verify_main_theorem(g1, g2, trials=5, seed=42)
     r2 = verify_main_theorem(g1, g2, trials=5, seed=42)
     assert r1 == r2
+
+
+def ref_search(names, domains, constraints):
+    """oracle._search before first-use symmetry breaking, kept verbatim."""
+    n = len(names)
+    if constraints is None:
+        return None
+    per_elem: list[list[int]] = [[] for _ in range(n)]
+    remaining = []
+    bounds = []
+    for ci, (mask, bound) in enumerate(constraints):
+        elems = list(bit_indices(mask))
+        if len(set().union(*(domains[i] for i in elems))) < bound:
+            return None  # pigeonhole: too few colors to reach the bound
+        remaining.append(len(elems))
+        bounds.append(bound)
+        for i in elems:
+            per_elem[i].append(ci)
+    counts: list[dict] = [{} for _ in constraints]
+    distinct = [0] * len(constraints)
+    assignment: list = [None] * n
+
+    def place(i: int, color) -> bool:
+        ok = True
+        for ci in per_elem[i]:
+            remaining[ci] -= 1
+            c = counts[ci].get(color, 0) + 1
+            counts[ci][color] = c
+            if c == 1:
+                distinct[ci] += 1
+            if distinct[ci] + remaining[ci] < bounds[ci]:
+                ok = False
+        return ok
+
+    def unplace(i: int, color) -> None:
+        for ci in per_elem[i]:
+            remaining[ci] += 1
+            c = counts[ci][color] - 1
+            if c:
+                counts[ci][color] = c
+            else:
+                del counts[ci][color]
+                distinct[ci] -= 1
+
+    def dfs(i: int) -> bool:
+        if i == n:
+            return True
+        for color in domains[i]:
+            feasible = place(i, color)
+            if feasible:
+                assignment[i] = color
+                if dfs(i + 1):
+                    return True
+            unplace(i, color)
+        return False
+
+    if dfs(0):
+        return {name: assignment[i] for i, name in enumerate(names)}
+    return None
+
+
+def test_k_coloring_matches_full_domain_search():
+    # first-use symmetry breaking keeps the canonical first coloring, and None
+    found = Counter()
+    for cfg in mixed_configs(seed=2017, count=400, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        n = g1.ground.size
+        for k in range(1, delta(g1, g2) + 2):
+            colors = tuple(range(1, min(k, n) + 1))
+            want = ref_search(g1.ground.names, [colors] * n, _constraints(g1, g2))
+            assert find_k_coloring(g1, g2, k) == want, (cfg, k)
+            found[want is None] += 1
+    assert found[False] >= 500 and found[True] >= 500, found
+
+
+def test_k_coloring_at_delta_on_a_hard_encoding():
+    # the full-domain search took about a minute on this 16-edge encoding
+    g1, g2 = encode_bipartite(random_multigraph(random.Random(3046027418), 16))
+    k = delta(g1, g2)
+    coloring = find_k_coloring(g1, g2, k, SearchCaps(k_search_elements=16))
+    assert coloring is not None and set(coloring.values()) <= set(range(1, k + 1))
+    assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
