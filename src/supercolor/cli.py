@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -239,9 +240,12 @@ def _load_lists(path) -> dict:
     if not isinstance(doc, dict):
         raise InputError("lists file must map element names to color lists")
     for name, colors in doc.items():
-        # a boolean would equal the color 1 or 0 and break the coloring
-        if not isinstance(colors, list) or any(isinstance(c, (list, dict, bool)) for c in colors):
-            raise InputError(f"colors of {name!r} must be a list of numbers, strings or nulls")
+        # a boolean would equal the color 1 or 0; NaN and Infinity print as non-JSON
+        if not isinstance(colors, list) or any(
+            isinstance(c, (list, dict, bool)) or (isinstance(c, float) and not math.isfinite(c))
+            for c in colors
+        ):
+            raise InputError(f"colors of {name!r} must list finite numbers, strings or nulls")
     return doc
 
 

@@ -5,12 +5,13 @@ A closed matching is a nonempty matching M such that every edge leaving a
 matched S-vertex ends at a matched T-vertex.  It always exists when
 |S| >= |T| and S has no isolated vertex: take an inclusion-minimal nonempty
 V ⊆ S with |Γ(V)| <= |V| (then |Γ(V)| = |V| and Hall's condition holds
-strictly below V) and match V onto Γ(V).  closed_pairs finds and checks it
-on adjacency masks; closed_matching maps its index pairs to a graph's edges.
+strictly below V) and match V onto Γ(V).  closed_pairs finds V by a pruned
+search of at most SCAN_NODE_BUDGET nodes and checks the matching on adjacency
+masks; closed_matching maps its index pairs to a graph's edges.
 
 transversal_mask runs at every level of construct_pi.  Most levels end at its
 singleton step: the first lead part inside one follow part is the first tight
-set of closed_pairs' scan, so it is returned without the part graph.  Else it
+set of closed_pairs' search, so it is returned without the part graph.  Else it
 builds the part-versus-part adjacency masks with plain loops over the two
 partitions, hands them to closed_pairs, and returns with K the hit mask: the
 union of the matched lead parts, which are the K-hit ones.  It checks the case
@@ -25,7 +26,7 @@ from typing import Hashable, NamedTuple
 from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices
 from .bunch import partition_masks
 
-SUBSET_SCAN_LIMIT = 24
+SCAN_NODE_BUDGET = 1 << 22
 
 
 class Edge(NamedTuple):
@@ -85,50 +86,46 @@ class BipartiteGraph:
         return sum(1 for e in self.edges if e[pos] == vertex)
 
 
-def _gosper_next(v: int) -> int:
-    # next integer with the same popcount
-    c = v & -v
-    r = v + c
-    return (((r ^ v) >> 2) // c) | r
-
-
 def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
     """Sorted (S-index, T-index) pairs of a closed matching, from the S-side
     adjacency masks over T-indices 0..nt-1; s_names names S-vertices in
     errors.
 
-    The minimal tight set V is found by scanning subsets of S ordered by
-    (size, set-as-integer); the first hit is inclusion-minimal, satisfies
-    |Γ(V)| = |V|, and admits a perfect matching onto Γ(V) by Hall.
+    The minimal tight set V is the (size, set-as-integer)-first V ⊆ S with
+    |Γ(V)| <= |V|: inclusion-minimal, with |Γ(V)| = |V|, matched by Hall.  A
+    depth-first search picks V's top element in ascending order, then the
+    rest below it alike: integer (colex) order.  It skips S-vertices of degree
+    above the size and drops a prefix once |Γ(prefix)| exceeds it (Γ grows).
     """
     ns = len(adj)
     if ns < nt:
         raise InputError(f"closed matching needs |S| >= |T|, got {ns} < {nt}")
     if ns == 0:
         raise InputError("closed matching needs a nonempty S side")
-    if ns > SUBSET_SCAN_LIMIT:
-        raise ResourceLimitError(f"subset scan over |S| = {ns} > {SUBSET_SCAN_LIMIT}")
     for i, m in enumerate(adj):
         if m == 0:
             raise InputError(f"isolated S-vertex {s_names[i]!r}")
 
-    tight = None
+    nodes = 0
+
+    def first_tight(need: int, top: int, gamma: int):
+        # the integer-first `need` of cand[:top] that keep |Γ| <= size, and Γ; else None
+        nonlocal nodes
+        for p in range(need - 1, top):
+            g = gamma | adj[cand[p]]  # one node
+            if (nodes := nodes + 1) > SCAN_NODE_BUDGET:
+                raise ResourceLimitError(
+                    f"tight-set search over |S| = {ns} exceeds {SCAN_NODE_BUDGET} nodes")
+            if g.bit_count() <= size:
+                found = (0, g) if need == 1 else first_tight(need - 1, p, g)
+                if found:
+                    return found[0] | 1 << cand[p], found[1]
+
     for size in range(1, ns + 1):
-        v = (1 << size) - 1
-        while v < (1 << ns):
-            gamma = 0
-            rest = v
-            while rest:
-                low = rest & -rest
-                gamma |= adj[low.bit_length() - 1]
-                rest ^= low
-            if gamma.bit_count() <= size:
-                tight = (v, gamma)
-                break
-            v = _gosper_next(v)
-        if tight:
+        cand = [i for i, m in enumerate(adj) if m.bit_count() <= size]
+        if tight := first_tight(size, len(cand), 0):
             break
-    if tight is None:  # impossible: V = S is tight because |Γ(S)| <= |T| <= |S|
+    else:  # impossible: V = S is tight because |Γ(S)| <= |T| <= |S|
         raise RuntimeError("no tight subset found (internal bug)")
     vmask, gamma = tight
     if gamma.bit_count() != vmask.bit_count():
@@ -189,15 +186,14 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str, in
     its least common element.  Each matched part holds exactly one element
     of K, so the matched lead parts are the K-hit ones.
 
-    Singleton step: if |lead| <= SUBSET_SCAN_LIMIT, no lead part is empty and
-    both cover one mask, closed_pairs would not raise, and its first candidate
-    is V = {s}, s the first lead part inside the follow part holding its lowest
-    bit (|Γ(V)| = 1).  K is that bit and the hit mask is the part, as the scan
-    gives.  Other inputs take the general path and raise its errors.
+    Singleton step: if no lead part is empty and both cover one mask,
+    closed_pairs cannot raise, and its first tight set is V = {s}: s is the
+    first lead part inside the follow part holding its lowest bit.  K is that
+    bit and the hit mask is the part.  Other inputs take the general path.
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
-    if len(lead) <= SUBSET_SCAN_LIMIT and 0 not in lead and sum(lead) == sum(follow):
+    if 0 not in lead and sum(lead) == sum(follow):
         for part in lead:
             low = part & -part
             for f in follow:

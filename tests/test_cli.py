@@ -233,6 +233,22 @@ def test_boolean_colors_are_exit_2(capsys, tmp_path):
     assert code == 0 and payload["coloring"] == {"a": 1, "b": 2}
 
 
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_colors_are_exit_2(capsys, tmp_path, raw):
+    # json reads these as floats, and the coloring would print them as non-JSON
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        '{"elements": ["a", "b"], "g1": [{"set": ["a", "b"], "value": 2}], "g2": []}'
+    )
+    lists = tmp_path / "lists.json"
+    lists.write_text(f'{{"a": [{raw}, 1], "b": [{raw}]}}')
+    code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+    assert code == 2 and payload is None
+    lists.write_text('{"a": [1.5, 1], "b": [1.5]}')
+    code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+    assert code == 0 and payload["coloring"] == {"a": 1, "b": 1.5}
+
+
 def test_unhashable_set_members_are_exit_2(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"elements": ["a", "b"], "g1": [{"set": [["a"]], "value": 1}], "g2": []}')

@@ -1,7 +1,8 @@
 """Differential test of the per-level helpers of construct_pi against the
 comprehension-based versions they replaced, kept here verbatim as references
-(and closed_pairs against its version that tracked visited T-vertices in a
-set).
+(and closed_pairs against its version that found the tight set by a Gosper
+scan over at most SUBSET_SCAN_LIMIT S-vertices and tracked visited T-vertices
+in a set).
 
 The helpers must give equal outputs, or raise the same exception type with
 the same message, on every level of real constructions, on small random
@@ -9,6 +10,7 @@ inputs that break their preconditions on purpose, and on explicit inputs at
 the guards of transversal_mask's singleton step.
 """
 
+import functools
 import random
 import sys
 from collections import Counter
@@ -24,10 +26,20 @@ from supercolor import (
 from supercolor import matching
 from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
 from supercolor.core import ResourceLimitError, bit_indices
-from supercolor.matching import SUBSET_SCAN_LIMIT, _gosper_next, closed_pairs, transversal_mask
+from supercolor.matching import closed_pairs, transversal_mask
 
 
 # -- references ---------------------------------------------------------------
+
+SUBSET_SCAN_LIMIT = 24
+
+
+def _gosper_next(v: int) -> int:
+    # next integer with the same popcount
+    c = v & -v
+    r = v + c
+    return (((r ^ v) >> 2) // c) | r
+
 
 def ref_effective_entries(entries) -> list[tuple[int, int]]:
     return [
@@ -81,7 +93,9 @@ def ref_transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str
     return k, case
 
 
-def ref_closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
+def ref_closed_pairs(
+    adj: list[int], nt: int, s_names, limit: int = SUBSET_SCAN_LIMIT
+) -> list[tuple[int, int]]:
     """Sorted (S-index, T-index) pairs of a closed matching, from the S-side
     adjacency masks over T-indices 0..nt-1; s_names names S-vertices in
     errors.
@@ -95,8 +109,8 @@ def ref_closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
         raise InputError(f"closed matching needs |S| >= |T|, got {ns} < {nt}")
     if ns == 0:
         raise InputError("closed matching needs a nonempty S side")
-    if ns > SUBSET_SCAN_LIMIT:
-        raise ResourceLimitError(f"subset scan over |S| = {ns} > {SUBSET_SCAN_LIMIT}")
+    if ns > limit:
+        raise ResourceLimitError(f"subset scan over |S| = {ns} > {limit}")
     for i, m in enumerate(adj):
         if m == 0:
             raise InputError(f"isolated S-vertex {s_names[i]!r}")
@@ -282,7 +296,7 @@ SINGLE = [1 << i for i in range(SUBSET_SCAN_LIMIT + 1)]
 # (parts1, parts2, what the reference gives) at the guards of transversal_mask's
 # singleton step; each pair is also compared the other way round
 SINGLETON_CASES = [
-    (SINGLE, [sum(SINGLE)], ResourceLimitError),  # 25 lead parts, all inside one follow part
+    (SINGLE, [sum(SINGLE)], "ok"),  # 25 lead parts, all inside one follow part
     (SINGLE[:-1], [sum(SINGLE[:-1])], "ok"),  # 24 of them
     ([0b01, 0b10], [0b01], InputError),  # different masks: lead part 0b10 is isolated
     ([0, 0b01, 0b10], [0b11], InputError),  # a zero lead part before a tight one
@@ -297,9 +311,17 @@ SINGLETON_CASES = [
 
 
 def test_singleton_step_matches_reference_at_its_guards():
+    # ref_transversal_mask calls the live closed_pairs, so each part graph also
+    # goes to the Gosper reference, with its cap lifted for the 25-part row
+    uncapped = functools.partial(ref_closed_pairs, limit=len(SINGLE))
     for parts1, parts2, kind in SINGLETON_CASES:
         assert same(k_and_case, ref_transversal_mask, parts1, parts2)[0] == kind
         same(k_and_case, ref_transversal_mask, parts2, parts1)
+        for lead, follow in ((parts1, parts2), (parts2, parts1)):
+            adj = [sum(1 << t for t, f in enumerate(follow) if f & s) for s in lead]
+            same(closed_pairs, uncapped, adj, len(follow), range(len(adj)))
+    capped = outcome(ref_closed_pairs, [1] * len(SINGLE), 1, range(len(SINGLE)))
+    assert capped[0] is ResourceLimitError
 
 
 def test_singleton_step_settles_most_levels(monkeypatch):
@@ -382,8 +404,11 @@ def test_closed_pairs_matches_reference():
     for _ in range(400):
         n = rng.randint(2, 12)
         ladders.append((_ladder(rng, n), n))
+    # only the whole of S is tight on cycles and ladders: the most search nodes
+    large = [([(1 << i) | (1 << ((i + 1) % n)) for i in range(n)], n) for n in range(13, 19)]
+    large += [(_ladder(rng, n), n) for n in range(13, 19)]
     kinds = Counter()
-    for adj, nt in cases + ladders:
+    for adj, nt in cases + ladders + large:
         kind = same(closed_pairs, ref_closed_pairs, adj, nt, [f"s{i}" for i in range(len(adj))])[0]
         kinds[kind] += 1
     assert kinds["ok"] >= 2000 and kinds[InputError] >= 100, kinds

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,18 +9,22 @@ from supercolor import (
     ResourceLimitError,
     SetFn,
     bunch_partition,
+    cli,
     closed_matching,
     common_transversal,
     construct_pi,
+    dump_json,
     encode_bipartite,
     gen_instance,
+    instance_payload,
     is_partial_transversal,
     mixed_configs,
     random_multigraph,
+    verify_conditions,
 )
 from supercolor.bunch import effective_entries, part_masks
 from supercolor.core import bit_indices
-from supercolor.matching import transversal_mask
+from supercolor.matching import SCAN_NODE_BUDGET, transversal_mask
 
 
 def graph(s, t, pairs):
@@ -172,8 +177,43 @@ def test_transversal_mask_matches_explicit_graph():
     assert cases == {"a", "b"}
 
 
-def test_subset_scan_cap_fires_on_the_recursion():
-    # a 32-edge graph whose recursion reaches a part graph with |S| = 25
-    g1, g2 = encode_bipartite(random_multigraph(random.Random(1969818431), 32))
-    with pytest.raises(ResourceLimitError, match=r"\|S\| = 25 > 24"):
+def _pi_checks(g1, g2) -> bool:
+    return verify_conditions(g1, g2, construct_pi(g1, g2, check=True)).all_ok
+
+
+@pytest.mark.parametrize("graph_seed", [1969818431, 2992501811])
+def test_part_graphs_past_24_parts_complete(graph_seed):
+    # 32-edge graphs whose levels reach a part graph with |S| = 25
+    assert _pi_checks(*encode_bipartite(random_multigraph(random.Random(graph_seed), 32)))
+
+
+def even_cycle(n: int) -> BipartiteGraph:
+    """The 2n-cycle s0 t0 s1 t1 ... s(n-1) t(n-1): its first part graph is an
+    n-cycle, on which only the whole of S is tight."""
+    s = [f"s{i}" for i in range(n)]
+    t = [f"t{i}" for i in range(n)]
+    return graph(s, t, [(s[i], t[j % n]) for i in range(n) for j in (i, i + 1)])
+
+
+def test_tight_set_search_completes_on_the_24_part_cycle():
+    assert _pi_checks(*encode_bipartite(even_cycle(24)))
+
+
+def test_tight_set_search_budget_is_exit_3(tmp_path, capsys):
+    g1, g2 = encode_bipartite(even_cycle(26))
+    budget = rf"\|S\| = 26 exceeds {SCAN_NODE_BUDGET} nodes"
+    with pytest.raises(ResourceLimitError, match=budget):
         construct_pi(g1, g2)
+    inst = tmp_path / "cycle.json"
+    inst.write_text(dump_json(instance_payload(g1, g2)))
+    assert cli.run(["pi", str(inst)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search(budget, captured.err)
+
+
+def test_48_and_64_edge_graphs_complete():
+    for n_edges in (48, 64):
+        master = random.Random(5)
+        for _ in range(100):
+            g = random_multigraph(random.Random(master.randrange(2**32)), n_edges)
+            assert _pi_checks(*encode_bipartite(g)), (n_edges, g)
