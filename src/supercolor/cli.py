@@ -26,10 +26,12 @@ from .core import (
     SetFn,
     _check_pairs,
     check_capacity,
+    decode_json,
     delta,
     dump_json,
     instance_payload,
     load_instance,
+    read_text,
 )
 from . import bunch, encode, gen, oracle, pi as pi_mod
 from .matching import common_transversal
@@ -76,12 +78,16 @@ def caps_from_env(env=os.environ) -> SearchCaps:
         key, _, num = part.partition("=")
         key = key.strip()
         num = num.strip()
-        if not num.isdecimal():  # isdigit also takes "²", which int() rejects
-            raise InputError(f"bad SUPERCOLOR_CAPS entry {part!r}")
+        try:
+            if not num.isdecimal():  # isdigit also takes "²", which int() rejects
+                raise ValueError
+            value = int(num)  # also raises past int()'s digit limit
+        except ValueError:
+            raise InputError(f"bad SUPERCOLOR_CAPS entry {part!r}") from None
         if key == "k_search":
-            k_search = int(num)
+            k_search = value
         elif key == "list_budget":
-            list_budget = int(num)
+            list_budget = value
         else:
             raise InputError(f"unknown SUPERCOLOR_CAPS key {key!r}")
     return SearchCaps(k_search_elements=k_search, list_budget=list_budget)
@@ -160,10 +166,7 @@ def _parse_names(raw: str) -> list[str]:
     """--k names: a JSON array of exact names, or comma-separated and stripped."""
     if not raw.startswith("["):
         return [piece.strip() for piece in raw.split(",") if piece.strip()]
-    try:
-        names = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise InputError(f"--k is not a JSON array: {e}") from None
+    names = decode_json(raw, "--k is not a JSON array")
     if not all(isinstance(n, str) for n in names):
         raise InputError("--k must be a JSON array of element names")
     return names
@@ -230,13 +233,7 @@ def _cmd_pi(args, caps) -> tuple[int, dict]:
 
 
 def _load_lists(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}") from None
+    doc = decode_json(read_text(path))
     if not isinstance(doc, dict):
         raise InputError("lists file must map element names to color lists")
     for name, colors in doc.items():
@@ -351,8 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# reported by exit code; the JSON parser raises RecursionError on deep nesting
-EXPECTED_ERRORS = (InputError, RecursionError, ResourceLimitError, GenerationError)
+EXPECTED_ERRORS = (InputError, ResourceLimitError, GenerationError)
 
 
 def error_exit(e: Exception) -> int:

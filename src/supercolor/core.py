@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-MAX_ELEMENTS = 64
-
 
 class InputError(ValueError):
     """Bad caller input: malformed files, mismatched grounds, failed preconditions."""
@@ -41,10 +39,6 @@ class GroundSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) > MAX_ELEMENTS:
-            raise InputError(
-                f"ground set capped at {MAX_ELEMENTS} elements, got {len(self.names)}"
-            )
         index: dict[str, int] = {}
         for i, name in enumerate(self.names):
             if not isinstance(name, str) or not name:
@@ -344,13 +338,30 @@ def delta(g1: SetFn, g2: SetFn) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Outside text: every file and JSON argument goes through these two, so
+# malformed text always raises InputError.
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
+
+
+def decode_json(text: str, error: str = "invalid JSON"):
+    """The one decoder of outside JSON text; any failure is InputError(f"{error}: ...")."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # bad syntax, > 4300 digits, deep nesting
+        raise InputError(f"{error}: {e}") from None
+
+
 # Instance files: {"elements": [...], "g1": [{"set": [...], "value": n}], "g2": [...]}
 
 def parse_instance(text: str) -> tuple[SetFn, SetFn]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}") from None
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise InputError("instance file must be a JSON object")
     elements = doc.get("elements")
@@ -374,12 +385,7 @@ def parse_instance(text: str) -> tuple[SetFn, SetFn]:
 
 
 def load_instance(path) -> tuple[SetFn, SetFn]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    return parse_instance(text)
+    return parse_instance(read_text(path))
 
 
 def instance_payload(g1: SetFn, g2: SetFn) -> dict:

@@ -8,19 +8,14 @@ encoded functions are trivially valid.
 
 from __future__ import annotations
 
-import json
-
-from .core import MAX_ELEMENTS, GroundSet, InputError, Report, SetFn, Violation
+from .core import GroundSet, InputError, Report, SetFn, Violation, decode_json, read_text
 from .matching import BipartiteGraph
 from .oracle import tight_lengths
 
 
 def parse_graph(text: str) -> BipartiteGraph:
     """Read {"S": [...], "T": [...], "edges": [["s","t"], ...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}") from None
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise InputError("graph file must be a JSON object")
     for key in ("S", "T", "edges"):
@@ -38,12 +33,7 @@ def parse_graph(text: str) -> BipartiteGraph:
 
 
 def load_graph(path) -> BipartiteGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    return parse_graph(text)
+    return parse_graph(read_text(path))
 
 
 def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
@@ -51,8 +41,6 @@ def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
     incident edges to its degree."""
     if not g.edges:
         raise InputError("graph has no edges")
-    if len(g.edges) > MAX_ELEMENTS:
-        raise InputError(f"at most {MAX_ELEMENTS} edges supported, got {len(g.edges)}")
     ground = GroundSet(g.edge_ids())
     sides = []
     for pos, vertices in ((0, g.s_vertices), (1, g.t_vertices)):

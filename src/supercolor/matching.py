@@ -82,6 +82,8 @@ class BipartiteGraph:
         return tuple(e.id for e in self.edges)
 
     def degree(self, vertex, side: str) -> int:
+        if side not in ("s", "t"):
+            raise InputError(f'side must be "s" or "t", got {side!r}')
         pos = 0 if side == "s" else 1
         return sum(1 for e in self.edges if e[pos] == vertex)
 

@@ -270,6 +270,57 @@ def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+DIGITS = "9" * 5000  # past int()'s 4300-digit limit
+MALFORMED = {
+    "instance": {
+        "not_utf8": b"\xff\xfe{}",
+        "digits": f'{{"elements": ["a"], "g1": [{{"set": ["a"], "value": {DIGITS}}}], "g2": []}}',
+        "deep": "[" * 100000,
+    },
+    "graph": {
+        "not_utf8": b"\xff\xfe{}",
+        "digits": f'{{"S": [{DIGITS}], "T": ["t"], "edges": [[{DIGITS}, "t"]]}}',
+        "deep": "[" * 100000,
+    },
+    "lists": {
+        "not_utf8": b"\xff\xfe{}",
+        "digits": f'{{"a": [{DIGITS}]}}',
+        "deep": "[" * 100000,
+    },
+    "--k": {"digits": f"[{DIGITS}]", "deep": "[" * 100000},
+    "SUPERCOLOR_CAPS": {"digits": f"k_search={DIGITS}"},
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case", [(entry, case) for entry, cases in MALFORMED.items() for case in cases]
+)
+def test_malformed_text_is_exit_2(capsys, tmp_path, monkeypatch, example_path, entry, case):
+    raw = MALFORMED[entry][case]
+    path = tmp_path / "input.json"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    if entry == "SUPERCOLOR_CAPS":
+        monkeypatch.setenv("SUPERCOLOR_CAPS", raw)
+    argv = {
+        "instance": ["check", str(path)],
+        "graph": ["encode-bipartite", str(path)],
+        "lists": ["color", str(example_path), "--lists", str(path)],
+        "--k": ["reduce", str(example_path), "--k", raw],
+        "SUPERCOLOR_CAPS": ["check", str(example_path)],
+    }[entry]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_recursion_error_is_internal(capsys):
+    # only InputError means bad input; the decoder maps deep nesting to it
+    assert cli.error_exit(RecursionError()) == 4
+    assert capsys.readouterr().err.startswith("internal error: RecursionError")
+
+
 @pytest.mark.parametrize("module", ["supercolor", "supercolor.cli"])
 def test_module_entry_points(capsys, example_path, module):
     assert run(["check", str(example_path)]) == 0
@@ -421,11 +472,15 @@ def test_encode_bipartite_distinct_ids_for_pairs_that_print_alike(capsys, tmp_pa
     assert payload["elements"] == ids
 
 
-def test_encode_bipartite_edge_cap_is_exit_2(capsys, tmp_path):
+def test_encode_bipartite_past_64_edges(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"S": ["s"], "T": ["t"], "edges": [["s", "t"]] * 65}))
-    assert run(["encode-bipartite", str(graph)]) == 2
-    assert "at most 64 edges supported, got 65" in capsys.readouterr().err
+    code, payload = run_cli(capsys, "encode-bipartite", str(graph))
+    assert code == 0 and len(payload["elements"]) == 65
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_json(payload))
+    code, payload = run_cli(capsys, "pi", str(inst))
+    assert code == 0 and payload["ok"] is True
 
 
 def test_gen_deterministic_stdout(capsys, tmp_path):

@@ -100,10 +100,12 @@ graph = shapes(
 
 
 def file_text(docs):
-    """Mostly the JSON text of a generated document, sometimes raw text that
-    may not parse."""
+    """Mostly the JSON text of a generated document; sometimes raw text that
+    may not parse, raw bytes that may not be UTF-8, or JSON holding an integer
+    past int()'s 4300-digit limit."""
     text = docs.map(json.dumps)
-    return st.one_of(text, text, text, st.text(max_size=20))
+    huge = docs.map(lambda doc: f"[{json.dumps(doc)}, {'9' * 5000}]")
+    return st.one_of(text, text, text, st.text(max_size=20), st.binary(max_size=20), huge)
 
 
 @settings(
@@ -126,12 +128,14 @@ def test_cli_exit_codes_stay_in_contract(
     tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side, removal
 ):
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
-    inst = tmp_path / "inst.json"
-    inst.write_text(inst_text)
-    lists_file = tmp_path / "lists.json"
-    lists_file.write_text(lists_text)
-    graph_file = tmp_path / "graph.json"
-    graph_file.write_text(graph_text)
+    inst, lists_file, graph_file = (
+        tmp_path / "inst.json", tmp_path / "lists.json", tmp_path / "graph.json"
+    )
+    for path, content in ((inst, inst_text), (lists_file, lists_text), (graph_file, graph_text)):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
     commands = [
         ["check", str(inst)],
         ["analyze", str(inst), "--side", str(side)],

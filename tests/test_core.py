@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from collections import Counter
 
@@ -27,8 +29,10 @@ def test_ground_set_rejects_duplicates_and_bad_names():
         GroundSet(("a", "a"))
     with pytest.raises(InputError):
         GroundSet(("a", ""))
-    with pytest.raises(InputError):
-        GroundSet(tuple(f"e{i}" for i in range(65)))
+    # no element cap: masks are Python ints of any width
+    wide = GroundSet(tuple(f"e{i}" for i in range(65)))
+    assert wide.full_mask == (1 << 65) - 1
+    assert wide.names_of(wide.mask_of(["e64", "e0"])) == ("e0", "e64")
 
 
 def test_mask_of_inverts_names_of(abc_ground):
@@ -310,3 +314,36 @@ def test_bit_indices_round_trip(mask):
     indices = list(bit_indices(mask))
     assert indices == sorted(set(indices))
     assert sum(1 << i for i in indices) == mask
+
+
+def _json_load_uses(tree: ast.AST) -> list[ast.AST]:
+    """Every json.load / json.loads reference, and every import of either."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "json"
+        and any(alias.name in ("load", "loads") for alias in node.names)
+    ]
+
+
+def test_json_is_decoded_only_in_decode_json():
+    """Outside text has one decoder, so its error mapping has one place."""
+    package = pathlib.Path(core.__file__).parent
+    inside, outside = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        decoder = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "core.py" and isinstance(fn, ast.FunctionDef) and fn.name == "decode_json"
+            for node in ast.walk(fn)
+        }
+        for node in _json_load_uses(tree):
+            (inside if id(node) in decoder else outside).append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert len(inside) == 1

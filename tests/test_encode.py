@@ -98,9 +98,17 @@ def test_parse_graph():
         parse_graph('{"S": ["s1"], "T": ["t1"], "edges": [["s1"]]}')
 
 
-def test_encode_rejects_empty_and_oversized():
+def test_encode_rejects_empty_and_takes_65_parallel_edges():
     with pytest.raises(InputError):
         encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), []))
-    many = [("s", "t")] * 65
-    with pytest.raises(InputError):
-        encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), many))
+    g1, g2 = encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), [("s", "t")] * 65))
+    assert g1.ground.size == 65
+    assert [v for _, v in g1.items()] == [v for _, v in g2.items()] == [65]
+
+
+def test_degree_takes_only_the_two_sides():
+    g = BipartiteGraph.from_pairs(("s1", "s2"), ("t1",), [("s1", "t1"), ("s2", "t1")])
+    assert (g.degree("s1", "s"), g.degree("t1", "t")) == (1, 2)
+    for side in ("S", "x", ""):
+        with pytest.raises(InputError, match="side must be"):
+            g.degree("s1", side)

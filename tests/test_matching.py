@@ -211,9 +211,28 @@ def test_tight_set_search_budget_is_exit_3(tmp_path, capsys):
     assert captured.out == "" and re.search(budget, captured.err)
 
 
-def test_48_and_64_edge_graphs_complete():
-    for n_edges in (48, 64):
+def test_48_to_80_edge_graphs_complete():
+    for n_edges in (48, 64, 80):
         master = random.Random(5)
         for _ in range(100):
             g = random_multigraph(random.Random(master.randrange(2**32)), n_edges)
             assert _pi_checks(*encode_bipartite(g)), (n_edges, g)
+
+
+def disjoint_bicliques(copies: int, a: int, b: int) -> BipartiteGraph:
+    """copies disjoint copies of K_{a,b}."""
+    s = [f"s{c}.{i}" for c in range(copies) for i in range(a)]
+    t = [f"t{c}.{j}" for c in range(copies) for j in range(b)]
+    pairs = [(f"s{c}.{i}", f"t{c}.{j}") for c in range(copies) for i in range(a) for j in range(b)]
+    return graph(s, t, pairs)
+
+
+@pytest.mark.parametrize(
+    "copies, a, b",
+    [(1, 1, 256), (64, 2, 2), (16, 4, 4)],
+    ids=["star_K1_256", "64_disjoint_C4", "16_disjoint_K44"],
+)
+def test_256_element_encodings_complete(copies, a, b):
+    g1, g2 = encode_bipartite(disjoint_bicliques(copies, a, b))
+    assert g1.ground.size == 256
+    assert _pi_checks(g1, g2)
