@@ -110,22 +110,37 @@ def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
 
     nodes = 0
 
-    def first_tight(need: int, top: int, gamma: int):
-        # the integer-first `need` of cand[:top] that keep |Γ| <= size, and Γ; else None
+    def first_tight(size: int, cand: list[int]):
+        # the integer-first `size` of cand that keep |Γ| <= size, and Γ; else None.
+        # picks[d] is the position taken at depth d, in range(size - 1 - d, picks[d - 1]);
+        # gammas[d] is Γ of picks[:d].  An explicit stack, so any size fits.
         nonlocal nodes
-        for p in range(need - 1, top):
-            g = gamma | adj[cand[p]]  # one node
+        picks: list[int] = []
+        gammas = [0]
+        p = size - 1
+        while True:
+            if p >= (picks[-1] if picks else len(cand)):
+                if not picks:
+                    return None
+                p = picks.pop() + 1
+                gammas.pop()
+                continue
+            g = gammas[-1] | adj[cand[p]]  # one node
             if (nodes := nodes + 1) > SCAN_NODE_BUDGET:
                 raise ResourceLimitError(
                     f"tight-set search over |S| = {ns} exceeds {SCAN_NODE_BUDGET} nodes")
-            if g.bit_count() <= size:
-                found = (0, g) if need == 1 else first_tight(need - 1, p, g)
-                if found:
-                    return found[0] | 1 << cand[p], found[1]
+            if g.bit_count() > size:
+                p += 1
+            elif len(picks) + 1 < size:
+                picks.append(p)
+                gammas.append(g)
+                p = size - 1 - len(picks)
+            else:
+                return sum(1 << cand[q] for q in (*picks, p)), g
 
     for size in range(1, ns + 1):
         cand = [i for i, m in enumerate(adj) if m.bit_count() <= size]
-        if tight := first_tight(size, len(cand), 0):
+        if tight := first_tight(size, cand):
             break
     else:  # impossible: V = S is tight because |Γ(S)| <= |T| <= |S|
         raise RuntimeError("no tight subset found (internal bug)")
@@ -133,25 +148,29 @@ def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
     if gamma.bit_count() != vmask.bit_count():
         raise RuntimeError("minimal tight set is not tight (internal bug)")
 
-    # perfect matching of V onto Γ(V) by augmenting paths, canonical order
+    # perfect matching of V onto Γ(V) by augmenting paths, canonical order;
+    # path holds the (S, T) steps taken from the root, so any length fits
     match_t: dict[int, int] = {}
-
-    def augment(si: int) -> bool:
-        nonlocal seen
-        rest = adj[si] & gamma
-        while rest := rest & ~seen:
-            low = rest & -rest
-            seen |= low
-            ti = low.bit_length() - 1
-            if ti not in match_t or augment(match_t[ti]):
-                match_t[ti] = si
-                return True
-        return False
-
-    for si in bit_indices(vmask):
+    for root in bit_indices(vmask):
+        si = root
         seen = 0  # T-vertices visited from this root, as a mask
-        if not augment(si):
-            raise RuntimeError("Hall condition failed on the tight set (internal bug)")
+        path: list[tuple[int, int]] = []
+        while True:
+            if rest := adj[si] & gamma & ~seen:
+                low = rest & -rest
+                seen |= low
+                ti = low.bit_length() - 1
+                if ti in match_t:
+                    path.append((si, ti))
+                    si = match_t[ti]
+                    continue
+                match_t[ti] = si
+                for s_step, t_step in reversed(path):
+                    match_t[t_step] = s_step
+                break
+            if not path:
+                raise RuntimeError("Hall condition failed on the tight set (internal bug)")
+            si = path.pop()[0]
 
     matched_t = sum(1 << ti for ti in match_t)
     if any(adj[si] & ~matched_t for si in match_t.values()):

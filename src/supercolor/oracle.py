@@ -104,20 +104,30 @@ def _search(
                 del counts[ci][color]
                 distinct[ci] -= 1
 
-    def dfs(i: int, top: int) -> bool:
-        if i == n:
-            return True
-        for color in domains[i][: top + 1] if first_use else domains[i]:
-            feasible = place(i, color)
-            if feasible:
+    # depth-first on an explicit stack, so any number of elements fits:
+    # options[i] holds element i's untried colors, tops[i] the largest color
+    # used before it (first_use only)
+    options: list = [None] * n
+    tops = [0] * (n + 1)
+    i, descending = 0, True
+    while i >= 0:
+        if descending:
+            if i == n:
+                return {name: assignment[j] for j, name in enumerate(names)}
+            options[i] = iter(domains[i][: tops[i] + 1] if first_use else domains[i])
+            descending = False
+        for color in options[i]:
+            if place(i, color):
                 assignment[i] = color
-                if dfs(i + 1, top + (color > top) if first_use else top):
-                    return True
+                if first_use:
+                    tops[i + 1] = tops[i] + (color > tops[i])
+                i, descending = i + 1, True
+                break
             unplace(i, color)
-        return False
-
-    if dfs(0, 0):
-        return {name: assignment[i] for i, name in enumerate(names)}
+        else:
+            i -= 1
+            if i >= 0:
+                unplace(i, assignment[i])
     return None
 
 

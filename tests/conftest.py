@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +22,25 @@ def example_instance(example_path):
 @pytest.fixture(scope="session")
 def example_g(example_instance) -> SetFn:
     return example_instance[0]
+
+
+@pytest.fixture()
+def shallow_stack():
+    """shallow_stack(fn, *args) calls fn with 40 frames of stack to spare, so
+    a call whose stack grows with its input raises RecursionError."""
+
+    def call(fn, *args, **kwargs):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return call
 
 
 @pytest.fixture()

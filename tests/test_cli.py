@@ -483,6 +483,30 @@ def test_encode_bipartite_past_64_edges(capsys, tmp_path):
     assert code == 0 and payload["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "color"])
+def test_search_past_the_stack_depth_on_a_1000_edge_matching(capsys, tmp_path, command):
+    # every tight list has one color, so the search walks 1000 elements deep
+    n = 1000
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "S": [f"s{i}" for i in range(n)],
+        "T": [f"t{i}" for i in range(n)],
+        "edges": [[f"s{i}", f"t{i}"] for i in range(n)],
+    }))
+    code, payload = run_cli(capsys, "encode-bipartite", str(graph))
+    assert code == 0 and len(payload["elements"]) == n
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_json(payload))
+    if command == "verify":
+        code, payload = run_cli(capsys, "verify", str(inst))
+        assert code == 0 and payload["ok"] is True
+    else:
+        lists = tmp_path / "lists.json"
+        lists.write_text(json.dumps({name: [7] for name in payload["elements"]}))
+        code, payload = run_cli(capsys, "color", str(inst), "--lists", str(lists))
+        assert code == 0 and set(payload["coloring"].values()) == {7}
+
+
 def test_gen_deterministic_stdout(capsys, tmp_path):
     args = ("gen", "--strategy", "closure", "--n", "6", "--seed", "42")
     run(list(args))

@@ -24,7 +24,7 @@ from supercolor import (
 )
 from supercolor.bunch import effective_entries, part_masks
 from supercolor.core import bit_indices
-from supercolor.matching import SCAN_NODE_BUDGET, transversal_mask
+from supercolor.matching import SCAN_NODE_BUDGET, closed_pairs, transversal_mask
 
 
 def graph(s, t, pairs):
@@ -197,6 +197,14 @@ def even_cycle(n: int) -> BipartiteGraph:
 
 def test_tight_set_search_completes_on_the_24_part_cycle():
     assert _pi_checks(*encode_bipartite(even_cycle(24)))
+
+
+def test_closed_pairs_stack_does_not_grow_with_parts(shallow_stack):
+    # K_{120,120}: only S is tight, so the search goes 120 picks deep, and the
+    # augmenting path from the k-th S-vertex passes every earlier one
+    n = 120
+    pairs = shallow_stack(closed_pairs, [(1 << n) - 1] * n, n, range(n))
+    assert sorted(s for s, _ in pairs) == sorted(t for _, t in pairs) == list(range(n))
 
 
 def test_tight_set_search_budget_is_exit_3(tmp_path, capsys):

@@ -152,6 +152,20 @@ def test_resource_caps():
         find_list_coloring(e2, e2, {"a": [1, 2], "b": [1, 2], "c": [1, 2]}, caps=tiny)
 
 
+def test_search_stack_does_not_grow_with_elements(shallow_stack):
+    # the edges of a 200-edge path, in path order: the only 2-coloring in
+    # first-use order alternates, and the search places it without backtracking
+    v = [f"v{i}" for i in range(201)]
+    pairs = [(v[i], v[i + 1]) if i % 2 == 0 else (v[i + 1], v[i]) for i in range(200)]
+    g1, g2 = encode_bipartite(BipartiteGraph.from_pairs(v[::2], v[1::2], pairs))
+    names = g1.ground.names
+    alternating = {name: 1 + i % 2 for i, name in enumerate(names)}
+    caps = SearchCaps(k_search_elements=200, list_budget=2**200)
+    assert shallow_stack(find_k_coloring, g1, g2, 2, caps) == alternating
+    lists = {name: [1, 2] for name in names}
+    assert shallow_stack(find_list_coloring, g1, g2, lists, caps) == alternating
+
+
 def test_tight_lists_always_color():
     rng = random.Random(5)
     for cfg in mixed_configs(seed=31, count=60, n_max=7):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -152,23 +151,11 @@ def test_construct_pi_check_validates_once(monkeypatch):
     assert calls == [g1, g2]  # the final check reuses the entry validation
 
 
-def _stack_depth() -> int:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
-
-
-def test_construct_pi_stack_does_not_grow_with_levels():
+def test_construct_pi_stack_does_not_grow_with_levels(shallow_stack):
     pairs = [("s1", "t1")] * 63 + [("s2", "t1")]
     g1, g2 = encode_bipartite(BipartiteGraph.from_pairs(["s1", "s2"], ["t1"], pairs))
     assert len(construct_pi_traced(g1, g2, check=False)[1]) == 63
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 40)
-    try:
-        pair = construct_pi(g1, g2, check=True)
-    finally:
-        sys.setrecursionlimit(limit)
+    pair = shallow_stack(construct_pi, g1, g2, check=True)
     assert verify_conditions(g1, g2, pair).all_ok
 
 
