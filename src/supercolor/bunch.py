@@ -218,7 +218,7 @@ def cover_witness(g: SetFn, x: ElemSet) -> tuple[ElemSet, ElemSet]:
     maximizer of g among family sets inside x, ties broken by smallest
     set-as-integer.
     """
-    require_valid(g)
+    parts = partition_masks(g)  # the one validity walk
     if x not in g:
         raise InputError(f"set {x!r} not in the family")
     if g.value(x) < 2:
@@ -231,7 +231,8 @@ def cover_witness(g: SetFn, x: ElemSet) -> tuple[ElemSet, ElemSet]:
         if not any(m2 != m and m2 & ~m == 0 for m2 in maximizers)
     ]
     witness = ElemSet(g.ground, min(minimal))
-    part = bunch_partition(g).part_of(witness.names[0])
+    low = witness.mask & -witness.mask
+    part = ElemSet(g.ground, next(p for p in parts if p & low))
     if not witness <= part:
         raise RuntimeError("cover witness escaped its part (internal bug)")
     return witness, part

@@ -4,6 +4,8 @@ Exit codes: 0 success / property holds, 1 property violated or coloring
 absent, 2 input or parse error, 3 resource cap exceeded, 4 internal error
 (any other exception; its traceback goes to stderr).  Identical argv,
 files and seeds produce byte-identical stdout; timing never goes to stdout.
+`batch-verify` and `tightness-probe` run the checks in bulk on seeded
+random instances from gen.mixed_configs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import sys
 import time
 import traceback
@@ -43,12 +46,9 @@ class RunReport:
     command: str
     digest: str
     results: dict
-    timing: float
     seed: int | None = None
 
     def to_payload(self) -> dict:
-        # timing is diagnostic only; keeping it out of the payload keeps
-        # repeated runs byte-identical
         payload = {"command": self.command, "digest": self.digest, "results": self.results}
         if self.seed is not None:
             payload["seed"] = self.seed
@@ -295,6 +295,44 @@ def _cmd_gen(args, caps) -> tuple[int, dict]:
     return 0, payload
 
 
+def _cmd_batch_verify(args, caps) -> tuple[int, dict]:
+    configs = gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max)
+    report = batch_verify(configs, list_trials=args.trials, seed=args.seed, caps=caps)
+    payload = report.to_payload()
+    if args.out:
+        _write_json(args.out, payload)
+    return (1 if report.results["failures"] else 0), payload
+
+
+def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
+    """Draw lists one shorter than max{d1(u), d2(u)} wherever that leaves a
+    nonempty list, and count how often a coloring still exists."""
+    colorable = uncolorable = skipped = 0
+    for cfg in gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
+        g1, g2 = gen.gen_instance(cfg)
+        bound = oracle.tight_lengths(g1, g2)
+        if all(b == 1 for b in bound.values()):
+            skipped += 1  # nothing to shorten
+            continue
+        shorter = {u: max(1, b - 1) for u, b in bound.items()}
+        sigma = delta(g1, g2) + 2
+        rng = random.Random(cfg.seed ^ 0x7717)
+        for _ in range(args.draws):
+            lists = oracle._draw_lists(shorter, sigma, rng)
+            if oracle.find_list_coloring(g1, g2, lists, caps) is None:
+                uncolorable += 1
+            else:
+                colorable += 1
+    total = colorable + uncolorable
+    return 0, {
+        "draws": total,
+        "colorable": colorable,
+        "uncolorable": uncolorable,
+        "skipped_trivial_instances": skipped,
+        "failure_rate": (uncolorable / total) if total else None,
+    }
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="supercolor")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,6 +383,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(handler=_cmd_gen)
+
+    p = sub.add_parser("batch-verify", help="run the full battery on random instances")
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n-max", type=int, default=7)
+    p.add_argument("--trials", type=int, default=3, help="list trials per instance")
+    p.add_argument("-o", "--out", default=None)
+    p.set_defaults(handler=_cmd_batch_verify)
+
+    p = sub.add_parser("tightness-probe", help="color random lists one shorter than the bound")
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--n-max", type=int, default=7)
+    p.add_argument("--draws", type=int, default=5, help="list draws per instance")
+    p.set_defaults(handler=_cmd_tightness_probe)
     return parser
 
 
@@ -390,13 +443,11 @@ def batch_verify(
     list_trials: int = 3,
     seed: int | None = None,
     caps: SearchCaps = DEFAULT_CAPS,
-    out=None,
 ) -> RunReport:
     """Generate every configured instance and run the full battery on it:
     auxiliary-pair conditions, random tight-list colorability, and the minimum
     color count against the value bound.  Failures carry a replayable config
     and the serialized instance."""
-    started = time.monotonic()
     checks = {
         "pi_conditions": {"pass": 0, "fail": 0},
         "main_theorem": {"pass": 0, "fail": 0},
@@ -431,16 +482,12 @@ def batch_verify(
     failures.sort(key=lambda f: f["digest"])
     results = {"instances": len(configs), "checks": checks, "failures": failures}
     blob = json.dumps([asdict(c) for c in configs], sort_keys=True, separators=(",", ":"))
-    report = RunReport(
+    return RunReport(
         command="batch-verify",
         digest=hashlib.sha256(blob.encode()).hexdigest(),
         results=results,
-        timing=time.monotonic() - started,
         seed=seed,
     )
-    if out is not None:
-        _write_json(out, report.to_payload())
-    return report
 
 
 if __name__ == "__main__":

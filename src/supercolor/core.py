@@ -360,6 +360,11 @@ def decode_json(text: str, error: str = "invalid JSON"):
 
 # Instance files: {"elements": [...], "g1": [{"set": [...], "value": n}], "g2": [...]}
 
+# |value| stays below this, so the sum of two values, which the checks print,
+# has at most 4300 digits: the most that int() prints at Python's default limit.
+VALUE_LIMIT = 10**4299
+
+
 def parse_instance(text: str) -> tuple[SetFn, SetFn]:
     doc = decode_json(text)
     if not isinstance(doc, dict):
@@ -379,7 +384,13 @@ def parse_instance(text: str) -> tuple[SetFn, SetFn]:
                 raise InputError(f'each {key} entry needs "set" and "value"')
             if not isinstance(entry["set"], list):
                 raise InputError(f'"set" must be a list of element names in {key}')
-            pairs.append((ground.mask_of(entry["set"]), entry["value"]))
+            mask, value = ground.mask_of(entry["set"]), entry["value"]
+            if isinstance(value, int) and abs(value) >= VALUE_LIMIT:
+                raise InputError(
+                    f"{key} value of {{{','.join(ground.names_of(mask))}}} is out of range:"
+                    " |value| must be below 10**4299"
+                )
+            pairs.append((mask, value))
         out.append(SetFn(ground, tuple(pairs)))
     return out[0], out[1]
 

@@ -22,6 +22,7 @@ from supercolor import (
     reduce,
     sample_partial_transversal,
 )
+from supercolor import core
 from supercolor.bunch import effective_entries, part_masks, reduce_entries
 from supercolor.core import bit_indices, require_valid
 from supercolor.matching import transversal_mask
@@ -168,6 +169,15 @@ def test_cover_witness_minimal_set_is_itself(abc_ground):
     g = SetFn.from_names(abc_ground, [(["a", "b"], 2)])
     x = abc_ground.subset(["a", "b"])
     assert cover_witness(g, x)[0] == x
+
+
+def test_cover_witness_validates_once(monkeypatch, example_g):
+    calls = []
+    walk = core._check_pairs
+    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    x = example_g.ground.subset(["a", "b", "c", "d"])
+    assert cover_witness(example_g, x)[1].names == tuple("abcdef")
+    assert calls == [example_g]  # one pair walk, shared with the partition
 
 
 def test_cover_witness_requires_value_two(abc_ground):

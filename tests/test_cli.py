@@ -1,4 +1,4 @@
-import importlib.util
+import hashlib
 import json
 import os
 import pathlib
@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from supercolor import GenConfig, cli, dump_json
+from supercolor import GenConfig, cli, dump_json, oracle
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
 
@@ -218,6 +218,41 @@ def test_unhashable_colors_are_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def _big_violation(value):
+    """g1 has {a,b} and {b,c} at value, {b} and {a,b,c} at 0: a supermodular
+    violation whose printed sums are 2 * value."""
+    return json.dumps({
+        "elements": ["a", "b", "c"],
+        "g1": [
+            {"set": ["a", "b"], "value": value},
+            {"set": ["b", "c"], "value": value},
+            {"set": ["b"], "value": 0},
+            {"set": ["a", "b", "c"], "value": 0},
+        ],
+        "g2": [],
+    })
+
+
+@pytest.mark.parametrize("command", ["check", "pi", "analyze", "reduce", "transversal"])
+def test_values_past_the_printable_bound_are_exit_2(capsys, tmp_path, command):
+    # the sum of two 4300-digit values may have 4301 digits, which int() will not print
+    inst = tmp_path / "inst.json"
+    argv = [command, str(inst), *(["--k", "a"] if command == "reduce" else [])]
+    for value in (10**4300 - 1, -(10**4300 - 1), 10**4299, -(10**4299)):
+        inst.write_text(_big_violation(value))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: g1 value of {a,b} is out of range: |value| must be below 10**4299\n"
+        )
+    inst.write_text(_big_violation(10**4299 - 1))  # the largest value taken
+    total = str(2 * (10**4299 - 1))
+    assert run(argv) == (1 if command == "check" else 2)
+    captured = capsys.readouterr()
+    assert total in (captured.out if command == "check" else captured.err)
+
+
 def test_boolean_colors_are_exit_2(capsys, tmp_path):
     # true == 1 in Python, so {"a": [1], "b": [true]} would read as one color
     inst = tmp_path / "inst.json"
@@ -330,40 +365,51 @@ def test_module_entry_points(capsys, example_path, module):
     assert proc.stdout == expected
 
 
-def test_batch_verify_script_cap_is_exit_3():
-    proc = run_python(
-        str(ROOT / "scripts" / "batch_verify.py"), "--count", "5", "--seed", "7",
-        SUPERCOLOR_CAPS="list_budget=1",
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error: list search budget 1 exceeded")
+# batch-verify and tightness-probe: the tests named *_script_* keep the ids
+# they had when these two commands were standalone scripts.
+
+DEFAULT_STDOUT_SHA256 = {
+    "batch-verify": "220ea32c05e73ba03d4a16de77e9e213b1ebb492489cc6e8f38efc071dde3686",
+    "tightness-probe": "030774a349a219f5f274cbcad7b2c47806797f9d23457090a541b271be7bb152",
+}
 
 
-def test_tightness_probe_script_cap_is_exit_3():
-    proc = run_python(
-        str(ROOT / "scripts" / "tightness_probe.py"), "--count", "100", "--seed", "3",
-        "--n-max", "9",
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: list search budget 10000000 exceeded")
-    assert proc.stderr.endswith(": product 10077696 at element 'i' (9 of 9)\n")
+@pytest.mark.parametrize("command", sorted(DEFAULT_STDOUT_SHA256))
+def test_bulk_subcommand_default_stdout_pinned(capsys, monkeypatch, command):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    assert run([command]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_STDOUT_SHA256[command]
+
+
+def test_batch_verify_script_cap_is_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERCOLOR_CAPS", "list_budget=1")
+    assert run(["batch-verify", "--count", "5", "--seed", "7"]) == 3
+    assert capsys.readouterr().err.startswith("error: list search budget 1 exceeded")
+
+
+def test_tightness_probe_script_cap_is_exit_3(capsys, monkeypatch):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    argv = ["tightness-probe", "--count", "100", "--seed", "3", "--n-max", "9"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: list search budget 10000000 exceeded")
+    assert captured.err.endswith(": product 10077696 at element 'i' (9 of 9)\n")
 
 
 def test_tightness_probe_script_reads_caps_from_env():
-    proc = run_python(
-        str(ROOT / "scripts" / "tightness_probe.py"), SUPERCOLOR_CAPS="list_budget=1"
-    )
+    proc = run_python("-m", "supercolor", "tightness-probe", SUPERCOLOR_CAPS="list_budget=1")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: list search budget 1 exceeded")
 
 
-def test_tightness_probe_script_bad_input_is_exit_2():
-    proc = run_python(str(ROOT / "scripts" / "tightness_probe.py"), "--n-max", "11")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: need 1 <= n_min <= n_max")
+def test_tightness_probe_script_bad_input_is_exit_2(capsys):
+    assert run(["tightness-probe", "--n-max", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need 1 <= n_min <= n_max")
 
 
 def test_checks_run_under_python_O(example_path):
@@ -407,26 +453,16 @@ def test_internal_error_is_exit_4(capsys, example_path, monkeypatch):
 
 
 def test_batch_verify_script_internal_error_is_exit_4(capsys, monkeypatch):
-    path = ROOT / "scripts" / "batch_verify.py"
-    spec = importlib.util.spec_from_file_location("batch_verify_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "batch_verify", _raise_runtime_error)
-    monkeypatch.setattr(sys, "argv", ["batch_verify.py", "--count", "1"])
-    assert script.main() == 4
+    monkeypatch.setattr(cli, "batch_verify", _raise_runtime_error)
+    assert run(["batch-verify", "--count", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: RuntimeError: boom")
 
 
 def test_tightness_probe_script_internal_error_is_exit_4(capsys, monkeypatch):
-    path = ROOT / "scripts" / "tightness_probe.py"
-    spec = importlib.util.spec_from_file_location("tightness_probe_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "find_list_coloring", _raise_runtime_error)
-    monkeypatch.setattr(sys, "argv", ["tightness_probe.py", "--count", "5"])
-    assert script.main() == 4
+    monkeypatch.setattr(oracle, "find_list_coloring", _raise_runtime_error)
+    assert run(["tightness-probe", "--count", "5"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: RuntimeError: boom")
@@ -553,14 +589,12 @@ def test_gen_unwritable_out_is_exit_2(capsys, tmp_path):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
-def test_batch_verify_script_unwritable_out_is_exit_2(tmp_path):
+def test_batch_verify_script_unwritable_out_is_exit_2(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
-    proc = run_python(
-        str(ROOT / "scripts" / "batch_verify.py"), "--count", "1", "--out", str(out)
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert run(["batch-verify", "--count", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_caps_parsing_defaults():
@@ -574,16 +608,20 @@ def test_instance_digest_stable(example_instance):
     assert instance_digest(g1, g2) != instance_digest(g2, g1)
 
 
-def test_batch_verify_clean_run(tmp_path):
+def test_batch_verify_clean_run(capsys, monkeypatch, tmp_path):
     configs = [
         GenConfig(seed=s, n_elements=5, strategy=strategy)
         for s, strategy in enumerate(("closure", "laminar", "rank_complement", "bipartite"))
     ]
-    out = tmp_path / "summary.json"
-    report = batch_verify(configs, list_trials=2, seed=123, out=out)
+    report = batch_verify(configs, list_trials=2, seed=123)
     assert report.results["instances"] == 4
     assert report.results["failures"] == []
     assert report.results["checks"]["pi_conditions"] == {"pass": 4, "fail": 0}
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    out = tmp_path / "summary.json"
+    argv = ["batch-verify", "--count", "4", "--n-max", "5", "--trials", "2", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text() == capsys.readouterr().out  # -o writes what stdout prints
     written = json.loads(out.read_text())
     assert written["results"]["checks"]["min_k_equals_delta"]["pass"] == 4
     assert "timing" not in written

@@ -1,5 +1,5 @@
-"""Fuzz of the CLI exit-code contract: whatever the input files hold, every
-command exits 0, 1, 2 or 3, never 4 (internal error)."""
+"""Fuzz of the CLI exit-code contract: whatever the input files and numeric
+options hold, every command exits 0, 1, 2 or 3, never 4 (internal error)."""
 
 import contextlib
 import io
@@ -50,9 +50,11 @@ def generated(cfg):
 
 
 name = st.one_of(st.sampled_from(NAMES), st.sampled_from(NAMES), scalars)
+# the largest magnitudes the decoder takes (4300 digits) and parse_instance takes
+big = st.sampled_from((10**4300 - 1, -(10**4300 - 1), 10**4299 - 1, -(10**4299 - 1)))
 entry = st.one_of(
     st.fixed_dictionaries(
-        {"set": st.lists(name, max_size=4), "value": st.integers(-2, 5)},
+        {"set": st.lists(name, max_size=4), "value": st.one_of(st.integers(-2, 5), big)},
         optional={"extra": junk},
     ),
     junk,
@@ -73,8 +75,24 @@ arbitrary = st.fixed_dictionaries(
 extra_entry = st.tuples(supermodular, st.sampled_from(("g1", "g2")), entry).map(
     lambda t: {**t[0], t[1]: [*t[0].get(t[1], []), t[2]]}
 )
+
+
+# {a,b} and {b,c} at one drawn value, with their union and intersection:
+# the supermodularity checks add the two values and print the sum
+crossing = st.tuples(big, st.integers(-2, 5), st.integers(-2, 5)).map(
+    lambda t: {
+        "elements": ["a", "b", "c"],
+        "g1": [
+            {"set": ["a", "b"], "value": t[0]},
+            {"set": ["b", "c"], "value": t[0]},
+            {"set": ["b"], "value": t[1]},
+            {"set": ["a", "b", "c"], "value": t[2]},
+        ],
+        "g2": [],
+    }
+)
 instance = shapes(
-    st.one_of(supermodular, supermodular, extra_entry, arbitrary),
+    st.one_of(supermodular, supermodular, extra_entry, crossing, arbitrary),
     ("elements", "g1", "g2", "unknown"),
 )
 lists = shapes(
@@ -123,9 +141,12 @@ def file_text(docs):
     removal=st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)), max_size=4).map(
         ",".join
     ),
+    count=st.integers(0, 2),
+    n_max=st.integers(-1, 11),
+    seed=st.integers(),
 )
 def test_cli_exit_codes_stay_in_contract(
-    tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side, removal
+    tmp_path, monkeypatch, inst_text, lists_text, graph_text, k, side, removal, count, n_max, seed
 ):
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
     inst, lists_file, graph_file = (
@@ -148,6 +169,8 @@ def test_cli_exit_codes_stay_in_contract(
         ["transversal", str(inst)],
         ["encode-bipartite", str(graph_file)],
     ]
+    bulk = ["--count", str(count), "--n-max", str(n_max), "--seed", str(seed)]
+    commands += [["batch-verify", *bulk, "--trials", "1"], ["tightness-probe", *bulk, "--draws", "1"]]
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
