@@ -7,9 +7,9 @@ padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
 
 The mask-level helpers (effective_entries, part_masks, d_values,
-reduce_entries) run at every level of construct_pi, on a handful of entries
-each, so they are plain loops over (mask, value) pairs: at that size the cost
-is per-call overhead, not the asymptotics.  part_masks takes the maximal sets
+reduce_entries) run at every level of construct_pi, on one hit part's entries,
+so they are plain loops over (mask, value) pairs: at that size the cost is
+per-call overhead, not the asymptotics.  part_masks takes the maximal sets
 greedily by descending size and checks that every other set lies strictly
 inside the part holding its lowest bit, which is how an overlap surfaces.
 """

@@ -307,6 +307,8 @@ def _cmd_batch_verify(args, caps) -> tuple[int, dict]:
 def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
     """Draw lists one shorter than max{d1(u), d2(u)} wherever that leaves a
     nonempty list, and count how often a coloring still exists."""
+    if args.draws < 0:
+        raise InputError("draws must be nonnegative")
     colorable = uncolorable = skipped = 0
     for cfg in gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
         g1, g2 = gen.gen_instance(cfg)
@@ -448,6 +450,8 @@ def batch_verify(
     auxiliary-pair conditions, random tight-list colorability, and the minimum
     color count against the value bound.  Failures carry a replayable config
     and the serialized instance."""
+    if list_trials < 0:
+        raise InputError("trials must be nonnegative")
     checks = {
         "pi_conditions": {"pass": 0, "fail": 0},
         "main_theorem": {"pass": 0, "fail": 0},

@@ -263,6 +263,8 @@ def mixed_configs(seed: int, count: int, n_max: int = 8, n_min: int = 1) -> list
     """The default strategy mix, seeded; one config per requested instance."""
     if not 1 <= n_min <= n_max <= MAX_GEN_ELEMENTS:
         raise InputError(f"need 1 <= n_min <= n_max <= {MAX_GEN_ELEMENTS}")
+    if count < 0:
+        raise InputError("count must be nonnegative")
     rng = random.Random(seed)
     names = [s for s, _ in STRATEGY_MIX]
     weights = [w for _, w in STRATEGY_MIX]

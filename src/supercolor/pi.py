@@ -8,7 +8,10 @@ A pair of functions pi1, pi2: U -> N certifies list-colorability when
 
 construct_pi builds such a pair in one forward loop over the ground set: peel
 off a common partial transversal K of the two bunch partitions, reduce both
-effective families by K, and repeat on the smaller instance.  Values start at
+effective families by K, and repeat on the smaller instance.  Every effective
+set lies inside one bunch part and K meets a part in at most one element, so
+the reduction acts on each part alone: a level re-derives only the parts that
+K hits and carries every other part over unchanged.  Values start at
 1 and only grow: on the side whose matched parts drove the matching, the
 other elements of K-hit parts go up by one; on the other side, each K-element
 goes up by its per-element bound minus one.  A K-element leaves the live
@@ -19,6 +22,7 @@ against the global color count, not the pointwise bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .core import (
@@ -85,26 +89,43 @@ def dominates(assignment, g: SetFn) -> Report:
 def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
     """Validate, then peel levels in one forward loop that raises both
     sides' values on element indices as it goes.  One record per level:
-    (live, K, case)."""
+    (live, K, case).
+
+    Each side keeps its sorted bunch parts, each part's effective entries and
+    each element's part, and a level re-derives only the parts K hits, from
+    their own entries.  That is exact: every effective set lies in one part, a
+    part meets K at most once, and capacity keeps every projection nonempty,
+    so no merge in reduce_entries or subset test in effective_entries crosses
+    two parts."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     for g in (g1, g2):
         require_valid(g)
         require_capacity(g)
     ground = g1.ground
-    entry_effs = effs = [effective_entries(g.entries) for g in (g1, g2)]
+    entry_effs = [effective_entries(g.entries) for g in (g1, g2)]
     pis = ([1] * ground.size, [1] * ground.size)
+    # per side: sorted parts, entries by part, owner masks by element (see _split)
+    sides = [([], {}, [ground.full_mask] * ground.size) for _ in entry_effs]
+    for eff, state in zip(entry_effs, sides):
+        _split(eff, ground.full_mask, *state)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
-        k, case, hit = transversal_mask(*(part_masks(eff, live) for eff in effs))
+        k, case, hit = transversal_mask(sides[0][0], sides[1][0])
         lead, follow = (0, 1) if case == "a" else (1, 0)
         for i in bit_indices(hit & ~k):
             pis[lead][i] += 1
-        for i, bound in d_values(effs[follow], k).items():
-            pis[follow][i] += bound - 1
         levels.append((live, k, case))
-        reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
-        effs = [effective_entries(r) for r in reduced]
+        for side, (parts, inside, owner) in enumerate(sides):
+            for i in bit_indices(k):
+                part = owner[i] & live
+                del parts[bisect_left(parts, part)]
+                eff = inside.pop(part)
+                if side == follow:
+                    pis[follow][i] += d_values(eff, k)[i] - 1
+                if rest := part & ~k:
+                    reduced = [(p, hv[0]) for p, hv in reduce_entries(eff, k).items()]
+                    _split(effective_entries(reduced), rest, parts, inside, owner)
         live &= ~k
 
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
@@ -115,6 +136,21 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
             )
     return pair, levels
+
+
+def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
+    """Insort the bunch parts of live into parts and file each effective
+    entry in inside under its part.  owner[i] & live is i's part: a part only
+    loses K-elements until it splits, so owner changes only on a split."""
+    new = part_masks(eff, live)
+    for part in new:
+        insort(parts, part)
+        inside[part] = []
+        if len(new) > 1:
+            for i in bit_indices(part):
+                owner[i] = part
+    for e in eff:
+        inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
 
 def construct_pi(g1: SetFn, g2: SetFn, check: bool = True) -> PiPair:

@@ -412,6 +412,22 @@ def test_tightness_probe_script_bad_input_is_exit_2(capsys):
     assert captured.err.startswith("error: need 1 <= n_min <= n_max")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["batch-verify", "--count", "-3"], "count must be nonnegative"),
+        (["tightness-probe", "--count", "-1"], "count must be nonnegative"),
+        (["tightness-probe", "--draws", "-2"], "draws must be nonnegative"),
+        (["batch-verify", "--count", "0", "--trials", "-1"], "trials must be nonnegative"),
+    ],
+)
+def test_bulk_negative_counts_are_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_checks_run_under_python_O(example_path):
     # neither the case condition nor construct_pi's default check may
     # depend on __debug__, which python -O turns off

@@ -141,7 +141,7 @@ def file_text(docs):
     removal=st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)), max_size=4).map(
         ",".join
     ),
-    count=st.integers(0, 2),
+    count=st.integers(-1, 2),
     n_max=st.integers(-1, 11),
     seed=st.integers(),
 )

@@ -8,6 +8,10 @@ The helpers must give equal outputs, or raise the same exception type with
 the same message, on every level of real constructions, on small random
 inputs that break their preconditions on purpose, and on explicit inputs at
 the guards of transversal_mask's singleton step.
+
+construct_pi's loop, which re-derives only the bunch parts that K hits, is
+compared with ref_build, the loop it replaced, which rebuilt both whole
+families at every level; a work count keeps it from drifting back.
 """
 
 import functools
@@ -23,10 +27,17 @@ from supercolor import (
     mixed_configs,
     random_multigraph,
 )
-from supercolor import matching
+from supercolor import matching, pi
 from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
-from supercolor.core import ResourceLimitError, bit_indices
+from supercolor.core import (
+    ResourceLimitError,
+    SetFn,
+    bit_indices,
+    require_capacity,
+    require_valid,
+)
 from supercolor.matching import closed_pairs, transversal_mask
+from supercolor.pi import PiPair, _condition_report
 
 
 # -- references ---------------------------------------------------------------
@@ -162,6 +173,41 @@ def ref_closed_pairs(
     if any(adj[si] & ~matched_t for si in match_t.values()):
         raise RuntimeError("matching is not closed (internal bug)")
     return sorted((si, ti) for ti, si in match_t.items())
+
+
+def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
+    """Validate, then peel levels in one forward loop that raises both
+    sides' values on element indices as it goes.  One record per level:
+    (live, K, case)."""
+    if g1.ground != g2.ground:
+        raise InputError("functions live on different ground sets")
+    for g in (g1, g2):
+        require_valid(g)
+        require_capacity(g)
+    ground = g1.ground
+    entry_effs = effs = [effective_entries(g.entries) for g in (g1, g2)]
+    pis = ([1] * ground.size, [1] * ground.size)
+    live, levels = ground.full_mask, []
+    while live & (live - 1):  # at most one element left: its value is final
+        k, case, hit = transversal_mask(*(part_masks(eff, live) for eff in effs))
+        lead, follow = (0, 1) if case == "a" else (1, 0)
+        for i in bit_indices(hit & ~k):
+            pis[lead][i] += 1
+        for i, bound in d_values(effs[follow], k).items():
+            pis[follow][i] += bound - 1
+        levels.append((live, k, case))
+        reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
+        effs = [effective_entries(r) for r in reduced]
+        live &= ~k
+
+    pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
+    if check:
+        report = _condition_report(g1, g2, pair, entry_effs)
+        if not report.all_ok:
+            raise RuntimeError(
+                f"constructed pair violates its contract (internal bug): {report.to_dict()}"
+            )
+    return pair, levels
 
 
 # -- comparison ---------------------------------------------------------------
@@ -414,3 +460,77 @@ def test_closed_pairs_matches_reference():
     assert kinds["ok"] >= 2000 and kinds[InputError] >= 100, kinds
     long_paths = sum(augment_depth(adj, nt) >= 8 for adj, nt in ladders)
     assert long_paths >= 100, long_paths
+
+
+def traced(g1, g2):
+    pair, log = construct_pi_traced(g1, g2)
+    return pair.pi1, pair.pi2, log
+
+
+def ref_traced(g1, g2):
+    """ref_build's pair and level log, in construct_pi_traced's form."""
+    pair, levels = ref_build(g1, g2, True)
+    names = g1.ground.names_of
+    log = [{"universe": list(names(live)), "k": list(names(k)), "case": case}
+           for live, k, case in levels]
+    return pair.pi1, pair.pi2, log
+
+
+def test_construct_pi_matches_ref_build(monkeypatch):
+    splits = []  # per construction, how many parts each part_masks call returns
+    real = pi.part_masks
+
+    def counting(eff, live):
+        parts = real(eff, live)
+        splits[-1].append(len(parts))
+        return parts
+
+    monkeypatch.setattr(pi, "part_masks", counting)
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=15, count=300, n_min=1, n_max=10)]
+    for edges in (32, 48, 64):
+        instances += [encode_bipartite(random_multigraph(random.Random(s), edges)) for s in range(20)]
+    levels = Counter()
+    for g1, g2 in instances:
+        splits.append([])
+        kind, result = same(traced, ref_traced, g1, g2)
+        assert kind == "ok", result
+        log = result[2]
+        levels["level"] += len(log)
+        levels["|K| >= 2"] += sum(len(level["k"]) >= 2 for level in log)
+        levels["case b"] += sum(level["case"] == "b" for level in log)
+        # the first two calls split the whole ground set, one per side
+        levels["hit part splits"] += sum(n >= 2 for n in splits[-1][2:])
+    assert levels["level"] >= 3000, levels
+    assert levels["|K| >= 2"] >= 100, levels
+    assert levels["case b"] >= 1000, levels
+    assert levels["hit part splits"] >= 100, levels
+
+
+def entries_passed(monkeypatch, module, build) -> int:
+    """Entries that build passes to module's effective_entries and
+    reduce_entries on 20 seeded 32-edge encodings, past the entry step's two
+    calls of effective_entries on the functions' own entries."""
+    sizes = []
+    for name in ("effective_entries", "reduce_entries"):
+        def counting(entries, *rest, fn=getattr(module, name)):
+            sizes.append(len(entries))
+            return fn(entries, *rest)
+
+        monkeypatch.setattr(module, name, counting)
+    total = 0
+    for seed in range(20):
+        g1, g2 = encode_bipartite(random_multigraph(random.Random(seed), 32))
+        sizes.clear()
+        build(g1, g2, False)
+        assert sizes[:2] == [len(g1.entries), len(g2.entries)]
+        total += sum(sizes[2:])
+    return total
+
+
+def test_levels_rederive_only_the_hit_parts(monkeypatch):
+    # whole-family rebuilds pass every live entry at every level; the counts
+    # are deterministic, so they are pinned
+    new = entries_passed(monkeypatch, pi, pi._build)
+    ref = entries_passed(monkeypatch, sys.modules[__name__], ref_build)
+    assert (new, ref) == (1484, 10448)
+    assert new * 5 <= ref
