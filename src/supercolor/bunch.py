@@ -6,9 +6,9 @@ at least 2 and no proper subset of equal or larger value.  Its maximal members,
 padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
 
-The mask-level helpers (effective_entries, part_masks, d_values,
-reduce_entries) run at every level of construct_pi, on one hit part's entries,
-so they are plain loops over (mask, value) pairs: at that size the cost is
+The mask-level helpers (effective_entries, part_masks, reduce_entries) run
+at every level of construct_pi, on one hit part's entries, so they and
+d_values are plain loops over (mask, value) pairs: at that size the cost is
 per-call overhead, not the asymptotics.  part_masks takes the maximal sets
 greedily by descending size and checks that every other set lies strictly
 inside the part holding its lowest bit, which is how an overlap surfaces.

@@ -154,9 +154,10 @@ class SetFn:
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(self.entries))
+        full = self.ground.full_mask
         seen: set[int] = set()
         for mask, value in canon:
-            if not 0 <= mask <= self.ground.full_mask:
+            if not 0 <= mask <= full:
                 raise InputError(f"set mask {mask:#x} outside the ground set")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"set values must be integers, got {value!r}")
@@ -250,22 +251,23 @@ def _check_pairs(g: SetFn) -> tuple[Report, Report]:
     and the supermodular violations g(X)+g(Y) > g(X∪Y)+g(X∩Y) among the pairs
     whose union and intersection are both present.
     """
-    values = g._values  # type: ignore[attr-defined]
+    value = g._values.get  # type: ignore[attr-defined]
     names = g.ground.names_of
     entries = g.entries
     missing: list[Violation] = []
     unequal: list[Violation] = []
     for i, (a, va) in enumerate(entries):
         for b, vb in entries[i + 1 :]:
-            if not _masks_intersecting(a, b):
+            common = a & b  # b > a, so b is no subset of a: X, Y cross iff common != 0, a
+            if not common or common == a:
                 continue
-            vu = values.get(a | b)
-            vi = values.get(a & b)
+            vu = value(a | b)
+            vi = value(common)
             if vu is None:
                 missing.append(Violation("missing_union", (names(a), names(b), names(a | b))))
             if vi is None:
                 missing.append(
-                    Violation("missing_intersection", (names(a), names(b), names(a & b)))
+                    Violation("missing_intersection", (names(a), names(b), names(common)))
                 )
             elif vu is not None and va + vb > vu + vi:
                 unequal.append(

@@ -156,11 +156,13 @@ def find_k_coloring(
 
 
 def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
-    """Smallest k admitting a dominating k-coloring, by increasing search."""
+    """Smallest k admitting a dominating k-coloring, by increasing search
+    from k = delta(g1, g2): a set of value delta must see delta distinct
+    colors, so every smaller k is infeasible by pigeonhole."""
     require_capacity(g1)
     require_capacity(g2)
     n = g1.ground.size
-    for k in range(1, max(1, n) + 1):
+    for k in range(delta(g1, g2), max(1, n) + 1):
         if find_k_coloring(g1, g2, k, caps) is not None:
             return k
     # an injective coloring with n colors dominates any capacity-valid pair

@@ -35,7 +35,7 @@ from .core import (
     require_capacity,
     require_valid,
 )
-from .bunch import d_values, effective_entries, part_masks, reduce_entries
+from .bunch import effective_entries, part_masks, reduce_entries
 from .matching import transversal_mask
 from . import oracle
 
@@ -78,12 +78,34 @@ def dominates(assignment, g: SetFn) -> Report:
         if name not in assignment:
             raise InputError(f"assignment missing element {name!r}")
     colors = [assignment[name] for name in g.ground.names]
-    violations = []
-    for m, bound in g.entries:
-        got = len({colors[i] for i in bit_indices(m)})
-        if got < bound:
-            violations.append(Violation("domination", (g.ground.names_of(m),), (got, bound)))
-    return Report(tuple(violations))
+    return Report(tuple(
+        Violation("domination", (g.ground.names_of(m),), (got, bound))
+        for m, got, bound in _short_sets(colors, g.entries)
+    ))
+
+
+def _short_sets(colors: list, entries) -> list[tuple[int, int, int]]:
+    """(mask, values seen, bound) of each (mask, bound) entry whose set sees
+    fewer than bound distinct colors (indexed by element), in entry order: a
+    set sees one value per class mask it meets, counted up to the bound."""
+    classes: dict = {}
+    bit = 1
+    for c in colors:
+        classes[c] = classes.get(c, 0) | bit
+        bit <<= 1
+    masks = list(classes.values())
+    short = []
+    for m, bound in entries:
+        if bound > 0:  # no set sees fewer than 0 values
+            got = 0
+            for cls in masks:
+                if cls & m:
+                    got += 1
+                    if got == bound:
+                        break
+            else:
+                short.append((m, got, bound))
+    return short
 
 
 def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
@@ -121,8 +143,12 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
                 part = owner[i] & live
                 del parts[bisect_left(parts, part)]
                 eff = inside.pop(part)
-                if side == follow:
-                    pis[follow][i] += d_values(eff, k)[i] - 1
+                if side == follow:  # i's bound: the largest value of a set holding it
+                    bound = 1
+                    for m, v in eff:
+                        if m >> i & 1 and v > bound:
+                            bound = v
+                    pis[follow][i] += bound - 1
                 if rest := part & ~k:
                     reduced = [(p, hv[0]) for p, hv in reduce_entries(eff, k).items()]
                     _split(effective_entries(reduced), rest, parts, inside, owner)
@@ -143,12 +169,15 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
     entry in inside under its part.  owner[i] & live is i's part: a part only
     loses K-elements until it splits, so owner changes only on a split."""
     new = part_masks(eff, live)
+    if len(new) == 1:  # one part holds every entry
+        insort(parts, live)
+        inside[live] = eff
+        return
     for part in new:
         insort(parts, part)
         inside[part] = []
-        if len(new) > 1:
-            for i in bit_indices(part):
-                owner[i] = part
+        for i in bit_indices(part):
+            owner[i] = part
     for e in eff:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
@@ -183,37 +212,42 @@ def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
 
 def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> ConditionReport:
     """(i)-(iii) for valid functions with effective entries effs and a pair
-    defined on their whole ground set."""
+    defined on their whole ground set, on lists indexed by element."""
     ground = g1.ground
-    d1, d2 = (d_values(eff, ground.full_mask) for eff in effs)
+    names = ground.names
+    ds = []
+    for eff in effs:  # d_values of the whole ground set, in one pass
+        d = [1] * ground.size
+        for m, v in eff:
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                if v > d[i]:
+                    d[i] = v
+                m ^= low
+        ds.append(d)
+    pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
+    (d1, d2), (p1, p2) = ds, pis
     witnesses = []
 
-    i_ok = True
-    for i, name in enumerate(ground.names):
-        bound = max(d1[i], d2[i])
-        if pair.pi1[name] + pair.pi2[name] - 1 > bound:
-            i_ok = False
-            witnesses.append(
-                Violation("condition_i", ((name,),), (pair.pi1[name], pair.pi2[name], bound))
-            )
+    for i, name in enumerate(names):
+        bound = d1[i] if d1[i] > d2[i] else d2[i]
+        if p1[i] + p2[i] - 1 > bound:
+            witnesses.append(Violation("condition_i", ((name,),), (p1[i], p2[i], bound)))
+    before_ii = len(witnesses)
 
-    ii_ok = True
-    for side, (pi, g) in enumerate(((pair.pi1, g1), (pair.pi2, g2)), start=1):
-        rep = dominates(pi, g)
-        if not rep.ok:
-            ii_ok = False
-            for v in rep.violations:
-                witnesses.append(Violation("condition_ii", v.subjects, (side, *v.values)))
+    for side, (p, g) in enumerate(zip(pis, (g1, g2)), start=1):
+        for m, got, bound in _short_sets(p, g.entries):
+            witnesses.append(Violation("condition_ii", (ground.names_of(m),), (side, got, bound)))
+    before_iii = len(witnesses)
 
-    iii_ok = True
-    for side, (pi, d) in enumerate(((pair.pi1, d1), (pair.pi2, d2)), start=1):
-        for i, name in enumerate(ground.names):
-            if pi[name] > d[i]:
-                iii_ok = False
-                witnesses.append(
-                    Violation("condition_iii", ((name,),), (side, pi[name], d[i]))
-                )
-    return ConditionReport(i_ok, ii_ok, iii_ok, tuple(witnesses))
+    for side, (p, d) in enumerate(zip(pis, ds), start=1):
+        for i, name in enumerate(names):
+            if p[i] > d[i]:
+                witnesses.append(Violation("condition_iii", ((name,),), (side, p[i], d[i])))
+    return ConditionReport(
+        before_ii == 0, before_iii == before_ii, len(witnesses) == before_iii, tuple(witnesses)
+    )
 
 
 def schrijver_pi(

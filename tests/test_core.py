@@ -16,9 +16,11 @@ from supercolor import (
     check_supermodular,
     delta,
     dump_json,
+    encode_bipartite,
     instance_payload,
     is_intersecting,
     parse_instance,
+    random_multigraph,
 )
 from supercolor import cli, core
 from supercolor.core import Report, Violation, _masks_intersecting, bit_indices, require_valid
@@ -198,7 +200,13 @@ def _random_family(rng: random.Random) -> SetFn:
     n = rng.randint(3, 6)
     ground = GroundSet(tuple("abcdef"[:n]))
     masks = {rng.randrange(1 << n) for _ in range(rng.randint(3, 10))}
-    if rng.random() < 0.6:
+    return _with_values(rng, ground, masks, close=rng.random() < 0.6)
+
+
+def _with_values(rng: random.Random, ground: GroundSet, masks: set, close: bool) -> SetFn:
+    """masks, closed under intersecting pairs if close, with values either
+    random or convex in |X|."""
+    if close:
         grown = True
         while grown:
             grown = False
@@ -214,17 +222,41 @@ def _random_family(rng: random.Random) -> SetFn:
     return SetFn(ground, tuple(values.items()))
 
 
+def _structured_families(rng: random.Random) -> list[SetFn]:
+    """Families at the corners of the pair walk: random ones with the empty
+    set added, pairwise-disjoint ones (each side of a bipartite encoding),
+    both sides of an encoding together (stars that cross in one edge), and
+    nested chains, alone or with sets that cross them."""
+    families = []
+    for _ in range(60):
+        g = _random_family(rng)
+        families.append(SetFn(g.ground, tuple({**dict(g.entries), 0: rng.randint(-2, 4)}.items())))
+        g1, g2 = encode_bipartite(random_multigraph(rng, rng.randint(2, 12)))
+        both = {**dict(g1.entries), **dict(g2.entries)}
+        families += [g1, g2, SetFn(g1.ground, tuple(both.items()))]
+        n = rng.randint(3, 8)
+        order = rng.sample(range(n), n)
+        chain = [sum(1 << i for i in order[: j + 1]) for j in range(n)]
+        masks = set(rng.sample(chain, rng.randint(2, n)))
+        crossing = {rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 2))}
+        ground = GroundSet(tuple("abcdefgh"[:n]))
+        families.append(_with_values(rng, ground, masks | crossing, close=rng.random() < 0.5))
+    return families
+
+
 def test_pair_walk_matches_two_walk_reference():
     rng = random.Random(20170901)
-    seen = Counter()
-    for _ in range(400):
-        g = _random_family(rng)
+    seen, corners = Counter(), Counter()
+    structured = _structured_families(random.Random(1995))
+    for index, g in enumerate([_random_family(rng) for _ in range(400)] + structured):
         family = check_intersecting_family(g)
         assert family == _ref_check_intersecting_family(g)
         supermodular = _outcome(check_supermodular, g)
         assert supermodular == _outcome(_ref_check_supermodular, g)
         assert _outcome(require_valid, g) == _outcome(_ref_require_valid, g)
-        if not family.ok:
+        if index >= 400:
+            corners[family.ok, isinstance(supermodular, Report) and supermodular.ok] += 1
+        elif not family.ok:
             seen["not_closed"] += 1
             if len({v.kind for v in family.violations}) == 2:
                 seen["both_missing_kinds"] += 1
@@ -235,6 +267,8 @@ def test_pair_walk_matches_two_walk_reference():
         else:
             seen["valid"] += 1
     assert len(seen) == 5 and min(seen.values()) >= 20, seen
+    # closed and valid, closed but not supermodular, and not closed
+    assert len(corners) == 3 and min(corners.values()) >= 10, corners
 
 
 def test_one_pair_walk_per_check(monkeypatch, example_path):

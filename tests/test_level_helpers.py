@@ -12,6 +12,10 @@ the guards of transversal_mask's singleton step.
 construct_pi's loop, which re-derives only the bunch parts that K hits, is
 compared with ref_build, the loop it replaced, which rebuilt both whole
 families at every level; a work count keeps it from drifting back.
+
+The condition report and dominates, which run on element-indexed lists and
+value-class masks, are compared with the name-keyed versions they replaced,
+on built pairs and on pairs corrupted so that every condition fails often.
 """
 
 import functools
@@ -21,6 +25,7 @@ from collections import Counter
 
 from supercolor import (
     InputError,
+    construct_pi,
     construct_pi_traced,
     encode_bipartite,
     gen_instance,
@@ -30,14 +35,17 @@ from supercolor import (
 from supercolor import matching, pi
 from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
 from supercolor.core import (
+    GroundSet,
+    Report,
     ResourceLimitError,
     SetFn,
+    Violation,
     bit_indices,
     require_capacity,
     require_valid,
 )
 from supercolor.matching import closed_pairs, transversal_mask
-from supercolor.pi import PiPair, _condition_report
+from supercolor.pi import ConditionReport, PiPair, _condition_report, dominates, verify_conditions
 
 
 # -- references ---------------------------------------------------------------
@@ -208,6 +216,55 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
             )
     return pair, levels
+
+
+def ref_dominates(assignment, g: SetFn) -> Report:
+    """Check that every family set sees at least g(X) distinct values."""
+    for name in g.ground.names:
+        if name not in assignment:
+            raise InputError(f"assignment missing element {name!r}")
+    colors = [assignment[name] for name in g.ground.names]
+    violations = []
+    for m, bound in g.entries:
+        got = len({colors[i] for i in bit_indices(m)})
+        if got < bound:
+            violations.append(Violation("domination", (g.ground.names_of(m),), (got, bound)))
+    return Report(tuple(violations))
+
+
+def ref_condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> ConditionReport:
+    """(i)-(iii) for valid functions with effective entries effs and a pair
+    defined on their whole ground set."""
+    ground = g1.ground
+    d1, d2 = (d_values(eff, ground.full_mask) for eff in effs)
+    witnesses = []
+
+    i_ok = True
+    for i, name in enumerate(ground.names):
+        bound = max(d1[i], d2[i])
+        if pair.pi1[name] + pair.pi2[name] - 1 > bound:
+            i_ok = False
+            witnesses.append(
+                Violation("condition_i", ((name,),), (pair.pi1[name], pair.pi2[name], bound))
+            )
+
+    ii_ok = True
+    for side, (pi, g) in enumerate(((pair.pi1, g1), (pair.pi2, g2)), start=1):
+        rep = ref_dominates(pi, g)
+        if not rep.ok:
+            ii_ok = False
+            for v in rep.violations:
+                witnesses.append(Violation("condition_ii", v.subjects, (side, *v.values)))
+
+    iii_ok = True
+    for side, (pi, d) in enumerate(((pair.pi1, d1), (pair.pi2, d2)), start=1):
+        for i, name in enumerate(ground.names):
+            if pi[name] > d[i]:
+                iii_ok = False
+                witnesses.append(
+                    Violation("condition_iii", ((name,),), (side, pi[name], d[i]))
+                )
+    return ConditionReport(i_ok, ii_ok, iii_ok, tuple(witnesses))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -534,3 +591,64 @@ def test_levels_rederive_only_the_hit_parts(monkeypatch):
     ref = entries_passed(monkeypatch, sys.modules[__name__], ref_build)
     assert (new, ref) == (1484, 10448)
     assert new * 5 <= ref
+
+
+# -- condition report ---------------------------------------------------------
+
+def _bumped(rng, pair: PiPair) -> PiPair:
+    """Each value moved up or down by one, staying at least 1."""
+    return PiPair(*({name: max(1, v + rng.choice((-1, 1))) for name, v in pi.items()}
+                    for pi in (pair.pi1, pair.pi2)))
+
+
+def _transplanted(pair: PiPair, other: PiPair) -> PiPair:
+    """other's values, by element position, on pair's elements."""
+    out = []
+    for pi, source in ((pair.pi1, other.pi1), (pair.pi2, other.pi2)):
+        values = list(source.values())
+        out.append({name: values[i % len(values)] for i, name in enumerate(pi)})
+    return PiPair(*out)
+
+
+def same_report(g1, g2, pair) -> dict:
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    got = _condition_report(g1, g2, pair, effs).to_dict()
+    want = ref_condition_report(g1, g2, pair, effs).to_dict()
+    assert list(got.items()) == list(want.items()), (pair, g1, g2)
+    return want
+
+
+def test_condition_report_matches_reference():
+    rng = random.Random(1995)
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=16, count=300, n_min=1, n_max=10)]
+    instances += [encode_bipartite(random_multigraph(random.Random(s), 32)) for s in range(20)]
+    pairs = [construct_pi(g1, g2, check=False) for g1, g2 in instances]
+    kinds = Counter()
+    for (g1, g2), pair in zip(instances, pairs):
+        ones = PiPair(*(dict.fromkeys(g1.ground.names, 1) for _ in range(2)))
+        other = _transplanted(pair, pairs[rng.randrange(len(pairs))])
+        for candidate in (pair, _bumped(rng, pair), ones, other):
+            report = same_report(g1, g2, candidate)
+            kinds.update(w["kind"] for w in report["witnesses"])
+            kinds["all_ok", report["i_ok"] and report["ii_ok"] and report["iii_ok"]] += 1
+        # colors of any hashable kind, through the public wrapper
+        coloring = {name: rng.choice("xyz") for name in g1.ground.names}
+        for g in (g1, g2):
+            assert dominates(coloring, g) == ref_dominates(coloring, g)
+    assert kinds["all_ok", True] >= len(instances), kinds
+    assert min(kinds[k] for k in ("condition_i", "condition_ii", "condition_iii")) >= 20, kinds
+
+
+def test_condition_report_flags_the_empty_set():
+    # verify_conditions does not require capacity, so {} may hold value 1,
+    # which no coloring reaches
+    ground = GroundSet(("a", "b", "c"))
+    g1 = SetFn(ground, ((0, 1), (0b011, 2), (0b111, 3)))
+    g2 = SetFn(ground, ((0b110, 2),))
+    pair = PiPair({"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 2, "c": 1})
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    report = verify_conditions(g1, g2, pair)
+    assert report.to_dict() == ref_condition_report(g1, g2, pair, effs).to_dict()
+    assert report.witnesses == (Violation("condition_ii", ((),), (1, 0, 1)),)
+    assert dominates(pair.pi1, g1) == ref_dominates(pair.pi1, g1)
+    assert not dominates(pair.pi1, g1).ok

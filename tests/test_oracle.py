@@ -23,7 +23,7 @@ from supercolor import (
     random_multigraph,
     verify_main_theorem,
 )
-from supercolor.core import bit_indices
+from supercolor.core import bit_indices, require_capacity
 from supercolor.oracle import _constraints, tight_lengths
 
 
@@ -109,6 +109,28 @@ def test_search_matches_brute_force():
             assert find_list_coloring(g1, g2, lists) == expected, (cfg, lists)
             outcomes.add(("list", expected is not None))
     assert outcomes == {("k", True), ("k", False), ("list", True), ("list", False)}
+
+
+def ref_min_k(g1, g2, caps=SearchCaps()):
+    """min_k as it stood before it started at delta: the search from k = 1."""
+    require_capacity(g1)
+    require_capacity(g2)
+    n = g1.ground.size
+    for k in range(1, max(1, n) + 1):
+        if find_k_coloring(g1, g2, k, caps) is not None:
+            return k
+    # an injective coloring with n colors dominates any capacity-valid pair
+    raise RuntimeError("no coloring up to |U| colors (internal bug)")
+
+
+def test_min_k_matches_search_from_one(example_instance):
+    empty = SetFn(GroundSet(()), ())
+    instances = [(empty, empty), example_instance]
+    instances += [gen_instance(cfg) for cfg in mixed_configs(seed=1995, count=300, n_max=7)]
+    for g1, g2 in instances:
+        assert min_k(g1, g2) == ref_min_k(g1, g2)
+        # below delta the searches it skips find nothing
+        assert all(find_k_coloring(g1, g2, k) is None for k in range(1, delta(g1, g2)))
 
 
 def test_min_k_matches_delta_at_ten_elements():
