@@ -7,9 +7,9 @@ padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
 
 The mask-level helpers (effective_entries, part_masks, reduce_entries) run
-at every level of construct_pi, on one hit part's entries, so they and
-d_values are plain loops over (mask, value) pairs: at that size the cost is
-per-call overhead, not the asymptotics.  part_masks takes the maximal sets
+at every level of construct_pi, on one hit part's entries, so they, d_values
+and d_list are plain loops over (mask, value) pairs: at that size the cost
+is per-call overhead, not the asymptotics.  part_masks takes the maximal sets
 greedily by descending size and checks that every other set lies strictly
 inside the part holding its lowest bit, which is how an overlap surfaces.
 """
@@ -137,6 +137,20 @@ def d_values(eff, mask: int) -> dict[int, int]:
             for i in bit_indices(common):
                 if v > d[i]:
                     d[i] = v
+    return d
+
+
+def d_list(eff, size: int) -> list[int]:
+    """d_values of the whole ground set of size elements, as a list indexed
+    by element, in one pass over the effective entries."""
+    d = [1] * size
+    for m, v in eff:
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            if v > d[i]:
+                d[i] = v
+            m ^= low
     return d
 
 

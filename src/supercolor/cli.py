@@ -35,6 +35,8 @@ from .core import (
     instance_payload,
     load_instance,
     read_text,
+    require_capacity,
+    require_valid,
 )
 from . import bunch, encode, gen, oracle, pi as pi_mod
 from .matching import common_transversal
@@ -201,15 +203,29 @@ def _cmd_transversal(args, caps) -> tuple[int, dict]:
     return 0, payload
 
 
+def _derive(g1: SetFn, g2: SetFn) -> tuple[list, list]:
+    """Both sides' effective entries and d-lists (bunch.d_list), derived once
+    for functions already checked valid."""
+    effs = [bunch.effective_entries(g.entries) for g in (g1, g2)]
+    return effs, [bunch.d_list(eff, g1.ground.size) for eff in effs]
+
+
 def _cmd_pi(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    f_map = oracle.tight_lengths(g1, g2)
+    # the command reports either side's invalidity before any capacity error
+    for g in (g1, g2):
+        require_valid(g)
+    for g in (g1, g2):
+        require_capacity(g)
+    effs, ds = _derive(g1, g2)
+    f_map = oracle._tight_lengths(g1.ground.names, ds)
     span = delta(g1, g2)
     if args.method == "keylemma":
-        pair, trace = pi_mod.construct_pi_traced(g1, g2, check=False)
+        pair, levels = pi_mod._build(g1.ground, effs)
+        trace = pi_mod._level_log(g1.ground, levels)
     else:
-        pair, trace = pi_mod.schrijver_pi(g1, g2, caps), []
-    conditions = pi_mod.verify_conditions(g1, g2, pair)
+        pair, trace = pi_mod._schrijver(g1, g2, caps), []
+    conditions = pi_mod._condition_report(g1, g2, pair, ds)
     if args.method == "keylemma":
         ok = conditions.all_ok
     else:
@@ -311,17 +327,19 @@ def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
         raise InputError("draws must be nonnegative")
     colorable = uncolorable = skipped = 0
     for cfg in gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
-        g1, g2 = gen.gen_instance(cfg)
-        bound = oracle.tight_lengths(g1, g2)
+        g1, g2 = gen.gen_instance(cfg)  # valid and capacity-bounded
+        names = g1.ground.names
+        bound = oracle._tight_lengths(names, _derive(g1, g2)[1])
         if all(b == 1 for b in bound.values()):
             skipped += 1  # nothing to shorten
             continue
         shorter = {u: max(1, b - 1) for u, b in bound.items()}
         sigma = delta(g1, g2) + 2
         rng = random.Random(cfg.seed ^ 0x7717)
+        index = oracle._constraint_index(g1, g2)
         for _ in range(args.draws):
             lists = oracle._draw_lists(shorter, sigma, rng)
-            if oracle.find_list_coloring(g1, g2, lists, caps) is None:
+            if oracle._list_search(names, lists, index, caps) is None:
                 uncolorable += 1
             else:
                 colorable += 1
@@ -459,13 +477,19 @@ def batch_verify(
     }
     failures = []
     for cfg in configs:
+        # gen_instance checks both functions (valid, capacity-bounded), so
+        # the cores below run on them without validating again
         g1, g2 = gen.gen_instance(cfg)
-        pair = pi_mod.construct_pi(g1, g2, check=False)
-        conditions = pi_mod.verify_conditions(g1, g2, pair)
-        theorem = oracle.verify_main_theorem(
-            g1, g2, trials=list_trials, seed=cfg.seed, caps=caps
+        names = g1.ground.names
+        effs, ds = _derive(g1, g2)
+        pair, _ = pi_mod._build(g1.ground, effs)
+        conditions = pi_mod._condition_report(g1, g2, pair, ds)
+        index = oracle._constraint_index(g1, g2)
+        span = delta(g1, g2)
+        theorem = oracle._trials(
+            names, oracle._tight_lengths(names, ds), index, list_trials, span + 2, cfg.seed, caps
         )
-        threshold_ok = oracle.min_k(g1, g2, caps) == delta(g1, g2)
+        threshold_ok = oracle._min_k(names, index, span, caps) == span
         for key, ok in (
             ("pi_conditions", conditions.all_ok),
             ("main_theorem", theorem.ok),
@@ -485,7 +509,7 @@ def batch_verify(
             )
     failures.sort(key=lambda f: f["digest"])
     results = {"instances": len(configs), "checks": checks, "failures": failures}
-    blob = json.dumps([asdict(c) for c in configs], sort_keys=True, separators=(",", ":"))
+    blob = json.dumps([vars(c) for c in configs], sort_keys=True, separators=(",", ":"))
     return RunReport(
         command="batch-verify",
         digest=hashlib.sha256(blob.encode()).hexdigest(),

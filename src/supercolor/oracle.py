@@ -12,6 +12,12 @@ smallest one is never among them.  Before any element is assigned, the search
 is refused outright when some set's bound exceeds the number of distinct
 colors in the union of its elements' domains, since no assignment can give the
 set more colors than its elements can take.
+
+Each public function validates its arguments, then calls a private core that
+takes them as checked: _k_search, _min_k, _list_search, _trials and
+_tight_lengths.  A core searches on a constraint index built once per
+instance (_constraint_index), so verify_main_theorem and min_k build it once
+per call, and cli.batch_verify once per instance for all of its searches.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from .core import (
     bit_indices,
     delta,
     require_capacity,
+    require_valid,
 )
-from .bunch import d_function
+from .bunch import d_list, effective_entries
 
 
 @dataclass(frozen=True)
@@ -58,28 +65,42 @@ def _constraints(g1: SetFn, g2: SetFn) -> list[tuple[int, int]] | None:
     return out
 
 
+def _constraint_index(g1: SetFn, g2: SetFn) -> tuple | None:
+    """The search's constraint index, None when no assignment can dominate:
+    per element the constraints that hold it, per constraint its elements,
+    and per constraint its bound.  It does not depend on the domains, so one
+    index serves every search on the instance."""
+    constraints = _constraints(g1, g2)
+    if constraints is None:
+        return None
+    per_elem: list[list[int]] = [[] for _ in range(g1.ground.size)]
+    members = []
+    bounds = []
+    for ci, (mask, bound) in enumerate(constraints):
+        elems = list(bit_indices(mask))
+        members.append(elems)
+        bounds.append(bound)
+        for i in elems:
+            per_elem[i].append(ci)
+    return per_elem, members, bounds
+
+
 def _search(
-    names: Sequence[str], domains: Sequence[Sequence], constraints, first_use: bool = False
+    names: Sequence[str], domains: Sequence[Sequence], index, first_use: bool = False
 ) -> Coloring | None:
     """First dominating assignment in canonical order, or None.  With
     first_use, for k-colorings whose domains are 1..k, element i tries only
     colors up to 1 + the largest color used before it (see find_k_coloring)."""
     n = len(names)
-    if constraints is None:
+    if index is None:
         return None
-    per_elem: list[list[int]] = [[] for _ in range(n)]
-    remaining = []
-    bounds = []
-    for ci, (mask, bound) in enumerate(constraints):
-        elems = list(bit_indices(mask))
+    per_elem, members, bounds = index
+    for elems, bound in zip(members, bounds):
         if len(set().union(*(domains[i] for i in elems))) < bound:
             return None  # pigeonhole: too few colors to reach the bound
-        remaining.append(len(elems))
-        bounds.append(bound)
-        for i in elems:
-            per_elem[i].append(ci)
-    counts: list[dict] = [{} for _ in constraints]
-    distinct = [0] * len(constraints)
+    remaining = [len(elems) for elems in members]
+    counts: list[dict] = [{} for _ in bounds]
+    distinct = [0] * len(bounds)
     assignment: list = [None] * n
 
     def place(i: int, color) -> bool:
@@ -146,13 +167,21 @@ def find_k_coloring(
         raise InputError("functions live on different ground sets")
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    n = g1.ground.size
+    _require_k_search(g1.ground.size, caps)
+    return _k_search(g1.ground.names, _constraint_index(g1, g2), k)
+
+
+def _require_k_search(n: int, caps: SearchCaps) -> None:
     if n > caps.k_search_elements:
         raise ResourceLimitError(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
+
+
+def _k_search(names: Sequence[str], index, k: int) -> Coloring | None:
+    n = len(names)
     colors = tuple(range(1, min(k, max(1, n)) + 1))
-    return _search(g1.ground.names, [colors] * n, _constraints(g1, g2), first_use=True)
+    return _search(names, [colors] * n, index, first_use=True)
 
 
 def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
@@ -161,9 +190,15 @@ def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
     colors, so every smaller k is infeasible by pigeonhole."""
     require_capacity(g1)
     require_capacity(g2)
-    n = g1.ground.size
-    for k in range(delta(g1, g2), max(1, n) + 1):
-        if find_k_coloring(g1, g2, k, caps) is not None:
+    start = delta(g1, g2)
+    return _min_k(g1.ground.names, _constraint_index(g1, g2), start, caps)
+
+
+def _min_k(names: Sequence[str], index, start: int, caps: SearchCaps) -> int:
+    """min_k on a capacity-valid instance's index, searching k from start."""
+    _require_k_search(len(names), caps)
+    for k in range(start, max(1, len(names)) + 1):
+        if _k_search(names, index, k) is not None:
             return k
     # an injective coloring with n colors dominates any capacity-valid pair
     raise RuntimeError("no coloring up to |U| colors (internal bug)")
@@ -176,7 +211,8 @@ def find_list_coloring(
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> Coloring | None:
     """Dominating coloring drawing each element's color from its own list,
-    or None when the exhaustive search proves there is none."""
+    or None when the exhaustive search proves there is none.  A list for an
+    element outside the ground set is bad input."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
     domains = []
@@ -190,22 +226,50 @@ def find_list_coloring(
             raise InputError(f"empty color list for element {name!r}")
         dom = sorted(set(pool), key=lambda c: (type(c).__name__, c))
         domains.append(tuple(dom))
-        budget *= len(dom)
-        if budget > caps.list_budget:
-            raise ResourceLimitError(
-                f"list search budget {caps.list_budget} exceeded: product {budget}"
-                f" at element {name!r} ({at + 1} of {len(names)})"
-            )
-    return _search(names, domains, _constraints(g1, g2))
+        budget = _spend(budget, len(dom), names, at, caps)
+    if len(lists) > len(names):  # every element has a list, so some list is not an element's
+        for name in lists:
+            g1.ground.index(name)  # raises on the first unknown element
+    return _search(names, domains, _constraint_index(g1, g2))
+
+
+def _spend(budget: int, size: int, names: Sequence[str], at: int, caps: SearchCaps) -> int:
+    """The list product after element at's list of size; over the cap it raises."""
+    budget *= size
+    if budget > caps.list_budget:
+        raise ResourceLimitError(
+            f"list search budget {caps.list_budget} exceeded: product {budget}"
+            f" at element {names[at]!r} ({at + 1} of {len(names)})"
+        )
+    return budget
+
+
+def _list_search(
+    names: Sequence[str], lists: Mapping[str, tuple[int, ...]], index, caps: SearchCaps
+) -> Coloring | None:
+    """find_list_coloring on lists of _draw_lists, whose tuples are already
+    sorted and distinct, so only the list budget is checked."""
+    domains = [lists[name] for name in names]
+    budget = 1
+    for at, dom in enumerate(domains):
+        budget = _spend(budget, len(dom), names, at, caps)
+    return _search(names, domains, index)
 
 
 def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
     """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
     if g1.ground != g2.ground:
         raise InputError("functions live on different ground sets")
-    d1 = d_function(g1)
-    d2 = d_function(g2)
-    return {name: max(d1[name], d2[name]) for name in g1.ground.names}
+    for g in (g1, g2):
+        require_valid(g)
+    size = g1.ground.size
+    ds = [d_list(effective_entries(g.entries), size) for g in (g1, g2)]
+    return _tight_lengths(g1.ground.names, ds)
+
+
+def _tight_lengths(names: Sequence[str], ds) -> dict[str, int]:
+    """tight_lengths from both sides' d-lists (bunch.d_list)."""
+    return {name: a if a > b else b for name, a, b in zip(names, *ds)}
 
 
 def _draw_lists(
@@ -247,13 +311,25 @@ def verify_main_theorem(
     if sigma_size is None:
         sigma_size = delta(g1, g2) + 2
     lengths = tight_lengths(g1, g2)
+    index = _constraint_index(g1, g2)
+    return _trials(g1.ground.names, lengths, index, trials, sigma_size, seed, caps)
+
+
+def _trials(
+    names: Sequence[str],
+    lengths: Mapping[str, int],
+    index,
+    trials: int,
+    sigma_size: int,
+    seed: int,
+    caps: SearchCaps,
+) -> Report:
+    """verify_main_theorem on checked arguments and the instance's index."""
     rng = random.Random(seed)
     violations = []
     for trial in range(trials):
         lists = _draw_lists(lengths, sigma_size, rng)
-        if find_list_coloring(g1, g2, lists, caps) is None:
-            subjects = tuple(
-                (name, *map(str, lists[name])) for name in g1.ground.names
-            )
+        if _list_search(names, lists, index, caps) is None:
+            subjects = tuple((name, *map(str, lists[name])) for name in names)
             violations.append(Violation("list_coloring_missing", subjects, (trial,)))
     return Report(tuple(violations))

@@ -18,6 +18,11 @@ goes up by its per-element bound minus one.  A K-element leaves the live
 mask, so its value is final once it is peeled.  The alternative schrijver_pi
 splits one dominating coloring into complementary halves; it meets (i) only
 against the global color count, not the pointwise bound.
+
+Each public function validates, then calls a core that takes its input as
+checked: _build (from effective entries), _condition_report (from d-lists)
+and _schrijver.  cli.batch_verify calls the cores on generated instances,
+which gen_instance has already checked.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .core import (
+    GroundSet,
     InputError,
     Report,
     SetFn,
@@ -35,7 +41,7 @@ from .core import (
     require_capacity,
     require_valid,
 )
-from .bunch import effective_entries, part_masks, reduce_entries
+from .bunch import d_list, effective_entries, part_masks, reduce_entries
 from .matching import transversal_mask
 from . import oracle
 
@@ -108,10 +114,11 @@ def _short_sets(colors: list, entries) -> list[tuple[int, int, int]]:
     return short
 
 
-def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
-    """Validate, then peel levels in one forward loop that raises both
-    sides' values on element indices as it goes.  One record per level:
-    (live, K, case).
+def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
+    """Peel levels in one forward loop that raises both sides' values on
+    element indices as it goes, for valid capacity-bounded functions on
+    ground with effective entries effs (no validation of its own).  One
+    record per level: (live, K, case).
 
     Each side keeps its sorted bunch parts, each part's effective entries and
     each element's part, and a level re-derives only the parts K hits, from
@@ -119,17 +126,10 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
     part meets K at most once, and capacity keeps every projection nonempty,
     so no merge in reduce_entries or subset test in effective_entries crosses
     two parts."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
-    for g in (g1, g2):
-        require_valid(g)
-        require_capacity(g)
-    ground = g1.ground
-    entry_effs = [effective_entries(g.entries) for g in (g1, g2)]
     pis = ([1] * ground.size, [1] * ground.size)
     # per side: sorted parts, entries by part, owner masks by element (see _split)
-    sides = [([], {}, [ground.full_mask] * ground.size) for _ in entry_effs]
-    for eff, state in zip(entry_effs, sides):
+    sides = [([], {}, [ground.full_mask] * ground.size) for _ in effs]
+    for eff, state in zip(effs, sides):
         _split(eff, ground.full_mask, *state)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
@@ -153,15 +153,7 @@ def _build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
                     reduced = [(p, hv[0]) for p, hv in reduce_entries(eff, k).items()]
                     _split(effective_entries(reduced), rest, parts, inside, owner)
         live &= ~k
-
-    pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
-    if check:
-        report = _condition_report(g1, g2, pair, entry_effs)
-        if not report.all_ok:
-            raise RuntimeError(
-                f"constructed pair violates its contract (internal bug): {report.to_dict()}"
-            )
-    return pair, levels
+    return PiPair(*(dict(zip(ground.names, pi)) for pi in pis)), levels
 
 
 def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
@@ -182,17 +174,42 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
 
+def _checked_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
+    """The one validation (both functions valid and capacity-bounded on one
+    ground set), then _build; with check, also (i)-(iii) on the pair."""
+    if g1.ground != g2.ground:
+        raise InputError("functions live on different ground sets")
+    for g in (g1, g2):
+        require_valid(g)
+        require_capacity(g)
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    pair, levels = _build(g1.ground, effs)
+    if check:
+        ds = [d_list(eff, g1.ground.size) for eff in effs]
+        report = _condition_report(g1, g2, pair, ds)
+        if not report.all_ok:
+            raise RuntimeError(
+                f"constructed pair violates its contract (internal bug): {report.to_dict()}"
+            )
+    return pair, levels
+
+
 def construct_pi(g1: SetFn, g2: SetFn, check: bool = True) -> PiPair:
     """Build a pair satisfying (i)-(iii) for two valid capacity-bounded
     functions on a shared ground set."""
-    return _build(g1, g2, check)[0]
+    return _checked_build(g1, g2, check)[0]
 
 
 def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = True) -> tuple[PiPair, list]:
     """As construct_pi, but also return the per-level (universe, K, case) log."""
-    pair, levels = _build(g1, g2, check)
-    names = g1.ground.names_of
-    return pair, [
+    pair, levels = _checked_build(g1, g2, check)
+    return pair, _level_log(g1.ground, levels)
+
+
+def _level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
+    """_build's level records with their masks as names."""
+    names = ground.names_of
+    return [
         {"universe": list(names(live)), "k": list(names(k)), "case": case}
         for live, k, case in levels
     ]
@@ -207,25 +224,15 @@ def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
             raise InputError(f"pair missing element {name!r}")
     for g in (g1, g2):
         require_valid(g)
-    return _condition_report(g1, g2, pair, [effective_entries(g.entries) for g in (g1, g2)])
+    ds = [d_list(effective_entries(g.entries), g1.ground.size) for g in (g1, g2)]
+    return _condition_report(g1, g2, pair, ds)
 
 
-def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> ConditionReport:
-    """(i)-(iii) for valid functions with effective entries effs and a pair
+def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, ds: list) -> ConditionReport:
+    """(i)-(iii) for valid functions with d-lists ds (bunch.d_list) and a pair
     defined on their whole ground set, on lists indexed by element."""
     ground = g1.ground
     names = ground.names
-    ds = []
-    for eff in effs:  # d_values of the whole ground set, in one pass
-        d = [1] * ground.size
-        for m, v in eff:
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if v > d[i]:
-                    d[i] = v
-                m ^= low
-        ds.append(d)
     pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
     (d1, d2), (p1, p2) = ds, pis
     witnesses = []
@@ -259,6 +266,11 @@ def schrijver_pi(
     for g in (g1, g2):
         require_valid(g)
         require_capacity(g)
+    return _schrijver(g1, g2, caps)
+
+
+def _schrijver(g1: SetFn, g2: SetFn, caps: oracle.SearchCaps) -> PiPair:
+    """schrijver_pi for valid capacity-bounded functions."""
     k = delta(g1, g2)
     coloring = oracle.find_k_coloring(g1, g2, k, caps)
     if coloring is None:

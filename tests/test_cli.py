@@ -209,6 +209,20 @@ def test_color_with_lists(capsys, tmp_path):
     assert code == 1 and payload["coloring"] is None
 
 
+def test_color_lists_for_an_unknown_element_are_exit_2(capsys, example_path, tmp_path):
+    # instance files and --k reject unknown names; a lists file does too
+    lists = tmp_path / "lists.json"
+    doc = {name: [1, 2, 3, 4] for name in "abcdefghij"}
+    lists.write_text(json.dumps(doc))
+    assert run(["color", str(example_path), "--lists", str(lists)]) == 0
+    capsys.readouterr()
+    lists.write_text(json.dumps(dict(doc, zz=[1])))
+    assert run(["color", str(example_path), "--lists", str(lists)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown element 'zz'\n"
+
+
 def test_unhashable_colors_are_exit_2(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"elements": ["a"], "g1": [], "g2": []}')
@@ -477,7 +491,7 @@ def test_batch_verify_script_internal_error_is_exit_4(capsys, monkeypatch):
 
 
 def test_tightness_probe_script_internal_error_is_exit_4(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "find_list_coloring", _raise_runtime_error)
+    monkeypatch.setattr(oracle, "_search", _raise_runtime_error)
     assert run(["tightness-probe", "--count", "5"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

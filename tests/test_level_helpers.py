@@ -33,7 +33,7 @@ from supercolor import (
     random_multigraph,
 )
 from supercolor import matching, pi
-from supercolor.bunch import d_values, effective_entries, part_masks, reduce_entries
+from supercolor.bunch import d_list, d_values, effective_entries, part_masks, reduce_entries
 from supercolor.core import (
     GroundSet,
     Report,
@@ -210,7 +210,8 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
 
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
     if check:
-        report = _condition_report(g1, g2, pair, entry_effs)
+        ds = [d_list(eff, ground.size) for eff in entry_effs]
+        report = _condition_report(g1, g2, pair, ds)
         if not report.all_ok:
             raise RuntimeError(
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
@@ -302,6 +303,9 @@ def test_helpers_match_references_on_every_level():
     for g1, g2 in instances:
         effs = [same(effective_entries, ref_effective_entries, g.entries)[1] for g in (g1, g2)]
         live = g1.ground.full_mask
+        for eff in effs:  # d_list is d_values of the whole ground set
+            want = ref_d_values(eff, live)
+            assert d_list(eff, g1.ground.size) == [want[i] for i in range(g1.ground.size)]
         while live & (live - 1):
             parts = [same(part_masks, ref_part_masks, eff, live)[1] for eff in effs]
             for eff in effs:
@@ -587,7 +591,7 @@ def entries_passed(monkeypatch, module, build) -> int:
 def test_levels_rederive_only_the_hit_parts(monkeypatch):
     # whole-family rebuilds pass every live entry at every level; the counts
     # are deterministic, so they are pinned
-    new = entries_passed(monkeypatch, pi, pi._build)
+    new = entries_passed(monkeypatch, pi, pi.construct_pi)
     ref = entries_passed(monkeypatch, sys.modules[__name__], ref_build)
     assert (new, ref) == (1484, 10448)
     assert new * 5 <= ref
@@ -612,7 +616,7 @@ def _transplanted(pair: PiPair, other: PiPair) -> PiPair:
 
 def same_report(g1, g2, pair) -> dict:
     effs = [effective_entries(g.entries) for g in (g1, g2)]
-    got = _condition_report(g1, g2, pair, effs).to_dict()
+    got = _condition_report(g1, g2, pair, [d_list(eff, g1.ground.size) for eff in effs]).to_dict()
     want = ref_condition_report(g1, g2, pair, effs).to_dict()
     assert list(got.items()) == list(want.items()), (pair, g1, g2)
     return want
