@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -7,7 +9,15 @@ import sys
 
 import pytest
 
-from supercolor import GenConfig, cli, dump_json, oracle
+from supercolor import (
+    GenConfig,
+    cli,
+    dump_json,
+    gen_instance,
+    instance_payload,
+    mixed_configs,
+    oracle,
+)
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
 
@@ -668,3 +678,55 @@ def test_batch_verify_deterministic():
     a = batch_verify(configs, list_trials=2, seed=1)
     b = batch_verify(configs, list_trials=2, seed=1)
     assert dump_json(a.to_payload()) == dump_json(b.to_payload())
+
+
+# analyze, reduce, transversal and pi print sets by name: their stdout is
+# pinned on the worked example and on 200 generated instances.
+
+def _set_commands(path, elements):
+    every_other = ",".join(elements[::2])
+    return [
+        ["analyze", str(path), "--side", "1"],
+        ["analyze", str(path), "--side", "2"],
+        ["reduce", str(path), "--k", every_other],
+        ["transversal", str(path)],
+        ["pi", str(path)],
+    ]
+
+
+def _stdout_digest(runs):
+    """(exit codes in order, sha256 of every stdout in order)."""
+    codes, digest = [], hashlib.sha256()
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(run(argv))
+        digest.update(out.getvalue().encode())
+    return codes, digest.hexdigest()
+
+
+SET_COMMANDS_SHA256 = {
+    "example1": "936946b9f277f543a79b1570da290b30edcd31225878f3e3f9f61f539d7de3f0",
+    "mixed_configs": "003af39419e3ae0141904813cace795f40df578c3530427725c2c78288f0a2a8",
+}
+
+
+def test_set_commands_stdout_pinned_on_the_example(monkeypatch, example_path):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    elements = json.loads(example_path.read_text())["elements"]
+    codes, digest = _stdout_digest(_set_commands(example_path, elements))
+    assert codes == [0] * 5
+    assert digest == SET_COMMANDS_SHA256["example1"]
+
+
+def test_set_commands_stdout_pinned_on_generated_instances(monkeypatch, tmp_path):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    runs = []
+    for i, cfg in enumerate(mixed_configs(seed=18, count=200, n_max=8)):
+        g1, g2 = gen_instance(cfg)
+        path = tmp_path / f"inst{i}.json"
+        path.write_text(dump_json(instance_payload(g1, g2)))
+        runs += _set_commands(path, g1.ground.names)
+    codes, digest = _stdout_digest(runs)
+    assert codes == [0] * 1000
+    assert digest == SET_COMMANDS_SHA256["mixed_configs"]
