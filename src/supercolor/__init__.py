@@ -1,7 +1,6 @@
 """Exact combinatorial toolkit for supermodular colorings at desk scale."""
 
 from .core import (
-    ElemSet,
     GenerationError,
     GroundSet,
     InputError,
@@ -20,13 +19,9 @@ from .core import (
     parse_instance,
 )
 from .bunch import (
-    Partition,
-    ReductionResult,
     bunch_partition,
-    cover_witness,
     d_function,
     effective_family,
-    is_partial_transversal,
     reduce,
 )
 from .matching import (
@@ -55,21 +50,15 @@ from .oracle import (
     verify_main_theorem,
 )
 from .encode import (
-    check_degree_identity,
-    coloring_is_proper,
     encode_bipartite,
     load_graph,
     parse_graph,
 )
 from .gen import (
     GenConfig,
-    gen_closure,
     gen_instance,
-    gen_laminar,
-    gen_rank_complement,
     mixed_configs,
     random_multigraph,
-    sample_partial_transversal,
 )
 
 __version__ = "0.1.0"

@@ -1,74 +1,23 @@
 """Effective set families, bunch partitions, per-element bounds, and the
-reduction of a set function by a removal set.
+reduction of a set function by a removal set, all on masks.
 
 The effective family keeps the sets that actually constrain a coloring: value
 at least 2 and no proper subset of equal or larger value.  Its maximal members,
 padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
 
-The mask-level helpers (effective_entries, part_masks, reduce_entries) run
-at every level of construct_pi, on one hit part's entries, so they, d_values
-and d_list are plain loops over (mask, value) pairs: at that size the cost
-is per-call overhead, not the asymptotics.  part_masks takes the maximal sets
-greedily by descending size and checks that every other set lies strictly
-inside the part holding its lowest bit, which is how an overlap surfaces.
+The public functions validate, then call the mask-level helpers
+(effective_entries, part_masks, d_list, reduce_entries).  Those run at every
+level of construct_pi, on one hit part's entries, so they are plain loops
+over (mask, value) pairs: at that size the cost is per-call overhead, not the
+asymptotics.  part_masks takes the maximal sets greedily by descending size
+and checks that every other set lies strictly inside the part holding its
+lowest bit, which is how an overlap surfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
-from .core import (
-    ElemSet,
-    GroundSet,
-    InputError,
-    SetFn,
-    bit_indices,
-    require_valid,
-)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Pairwise-disjoint nonempty parts covering the whole ground set."""
-
-    ground: GroundSet
-    parts: tuple[ElemSet, ...]
-
-    def __post_init__(self) -> None:
-        union = 0
-        for p in self.parts:
-            if p.ground != self.ground:
-                raise InputError("part lives on a different ground set")
-            if p.mask == 0:
-                raise InputError("partition parts must be nonempty")
-            if union & p.mask:
-                raise InputError("partition parts overlap")
-            union |= p.mask
-        if union != self.ground.full_mask:
-            raise InputError("partition parts do not cover the ground set")
-
-    def index_of(self, name: str) -> int:
-        bit = 1 << self.ground.index(name)  # raises on unknown names
-        return next(i for i, p in enumerate(self.parts) if p.mask & bit)
-
-    def part_of(self, name: str) -> ElemSet:
-        return self.parts[self.index_of(name)]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-@dataclass(frozen=True, eq=False)
-class ReductionResult:
-    """The reduced function plus, for each reduced set, the set attaining its value."""
-
-    reduced: SetFn
-    attainers: Mapping[ElemSet, ElemSet]
+from .core import GroundSet, InputError, SetFn, require_valid
 
 
 def effective_entries(entries) -> list[tuple[int, int]]:
@@ -127,22 +76,10 @@ def part_masks(eff, live: int) -> list[int]:
     return parts
 
 
-def d_values(eff, mask: int) -> dict[int, int]:
-    """Per-element bound of each element of mask, by index: max of 1 and the
-    largest effective value covering it."""
-    d = dict.fromkeys(bit_indices(mask), 1)
-    for m, v in eff:
-        common = m & mask
-        if common:
-            for i in bit_indices(common):
-                if v > d[i]:
-                    d[i] = v
-    return d
-
-
 def d_list(eff, size: int) -> list[int]:
-    """d_values of the whole ground set of size elements, as a list indexed
-    by element, in one pass over the effective entries."""
+    """Per-element bound of a ground set of size elements, as a list indexed
+    by element: max of 1 and the largest effective value covering it, in one
+    pass over the effective entries."""
     d = [1] * size
     for m, v in eff:
         while m:
@@ -171,16 +108,18 @@ def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
     return best
 
 
-def effective_family(g: SetFn) -> tuple[ElemSet, ...]:
-    """Sets with value >= 2 and no proper subset of equal or larger value."""
+def effective_family(g: SetFn) -> tuple[int, ...]:
+    """Masks of the sets with value >= 2 and no proper subset of equal or
+    larger value, in entry order."""
     require_valid(g)
-    return tuple(ElemSet(g.ground, m) for m, _ in effective_entries(g.entries))
+    return tuple(m for m, _ in effective_entries(g.entries))
 
 
-def partition_masks(g: SetFn) -> list[int]:
-    """Validate g and return part_masks of its whole ground set.  An empty set
-    of value >= 2 would be an effective set covering nothing, i.e. an empty
-    part, so it is rejected as input."""
+def bunch_partition(g: SetFn) -> list[int]:
+    """Validate g and return its bunch partition as sorted part masks: the
+    maximal effective sets plus singletons of uncovered elements.  An empty
+    set of value >= 2 would be an effective set covering nothing, i.e. an
+    empty part, so it is rejected as input."""
     require_valid(g)
     for m, v in g.entries:
         if m == 0 and v >= 2:
@@ -188,65 +127,29 @@ def partition_masks(g: SetFn) -> list[int]:
     return part_masks(effective_entries(g.entries), g.ground.full_mask)
 
 
-def bunch_partition(g: SetFn) -> Partition:
-    """Maximal effective sets plus singletons of uncovered elements."""
-    parts = partition_masks(g)
-    return Partition(g.ground, tuple(ElemSet(g.ground, m) for m in parts))
-
-
 def d_function(g: SetFn) -> dict[str, int]:
-    """Per-element bound: max of 1 and the largest effective value covering it."""
+    """Per-element bound by name: max of 1 and the largest effective value covering it."""
     require_valid(g)
-    d = d_values(effective_entries(g.entries), g.ground.full_mask)
-    return {name: d[i] for i, name in enumerate(g.ground.names)}
+    return dict(zip(g.ground.names, d_list(effective_entries(g.entries), g.ground.size)))
 
 
-def is_partial_transversal(p: Partition, k: ElemSet) -> bool:
-    """True iff every part meets k in at most one element."""
-    return all((part.mask & k.mask).bit_count() <= 1 for part in p.parts)
-
-
-def reduce(g: SetFn, k: ElemSet) -> ReductionResult:
-    """Reduce g by the removal set k (see reduce_entries); the result lives on
-    the ground set without k and is checked to be valid."""
+def reduce(g: SetFn, kmask: int) -> tuple[SetFn, dict[int, int]]:
+    """Reduce g by the removal mask kmask (see reduce_entries).  Returns the
+    reduced function, on the ground set without K and checked to be valid,
+    and for each of its sets (a mask over that ground) the least set of g
+    attaining its value."""
+    if not 0 <= kmask <= g.ground.full_mask:
+        raise InputError(
+            f"removal mask {kmask:#x} outside the ground set of {g.ground.size} elements"
+        )
     require_valid(g)
-    if k.ground != g.ground:
-        raise InputError("removal set lives on a different ground set")
-    best = reduce_entries(g.entries, k.mask)
+    best = reduce_entries(g.entries, kmask)
     names = g.ground.names_of
-    new_ground = GroundSet(names(g.ground.full_mask & ~k.mask))
-    reduced = SetFn.from_names(new_ground, ((names(p), hv[0]) for p, hv in best.items()))
+    new_ground = GroundSet(names(g.ground.full_mask & ~kmask))
+    renamed = {p: new_ground.mask_of(names(p)) for p in best}
+    reduced = SetFn(new_ground, tuple((renamed[p], hv[0]) for p, hv in best.items()))
     try:
         require_valid(reduced)
     except InputError as e:
         raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
-    attainers = {new_ground.subset(names(p)): ElemSet(g.ground, hv[1]) for p, hv in best.items()}
-    return ReductionResult(reduced, attainers)
-
-
-def cover_witness(g: SetFn, x: ElemSet) -> tuple[ElemSet, ElemSet]:
-    """For x in the family with g(x) >= 2, return (x', part) with x' an
-    effective subset of x∩part and g(x') >= g(x).
-
-    When x itself is effective, x' = x.  Otherwise x' is an inclusion-minimal
-    maximizer of g among family sets inside x, ties broken by smallest
-    set-as-integer.
-    """
-    parts = partition_masks(g)  # the one validity walk
-    if x not in g:
-        raise InputError(f"set {x!r} not in the family")
-    if g.value(x) < 2:
-        raise InputError(f"cover witness needs g(x) >= 2, got {g.value(x)}")
-    inside = [(m, v) for m, v in g.entries if m & ~x.mask == 0]
-    top = max(v for _, v in inside)
-    maximizers = [m for m, v in inside if v == top]
-    minimal = [
-        m for m in maximizers
-        if not any(m2 != m and m2 & ~m == 0 for m2 in maximizers)
-    ]
-    witness = ElemSet(g.ground, min(minimal))
-    low = witness.mask & -witness.mask
-    part = ElemSet(g.ground, next(p for p in parts if p & low))
-    if not witness <= part:
-        raise RuntimeError("cover witness escaped its part (internal bug)")
-    return witness, part
+    return reduced, {renamed[p]: hv[1] for p, hv in best.items()}

@@ -105,10 +105,6 @@ def _write_json(path, payload) -> None:
         raise InputError(f"cannot write {path}: {e}") from None
 
 
-def _sets_payload(sets) -> list:
-    return [list(x.names) for x in sets]
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_check(args, caps) -> tuple[int, dict]:
@@ -146,20 +142,18 @@ def _pick_side(g1, g2, side: int):
 def _cmd_analyze(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
     g = _pick_side(g1, g2, args.side)
+    names = g.ground.names_of
     eff = bunch.effective_family(g)
-    partition = bunch.bunch_partition(g)
-    part_values = [
-        {"part": list(p.names), "value": g.value(p) if p in g else None}
-        for p in partition.parts
-    ]
+    parts = bunch.bunch_partition(g)
+    values = dict(g.entries)
     payload = {
         "command": "analyze",
         "digest": instance_digest(g1, g2),
         "side": args.side,
-        "effective_family": _sets_payload(eff),
-        "partition": _sets_payload(partition.parts),
+        "effective_family": [list(names(m)) for m in eff],
+        "partition": [list(names(p)) for p in parts],
         "d": bunch.d_function(g),
-        "part_values": part_values,
+        "part_values": [{"part": list(names(p)), "value": values.get(p)} for p in parts],
     }
     return 0, payload
 
@@ -176,18 +170,19 @@ def _parse_names(raw: str) -> list[str]:
 
 def _cmd_reduce(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    k = g1.ground.subset(_parse_names(args.k))
-    red1 = bunch.reduce(g1, k)
-    red2 = bunch.reduce(g2, k)
-    payload = instance_payload(red1.reduced, red2.reduced)
+    ground = g1.ground
+    k = ground.mask_of(_parse_names(args.k))
+    (red1, att1), (red2, att2) = (bunch.reduce(g, k) for g in (g1, g2))
+    payload = instance_payload(red1, red2)
     payload["attainers"] = attainers = {"g1": {}, "g2": {}}
-    for key, res in (("g1", red1), ("g2", red2)):
-        for x, z in sorted(res.attainers.items(), key=lambda kv: kv[0].mask):
-            name = ",".join(x.names)  # two sets print alike if names hold ","
+    rest = red1.ground  # the ground set without K, which both reduced sides share
+    for key, res in (("g1", att1), ("g2", att2)):
+        for x, z in sorted(res.items()):
+            name = ",".join(rest.names_of(x))  # two sets print alike if names hold ","
             if name in attainers[key]:
                 raise InputError(f"two reduced {key} sets both print as {name!r} in attainers")
-            attainers[key][name] = list(z.names)
-    payload["removed"] = list(k.names)
+            attainers[key][name] = list(ground.names_of(z))
+    payload["removed"] = list(ground.names_of(k))
     return 0, payload
 
 
@@ -197,7 +192,7 @@ def _cmd_transversal(args, caps) -> tuple[int, dict]:
     payload = {
         "command": "transversal",
         "digest": instance_digest(g1, g2),
-        "k": list(result.k.names),
+        "k": list(result.k),
         "case": result.case_tag,
     }
     return 0, payload

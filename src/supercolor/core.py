@@ -1,16 +1,20 @@
 """Ground sets, bitmask subsets, and integer-valued set functions.
 
-Subsets of a named universe are stored as bitmasks over element indices, so
-union, intersection, difference, inclusion and cardinality are single word
-operations.  A SetFn maps an explicit family of subsets to integers; the
-structural checks (intersecting-closure, supermodularity, capacity) run
-against it and report witnesses instead of raising.
+A subset of a named universe is a plain int bitmask, bit i standing for
+GroundSet.names[i], so union, intersection, difference, inclusion and
+cardinality are single word operations.  It is the one set representation:
+library functions take and return masks, and GroundSet.mask_of and names_of
+convert only at the boundary, where files are read and the CLI prints.  A
+SetFn maps an explicit family of subsets to integers; the structural checks
+(intersecting-closure, supermodularity, capacity) run against it and report
+witnesses instead of raising.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -72,73 +76,8 @@ class GroundSet:
             mask |= bit
         return mask
 
-    def subset(self, names: Iterable[str]) -> "ElemSet":
-        return ElemSet(self, self.mask_of(names))
-
-    def empty(self) -> "ElemSet":
-        return ElemSet(self, 0)
-
-    def universe(self) -> "ElemSet":
-        return ElemSet(self, self.full_mask)
-
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(n for i, n in enumerate(self.names) if (mask >> i) & 1)
-
-
-@dataclass(frozen=True)
-class ElemSet:
-    """A subset of a ground set, stored as a bitmask."""
-
-    ground: GroundSet
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= self.ground.full_mask:
-            raise InputError(
-                f"mask {self.mask:#x} outside ground set of {self.ground.size} elements"
-            )
-
-    def _check_ground(self, other: "ElemSet") -> None:
-        if self.ground != other.ground:
-            raise InputError("operands live on different ground sets")
-
-    def __or__(self, other: "ElemSet") -> "ElemSet":
-        self._check_ground(other)
-        return ElemSet(self.ground, self.mask | other.mask)
-
-    def __and__(self, other: "ElemSet") -> "ElemSet":
-        self._check_ground(other)
-        return ElemSet(self.ground, self.mask & other.mask)
-
-    def __sub__(self, other: "ElemSet") -> "ElemSet":
-        self._check_ground(other)
-        return ElemSet(self.ground, self.mask & ~other.mask)
-
-    def __le__(self, other: "ElemSet") -> bool:
-        self._check_ground(other)
-        return self.mask & ~other.mask == 0
-
-    def __lt__(self, other: "ElemSet") -> bool:
-        return self <= other and self.mask != other.mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __contains__(self, name: str) -> bool:
-        return bool((self.mask >> self.ground.index(name)) & 1)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.ground.names_of(self.mask)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(self.names) + "}"
 
 
 @dataclass(frozen=True)
@@ -153,7 +92,8 @@ class SetFn:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(self.entries))
+        # by mask alone: values of one set listed twice may not compare
+        canon = tuple(sorted(self.entries, key=itemgetter(0)))
         full = self.ground.full_mask
         seen: set[int] = set()
         for mask, value in canon:
@@ -175,23 +115,8 @@ class SetFn:
     ) -> "SetFn":
         return cls(ground, tuple((ground.mask_of(ns), v) for ns, v in pairs))
 
-    def items(self) -> Iterator[tuple[ElemSet, int]]:
-        for mask, value in self.entries:
-            yield ElemSet(self.ground, mask), value
-
-    def value(self, x: ElemSet) -> int:
-        if x.ground != self.ground:
-            raise InputError("set lives on a different ground set")
-        try:
-            return self._values[x.mask]  # type: ignore[attr-defined]
-        except KeyError:
-            raise InputError(f"set {x!r} not in the family") from None
-
     def value_of_mask(self, mask: int) -> int:
         return self._values[mask]  # type: ignore[attr-defined]
-
-    def __contains__(self, x: ElemSet) -> bool:
-        return x.ground == self.ground and x.mask in self._values  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -225,11 +150,9 @@ class Report:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
-def is_intersecting(x: ElemSet, y: ElemSet) -> bool:
-    """True iff X∩Y, X\\Y and Y\\X are all nonempty."""
-    if x.ground != y.ground:
-        raise InputError("operands live on different ground sets")
-    return _masks_intersecting(x.mask, y.mask)
+def is_intersecting(a: int, b: int) -> bool:
+    """True iff the sets with masks a and b cross: A∩B, A\\B and B\\A are all nonempty."""
+    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -238,10 +161,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _masks_intersecting(a: int, b: int) -> bool:
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
 def _check_pairs(g: SetFn) -> tuple[Report, Report]:

@@ -8,9 +8,8 @@ encoded functions are trivially valid.
 
 from __future__ import annotations
 
-from .core import GroundSet, InputError, Report, SetFn, Violation, decode_json, read_text
+from .core import GroundSet, InputError, SetFn, decode_json, read_text
 from .matching import BipartiteGraph
-from .oracle import tight_lengths
 
 
 def parse_graph(text: str) -> BipartiteGraph:
@@ -51,30 +50,3 @@ def encode_bipartite(g: BipartiteGraph) -> tuple[SetFn, SetFn]:
         sides.append(SetFn(ground, tuple((m, m.bit_count()) for m in masks.values() if m)))
     return sides[0], sides[1]
 
-
-def check_degree_identity(g: BipartiteGraph) -> Report:
-    """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
-    max{deg(s), deg(t)}."""
-    bound = tight_lengths(*encode_bipartite(g))
-    s_deg = {v: g.degree(v, "s") for v in g.s_vertices}
-    t_deg = {v: g.degree(v, "t") for v in g.t_vertices}
-    violations = []
-    for s, t, eid in g.edges:
-        got = bound[eid]
-        want = max(s_deg[s], t_deg[t])
-        if got != want:
-            violations.append(Violation("degree_identity", ((eid,), (s, t)), (got, want)))
-    return Report(tuple(violations))
-
-
-def coloring_is_proper(g: BipartiteGraph, phi) -> bool:
-    """True iff no two edges sharing a vertex get the same color."""
-    for _, _, eid in g.edges:
-        if eid not in phi:
-            raise InputError(f"coloring missing edge {eid!r}")
-    for pos, vertices in ((0, g.s_vertices), (1, g.t_vertices)):
-        for v in vertices:
-            colors = [phi[e[2]] for e in g.edges if e[pos] == v]
-            if len(set(colors)) != len(colors):
-                return False
-    return True

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 from .core import (
     GenerationError,
     GroundSet,
-    ElemSet,
     InputError,
     SetFn,
-    _masks_intersecting,
+    is_intersecting,
     require_capacity,
     require_valid,
 )
-from .bunch import Partition
 from .encode import encode_bipartite
 from .matching import BipartiteGraph
 
@@ -40,7 +38,6 @@ STRATEGY_MIX = (("closure", 40), ("rank_complement", 30), ("laminar", 20), ("bip
 
 MAX_GEN_ELEMENTS = 10
 REPAIR_MAX_PASSES = 200  # sweeps before _repair_supermodular gives up
-KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ def close_family(base, cap: int | None = None) -> list[int] | None:
     while frontier:
         x = frontier.pop()
         for y in list(masks):
-            if _masks_intersecting(x, y):
+            if is_intersecting(x, y):
                 for z in (x | y, x & y):
                     if z not in masks:
                         masks.add(z)
@@ -134,7 +131,7 @@ def _repair_supermodular(values: dict[int, int], masks: list[int]) -> bool:
         (a, b)
         for i, a in enumerate(masks)
         for b in masks[i + 1 :]
-        if _masks_intersecting(a, b)
+        if is_intersecting(a, b)
     ]
     for _ in range(REPAIR_MAX_PASSES):
         dirty = False
@@ -231,21 +228,6 @@ def _checked(fn: SetFn) -> SetFn:
     return fn
 
 
-def gen_laminar(cfg: GenConfig) -> SetFn:
-    rng = random.Random(cfg.seed)
-    return _checked(_laminar_fn(_ground(cfg.n_elements), rng, cfg))
-
-
-def gen_closure(cfg: GenConfig) -> SetFn:
-    rng = random.Random(cfg.seed)
-    return _checked(_closure_fn(_ground(cfg.n_elements), rng, cfg))
-
-
-def gen_rank_complement(cfg: GenConfig) -> SetFn:
-    rng = random.Random(cfg.seed)
-    return _checked(_rank_complement_fn(_ground(cfg.n_elements), rng, cfg))
-
-
 def gen_instance(cfg: GenConfig) -> tuple[SetFn, SetFn]:
     """A pair of valid functions on a shared ground set, per the strategy."""
     rng = random.Random(cfg.seed)
@@ -275,11 +257,3 @@ def mixed_configs(seed: int, count: int, n_max: int = 8, n_min: int = 1) -> list
         out.append(GenConfig(seed=rng.randrange(2**32), n_elements=n, strategy=strategy))
     return out
 
-
-def sample_partial_transversal(p: Partition, rng: random.Random) -> ElemSet:
-    """Pick at most one random element from each part, independently."""
-    mask = 0
-    for part in p.parts:
-        if rng.random() < KEEP_PART_P:
-            mask |= 1 << part.ground.index(rng.choice(part.names))
-    return ElemSet(p.ground, mask)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
-from .core import ElemSet, InputError, ResourceLimitError, SetFn, bit_indices
-from .bunch import partition_masks
+from .core import InputError, ResourceLimitError, SetFn, bit_indices
+from .bunch import bunch_partition
 
 SCAN_NODE_BUDGET = 1 << 22
 
@@ -194,7 +194,7 @@ def closed_matching(g: BipartiteGraph) -> tuple[Edge, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TransversalResult:
-    k: ElemSet
+    k: tuple[str, ...]  # the names of K's elements, in ground order
     case_tag: str  # "a": matched side 1 implies matched side 2; "b": converse
 
 
@@ -249,5 +249,5 @@ def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
         raise InputError("functions live on different ground sets")
     if g1.ground.size == 0:
         raise InputError("common transversal needs a nonempty ground set")
-    k, case, _ = transversal_mask(*(partition_masks(g) for g in (g1, g2)))
-    return TransversalResult(ElemSet(g1.ground, k), case)
+    k, case, _ = transversal_mask(*(bunch_partition(g) for g in (g1, g2)))
+    return TransversalResult(g1.ground.names_of(k), case)

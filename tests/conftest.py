@@ -48,5 +48,5 @@ def abc_ground() -> GroundSet:
     return GroundSet(("a", "b", "c"))
 
 
-def names_of_sets(sets):
-    return {tuple(x.names) for x in sets}
+def names_of_sets(ground, masks):
+    return {ground.names_of(m) for m in masks}

@@ -1,0 +1,91 @@
+"""Definitions that only the tests use, as lemma checks on masks.
+
+cover_witness, part_of, is_partial_transversal and sample_partial_transversal
+state properties of bunch partitions and reductions; check_degree_identity
+and coloring_is_proper tie the bipartite encoding to edge coloring.  No
+package code calls them, so they live here.
+"""
+
+import random
+
+from supercolor import BipartiteGraph, InputError, Report, SetFn, Violation, bunch_partition
+from supercolor.core import bit_indices
+from supercolor.encode import encode_bipartite
+from supercolor.oracle import tight_lengths
+
+KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
+
+
+def cover_witness(g: SetFn, x: int) -> tuple[int, int]:
+    """For a set x of g's family with g(x) >= 2, return (x', part) with x' an
+    effective subset of x∩part and g(x') >= g(x), as masks.
+
+    When x itself is effective, x' = x.  Otherwise x' is an inclusion-minimal
+    maximizer of g among family sets inside x, ties broken by smallest
+    set-as-integer.
+    """
+    parts = bunch_partition(g)  # the one validity walk
+    values = dict(g.entries)
+    if x not in values:
+        raise InputError(f"set {{{','.join(g.ground.names_of(x))}}} not in the family")
+    if values[x] < 2:
+        raise InputError(f"cover witness needs g(x) >= 2, got {values[x]}")
+    inside = [(m, v) for m, v in g.entries if m & ~x == 0]
+    top = max(v for _, v in inside)
+    maximizers = [m for m, v in inside if v == top]
+    minimal = [
+        m for m in maximizers
+        if not any(m2 != m and m2 & ~m == 0 for m2 in maximizers)
+    ]
+    witness = min(minimal)
+    part = part_of(parts, witness)
+    if witness & ~part:
+        raise RuntimeError("cover witness escaped its part (internal bug)")
+    return witness, part
+
+
+def part_of(parts, mask: int) -> int:
+    """The part holding the lowest element of mask."""
+    return next(p for p in parts if p & mask & -mask)
+
+
+def is_partial_transversal(parts, k: int) -> bool:
+    """True iff every part meets k in at most one element."""
+    return all((part & k).bit_count() <= 1 for part in parts)
+
+
+def sample_partial_transversal(parts, rng: random.Random) -> int:
+    """Pick at most one random element from each part, independently."""
+    mask = 0
+    for part in parts:
+        if rng.random() < KEEP_PART_P:
+            mask |= 1 << rng.choice(list(bit_indices(part)))
+    return mask
+
+
+def check_degree_identity(g: BipartiteGraph) -> Report:
+    """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
+    max{deg(s), deg(t)}."""
+    bound = tight_lengths(*encode_bipartite(g))
+    s_deg = {v: g.degree(v, "s") for v in g.s_vertices}
+    t_deg = {v: g.degree(v, "t") for v in g.t_vertices}
+    violations = []
+    for s, t, eid in g.edges:
+        got = bound[eid]
+        want = max(s_deg[s], t_deg[t])
+        if got != want:
+            violations.append(Violation("degree_identity", ((eid,), (s, t)), (got, want)))
+    return Report(tuple(violations))
+
+
+def coloring_is_proper(g: BipartiteGraph, phi) -> bool:
+    """True iff no two edges sharing a vertex get the same color."""
+    for _, _, eid in g.edges:
+        if eid not in phi:
+            raise InputError(f"coloring missing edge {eid!r}")
+    for pos, vertices in ((0, g.s_vertices), (1, g.t_vertices)):
+        for v in vertices:
+            colors = [phi[e[2]] for e in g.edges if e[pos] == v]
+            if len(set(colors)) != len(colors):
+                return False
+    return True

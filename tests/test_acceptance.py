@@ -17,6 +17,13 @@ import pytest
 import supercolor as sc
 from supercolor import dump_json
 from supercolor.cli import instance_digest
+from lemmas import (
+    check_degree_identity,
+    coloring_is_proper,
+    cover_witness,
+    part_of,
+    sample_partial_transversal,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -28,8 +35,8 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def _sets(sets) -> list:
-    return sorted([list(x.names) for x in sets])
+def _sets(ground, masks) -> list:
+    return sorted([list(ground.names_of(m)) for m in masks])
 
 
 # -- criterion 1: golden worked example ---------------------------------------
@@ -38,14 +45,14 @@ def criterion_1():
     started = time.monotonic()
     g1, g2 = sc.load_instance(DATA / "example1.json")
     analyze = {
-        "effective_family": _sets(sc.effective_family(g1)),
-        "partition": _sets(sc.bunch_partition(g1).parts),
+        "effective_family": _sets(g1.ground, sc.effective_family(g1)),
+        "partition": _sets(g1.ground, sc.bunch_partition(g1)),
         "d": sc.d_function(g1),
     }
-    reduced = sc.reduce(g1, g1.ground.subset(["f", "j"])).reduced
+    reduced, _ = sc.reduce(g1, g1.ground.mask_of(["f", "j"]))
     after = {
-        "effective_family": _sets(sc.effective_family(reduced)),
-        "partition": _sets(sc.bunch_partition(reduced).parts),
+        "effective_family": _sets(reduced.ground, sc.effective_family(reduced)),
+        "partition": _sets(reduced.ground, sc.bunch_partition(reduced)),
         "d": sc.d_function(reduced),
     }
     expected_analyze = {
@@ -178,13 +185,13 @@ def criterion_5():
     list_failures = 0
     for _ in range(graphs):
         graph = sc.random_multigraph(rng, rng.randint(1, 9))
-        if not sc.check_degree_identity(graph).ok:
+        if not check_degree_identity(graph).ok:
             identity_failures += 1
         g1, g2 = sc.encode_bipartite(graph)
         max_deg = max(v for _, v in itertools.chain(g1.entries, g2.entries))
         for _ in range(5):
             phi = {eid: rng.randint(1, max_deg + 1) for eid in graph.edge_ids()}
-            proper = sc.coloring_is_proper(graph, phi)
+            proper = coloring_is_proper(graph, phi)
             dominating = sc.dominates(phi, g1).ok and sc.dominates(phi, g2).ok
             coloring_checks += 1
             if proper != dominating:
@@ -252,58 +259,56 @@ def criterion_6():
         for g in sc.gen_instance(cfg):
             pair_count += 1
             ground = g.ground
+            values = dict(g.entries)
             eff = sc.effective_family(g)
-            eff_masks = {x.mask for x in eff}
-            partition = sc.bunch_partition(g)
+            eff_masks = set(eff)
+            parts = sc.bunch_partition(g)
             d_map = sc.d_function(g)
 
             union = 0
             disjoint = True
-            for part in partition.parts:
-                if union & part.mask:
+            for part in parts:
+                if union & part:
                     disjoint = False
-                union |= part.mask
+                union |= part
             tally("partition_property", disjoint and union == ground.full_mask)
 
             covered = 0
             for x in eff:
-                covered |= x.mask
+                covered |= x
             for i, name in enumerate(ground.names):
-                part = partition.part_of(name)
+                part = part_of(parts, 1 << i)
                 if (covered >> i) & 1:
-                    ok = part.mask in eff_masks and d_map[name] == g.value(part) >= 2
+                    ok = part in eff_masks and d_map[name] == values[part] >= 2
                 else:
-                    ok = part.mask == 1 << i and d_map[name] == 1
+                    ok = part == 1 << i and d_map[name] == 1
                 tally("part_value_bound", ok)
 
             for x in eff:
                 for y in eff:
-                    if x.mask < y.mask and sc.is_intersecting(x, y):
+                    if x < y and sc.is_intersecting(x, y):
                         u = x | y
-                        ok = u.mask in eff_masks and g.value(u) > max(g.value(x), g.value(y))
+                        ok = u in eff_masks and values[u] > max(values[x], values[y])
                         tally("effective_union", ok)
-                tally("effective_min_size", len(x) >= 2)
-                tally(
-                    "cover_by_maximal_part",
-                    x <= partition.part_of(x.names[0])
-                    and partition.part_of(x.names[0]).mask in eff_masks,
-                )
+                tally("effective_min_size", x.bit_count() >= 2)
+                part = part_of(parts, x)
+                tally("cover_by_maximal_part", x & ~part == 0 and part in eff_masks)
 
-            for x, v in g.items():
+            for x, v in g.entries:
                 if v >= 2:
-                    witness, part = sc.cover_witness(g, x)
+                    witness, part = cover_witness(g, x)
                     ok = (
-                        witness <= x
-                        and witness <= part
-                        and g.value(witness) >= v
-                        and witness.mask in eff_masks
-                        and part.mask in eff_masks
+                        witness & ~x == 0
+                        and witness & ~part == 0
+                        and values[witness] >= v
+                        and witness in eff_masks
+                        and part in eff_masks
                     )
                     tally("cover_witness_contract", ok)
 
             # reduction by an arbitrary (possibly non-transversal) removal set
-            k_any = sc.ElemSet(ground, rng.randrange(1 << ground.size))
-            reduced_any = sc.reduce(g, k_any).reduced
+            k_any = rng.randrange(1 << ground.size)
+            reduced_any, _ = sc.reduce(g, k_any)
             tally(
                 "reduction_valid_any_k",
                 sc.check_intersecting_family(reduced_any).ok
@@ -313,7 +318,7 @@ def criterion_6():
             def hat(mask, value, kmask):
                 return value - 1 if mask & kmask else value
 
-            for kmask in (k_any.mask,):
+            for kmask in (k_any,):
                 for a, b in _mask_pairs(g):
                     va, vb = g.value_of_mask(a), g.value_of_mask(b)
                     if a & ~b == 0 and va >= vb:
@@ -326,41 +331,42 @@ def criterion_6():
                         tally("marked_value_monotone", hat(b, vb, kmask) >= hat(a, va, kmask))
 
             # reduction by a partial transversal
-            k = sc.sample_partial_transversal(partition, rng)
-            reduced = sc.reduce(g, k).reduced
+            k = sample_partial_transversal(parts, rng)
+            reduced, _ = sc.reduce(g, k)
             tally("reduced_capacity", sc.check_capacity(reduced).ok)
 
             d_reduced = sc.d_function(reduced)
             for name in reduced.ground.names:
-                if partition.part_of(name).mask & k.mask:
+                if part_of(parts, ground.mask_of([name])) & k:
                     tally("reduced_d_map", d_reduced[name] < d_map[name])
                 else:
                     tally("reduced_d_map", d_reduced[name] == d_map[name])
 
-            residual_parts = [set(p.names) - set(k.names) for p in partition.parts]
-            for q in sc.bunch_partition(reduced).parts:
-                q_names = set(q.names)
-                tally("refinement", any(q_names <= r for r in residual_parts))
+            def lift(mask):
+                """A set of the reduced function as a mask over g's ground."""
+                return ground.mask_of(reduced.ground.names_of(mask))
 
-            eff_reduced = sc.effective_family(reduced)
-            eff_reduced_names = {x.names for x in eff_reduced}
-            reduced_part_names = {p.names for p in sc.bunch_partition(reduced).parts}
-            reduced_values = {x.names: v for x, v in reduced.items()}
-            for part in partition.parts:
-                if part.mask not in eff_masks:
+            reduced_parts = [lift(q) for q in sc.bunch_partition(reduced)]
+            for q in reduced_parts:
+                tally("refinement", any(q & ~(p & ~k) == 0 for p in parts))
+
+            eff_reduced = {lift(x) for x in sc.effective_family(reduced)}
+            reduced_values = {lift(x): v for x, v in reduced.entries}
+            for part in parts:
+                if part not in eff_masks:
                     continue
-                if part.mask & k.mask == 0:
+                if part & k == 0:
                     ok = (
-                        part.names in eff_reduced_names
-                        and part.names in reduced_part_names
-                        and reduced_values.get(part.names) == g.value(part)
+                        part in eff_reduced
+                        and part in reduced_parts
+                        and reduced_values.get(part) == values[part]
                     )
                     tally("untouched_parts_survive", ok)
                 else:
-                    residual = set(part.names) - set(k.names)
-                    for x, v in reduced.items():
-                        if set(x.names) <= residual:
-                            tally("touched_parts_drop", v < g.value(part))
+                    residual = part & ~k
+                    for x, v in reduced_values.items():
+                        if x & ~residual == 0:
+                            tally("touched_parts_drop", v < values[part])
 
     total_violations = sum(p["violations"] for p in props.values())
     summary = {
@@ -425,7 +431,7 @@ def criterion_8():
     ground = sc.GroundSet(("a", "b", "c"))
     g = sc.SetFn.from_names(ground, [(["a", "b"], 2), (["a", "b", "c"], 2)])
     d = sc.d_function(g)
-    crude_c = max(v for x, v in g.items() if "c" in x)
+    crude_c = max(v for x, v in g.entries if x & ground.mask_of(["c"]))
     pointwise_c = max(d["c"], d["c"])
     pool = range(1, sc.delta(g, g) + 3)
     failures = 0

@@ -5,32 +5,29 @@ import pytest
 from supercolor import (
     GroundSet,
     InputError,
-    Partition,
     SetFn,
     bunch_partition,
     check_capacity,
     check_supermodular,
     common_transversal,
-    cover_witness,
     d_function,
     effective_family,
     encode_bipartite,
     gen_instance,
-    is_partial_transversal,
     mixed_configs,
     random_multigraph,
     reduce,
-    sample_partial_transversal,
 )
 from supercolor import core
 from supercolor.bunch import effective_entries, part_masks, reduce_entries
 from supercolor.core import bit_indices, require_valid
 from supercolor.matching import transversal_mask
 from conftest import names_of_sets
+from lemmas import cover_witness, is_partial_transversal, part_of, sample_partial_transversal
 
 
 def test_effective_family_worked_example(example_g):
-    assert names_of_sets(effective_family(example_g)) == {
+    assert names_of_sets(example_g.ground, effective_family(example_g)) == {
         tuple("abcd"),
         tuple("cdef"),
         tuple("abcdef"),
@@ -52,14 +49,15 @@ def test_effective_family_rejects_invalid(abc_ground):
 
 
 def test_partition_worked_example(example_g):
-    p = bunch_partition(example_g)
-    assert names_of_sets(p.parts) == {tuple("abcdef"), tuple("ghij")}
-    assert p.part_of("c").names == tuple("abcdef")
+    parts = bunch_partition(example_g)
+    ground = example_g.ground
+    assert parts == sorted(parts)
+    assert names_of_sets(ground, parts) == {tuple("abcdef"), tuple("ghij")}
+    assert ground.names_of(part_of(parts, ground.mask_of(["c"]))) == tuple("abcdef")
 
 
 def test_partition_empty_family_is_singletons(abc_ground):
-    p = bunch_partition(SetFn(abc_ground, ()))
-    assert names_of_sets(p.parts) == {("a",), ("b",), ("c",)}
+    assert bunch_partition(SetFn(abc_ground, ())) == [0b001, 0b010, 0b100]
 
 
 def test_partition_rejects_empty_set_of_value_two(abc_ground):
@@ -82,19 +80,18 @@ def test_d_function_empty(abc_ground):
 
 
 def test_partial_transversal(example_g):
-    p = bunch_partition(example_g)
+    parts = bunch_partition(example_g)
     ground = example_g.ground
-    assert is_partial_transversal(p, ground.subset(["f", "j"]))
-    assert not is_partial_transversal(p, ground.subset(["a", "b"]))
-    assert is_partial_transversal(p, ground.empty())
+    assert is_partial_transversal(parts, ground.mask_of(["f", "j"]))
+    assert not is_partial_transversal(parts, ground.mask_of(["a", "b"]))
+    assert is_partial_transversal(parts, 0)
 
 
 def test_reduce_worked_example(example_g):
-    k = example_g.ground.subset(["f", "j"])
-    result = reduce(example_g, k)
-    red = result.reduced
+    k = example_g.ground.mask_of(["f", "j"])
+    red, _ = reduce(example_g, k)
     assert red.ground.names == tuple("abcdeghi")
-    values = {x.names: v for x, v in red.items()}
+    values = {red.ground.names_of(x): v for x, v in red.entries}
     assert values == {
         tuple("abcd"): 3,
         tuple("cde"): 2,
@@ -103,8 +100,12 @@ def test_reduce_worked_example(example_g):
         tuple("ghi"): 2,
         tuple("gh"): 2,
     }
-    assert names_of_sets(effective_family(red)) == {tuple("abcd"), tuple("cd"), tuple("gh")}
-    assert names_of_sets(bunch_partition(red).parts) == {
+    assert names_of_sets(red.ground, effective_family(red)) == {
+        tuple("abcd"),
+        tuple("cd"),
+        tuple("gh"),
+    }
+    assert names_of_sets(red.ground, bunch_partition(red)) == {
         tuple("abcd"),
         ("e",),
         tuple("gh"),
@@ -117,83 +118,82 @@ def test_reduce_worked_example(example_g):
 
 
 def test_reduce_attainer_contract(example_g):
-    k = example_g.ground.subset(["f", "j"])
-    result = reduce(example_g, k)
-    for x, z in result.attainers.items():
-        assert tuple(n for n in z.names if n not in ("f", "j")) == x.names
-        hat = example_g.value(z) - (1 if z.mask & k.mask else 0)
-        assert hat == result.reduced.value(x)
+    ground = example_g.ground
+    k = ground.mask_of(["f", "j"])
+    red, attainers = reduce(example_g, k)
+    assert sorted(attainers) == [x for x, _ in red.entries]
+    for x, z in attainers.items():
+        assert ground.names_of(z & ~k) == red.ground.names_of(x)
+        hat = example_g.value_of_mask(z) - (1 if z & k else 0)
+        assert hat == red.value_of_mask(x)
         # no other preimage beats the recorded one
-        for w, v in example_g.items():
-            if tuple(n for n in w.names if n not in ("f", "j")) == x.names:
-                assert v - (1 if w.mask & k.mask else 0) <= hat
+        for w, v in example_g.entries:
+            if ground.names_of(w & ~k) == red.ground.names_of(x):
+                assert v - (1 if w & k else 0) <= hat
 
 
 def test_reduce_by_nothing_is_identity(example_g):
-    red = reduce(example_g, example_g.ground.empty()).reduced
+    red, attainers = reduce(example_g, 0)
     assert red == example_g
+    assert attainers == {m: m for m, _ in example_g.entries}
 
 
 def test_reduce_set_inside_removal():
     g = GroundSet(("a", "b"))
     fn = SetFn.from_names(g, [(["a"], 1)])
-    red = reduce(fn, g.subset(["a"])).reduced
+    red, attainers = reduce(fn, 0b01)
     assert red.ground.names == ("b",)
-    assert [(x.names, v) for x, v in red.items()] == [((), 0)]
+    assert red.entries == ((0, 0),)
+    assert attainers == {0: 0b01}
 
 
 def test_reduce_by_everything():
     g = GroundSet(("a", "b"))
     fn = SetFn.from_names(g, [(["a", "b"], 2)])
-    red = reduce(fn, g.universe()).reduced
+    red, _ = reduce(fn, g.full_mask)
     assert red.ground.names == ()
-    assert [(x.names, v) for x, v in red.items()] == [((), 1)]
+    assert red.entries == ((0, 1),)
+
+
+@pytest.mark.parametrize("kmask", [-1, 1 << 10])
+def test_reduce_rejects_a_mask_outside_the_ground(example_g, kmask):
+    with pytest.raises(InputError, match="outside the ground set of 10 elements"):
+        reduce(example_g, kmask)
 
 
 def test_cover_witness_effective_set(example_g):
-    x = example_g.ground.subset(["a", "b", "c", "d"])
+    x = example_g.ground.mask_of(["a", "b", "c", "d"])
     witness, part = cover_witness(example_g, x)
     assert witness == x
-    assert part.names == tuple("abcdef")
+    assert example_g.ground.names_of(part) == tuple("abcdef")
 
 
 def test_cover_witness_non_effective(abc_ground):
     g = SetFn.from_names(abc_ground, [(["a", "b"], 2), (["a", "b", "c"], 2)])
-    witness, part = cover_witness(g, abc_ground.subset(["a", "b", "c"]))
-    assert witness.names == ("a", "b")
-    assert witness <= part
-    assert g.value(witness) >= 2
+    witness, part = cover_witness(g, 0b111)
+    assert witness == 0b011
+    assert witness & ~part == 0
+    assert g.value_of_mask(witness) >= 2
 
 
 def test_cover_witness_minimal_set_is_itself(abc_ground):
     g = SetFn.from_names(abc_ground, [(["a", "b"], 2)])
-    x = abc_ground.subset(["a", "b"])
-    assert cover_witness(g, x)[0] == x
+    assert cover_witness(g, 0b011)[0] == 0b011
 
 
 def test_cover_witness_validates_once(monkeypatch, example_g):
     calls = []
     walk = core._check_pairs
     monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
-    x = example_g.ground.subset(["a", "b", "c", "d"])
-    assert cover_witness(example_g, x)[1].names == tuple("abcdef")
+    x = example_g.ground.mask_of(["a", "b", "c", "d"])
+    assert example_g.ground.names_of(cover_witness(example_g, x)[1]) == tuple("abcdef")
     assert calls == [example_g]  # one pair walk, shared with the partition
 
 
 def test_cover_witness_requires_value_two(abc_ground):
     g = SetFn.from_names(abc_ground, [(["a", "b"], 1)])
     with pytest.raises(InputError):
-        cover_witness(g, abc_ground.subset(["a", "b"]))
-
-
-def test_partition_validation(abc_ground):
-    with pytest.raises(InputError):
-        Partition(abc_ground, (abc_ground.subset(["a"]),))  # does not cover
-    with pytest.raises(InputError):
-        Partition(
-            abc_ground,
-            (abc_ground.subset(["a", "b"]), abc_ground.subset(["b", "c"])),
-        )
+        cover_witness(g, 0b011)
 
 
 @pytest.mark.parametrize(
@@ -213,14 +213,14 @@ def test_reduction_invariants_random():
     rng = random.Random(20240)
     for cfg in mixed_configs(seed=501, count=40, n_max=7):
         for g in gen_instance(cfg):
-            p = bunch_partition(g)
-            k = sample_partial_transversal(p, rng)
-            red = reduce(g, k).reduced
+            parts = bunch_partition(g)
+            k = sample_partial_transversal(parts, rng)
+            red, _ = reduce(g, k)
             assert check_supermodular(red).ok
             assert check_capacity(red).ok
             d0, d1 = d_function(g), d_function(red)
             for u in red.ground.names:
-                if p.part_of(u).mask & k.mask:
+                if part_of(parts, g.ground.mask_of([u])) & k:
                     assert d1[u] < d0[u]
                 else:
                     assert d1[u] == d0[u]

@@ -308,6 +308,21 @@ def test_non_finite_colors_are_exit_2(capsys, tmp_path, raw):
     assert code == 0 and payload["coloring"] == {"a": 1, "b": 1.5}
 
 
+@pytest.mark.parametrize("key", ["g1", "g2"])
+@pytest.mark.parametrize("value", ["x", None, [1]], ids=["str", "null", "list"])
+def test_set_listed_twice_with_a_non_integer_value_is_exit_2(capsys, tmp_path, key, value):
+    # the entries are sorted by mask alone, so the two values are never compared
+    doc = {"elements": ["a", "b"], "g1": [], "g2": []}
+    doc[key] = [{"set": ["a"], "value": 1}, {"set": ["a"], "value": value}]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code = run(["check", str(inst)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "set values must be integers" in captured.err
+
+
 def test_unhashable_set_members_are_exit_2(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"elements": ["a", "b"], "g1": [{"set": [["a"]], "value": 1}], "g2": []}')

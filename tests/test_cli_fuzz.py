@@ -91,8 +91,23 @@ crossing = st.tuples(big, st.integers(-2, 5), st.integers(-2, 5)).map(
         "g2": [],
     }
 )
+# one set listed twice on one side, the second value any scalar: SetFn must
+# reject it as input without comparing the two values
+duplicate = st.tuples(
+    st.sampled_from(("g1", "g2")),
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True),
+    st.integers(-2, 5),
+    scalars,
+).map(
+    lambda t: {
+        "elements": list(NAMES),
+        "g1": [],
+        "g2": [],
+        t[0]: [{"set": t[1], "value": t[2]}, {"set": t[1], "value": t[3]}],
+    }
+)
 instance = shapes(
-    st.one_of(supermodular, supermodular, extra_entry, crossing, arbitrary),
+    st.one_of(supermodular, supermodular, extra_entry, crossing, duplicate, arbitrary),
     ("elements", "g1", "g2", "unknown"),
 )
 lists = shapes(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from supercolor import (
-    ElemSet,
     GroundSet,
     InputError,
     SetFn,
@@ -23,7 +22,7 @@ from supercolor import (
     random_multigraph,
 )
 from supercolor import cli, core
-from supercolor.core import Report, Violation, _masks_intersecting, bit_indices, require_valid
+from supercolor.core import Report, Violation, bit_indices, require_valid
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -40,41 +39,22 @@ def test_ground_set_rejects_duplicates_and_bad_names():
 def test_mask_of_inverts_names_of(abc_ground):
     assert abc_ground.mask_of(["c", "a"]) == 0b101
     assert abc_ground.names_of(abc_ground.mask_of(["c", "a"])) == ("a", "c")
-    assert abc_ground.subset(["c", "a"]).mask == 0b101
     with pytest.raises(InputError, match="listed twice"):
         abc_ground.mask_of(["a", "a"])
     with pytest.raises(InputError, match="unknown element 'x'"):
         abc_ground.mask_of(["x"])
 
 
-def test_elem_set_ops(abc_ground):
-    x = abc_ground.subset(["a", "b"])
-    y = abc_ground.subset(["b", "c"])
-    assert (x | y).names == ("a", "b", "c")
-    assert (x & y).names == ("b",)
-    assert (x - y).names == ("a",)
-    assert x <= abc_ground.universe()
-    assert len(x) == 2 and "a" in x and "c" not in x
-
-
-def test_elem_set_ground_mismatch(abc_ground):
-    other = GroundSet(("x", "y"))
-    with pytest.raises(InputError):
-        abc_ground.subset(["a"]) | other.subset(["x"])
-
-
 def test_is_intersecting_examples():
-    g = GroundSet(("1", "2", "3"))
-    assert is_intersecting(g.subset(["1", "2"]), g.subset(["2", "3"]))
-    assert not is_intersecting(g.subset(["1", "2"]), g.subset(["1", "2", "3"]))
-    assert not is_intersecting(g.subset(["1"]), g.subset(["2"]))
+    assert is_intersecting(0b011, 0b110)
+    assert not is_intersecting(0b011, 0b111)
+    assert not is_intersecting(0b001, 0b010)
+    assert not is_intersecting(0, 0b001)
 
 
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_is_intersecting_symmetric(ma, mb):
-    g = GroundSet(tuple("abcdefgh"))
-    x, y = ElemSet(g, ma), ElemSet(g, mb)
-    assert is_intersecting(x, y) == is_intersecting(y, x)
+    assert is_intersecting(ma, mb) == is_intersecting(mb, ma)
 
 
 def test_family_closure_example(example_g):
@@ -132,7 +112,7 @@ def _ref_check_intersecting_family(g: SetFn) -> Report:
     violations: list[Violation] = []
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:
-            if not _masks_intersecting(a, b):
+            if not is_intersecting(a, b):
                 continue
             missing = [m for m in (a | b, a & b) if m not in present]
             for m in missing:
@@ -158,7 +138,7 @@ def _ref_check_supermodular(g: SetFn) -> Report:
     for i, a in enumerate(masks):
         va = g.value_of_mask(a)
         for b in masks[i + 1 :]:
-            if not _masks_intersecting(a, b):
+            if not is_intersecting(a, b):
                 continue
             vb = g.value_of_mask(b)
             lhs = va + vb
@@ -212,7 +192,7 @@ def _with_values(rng: random.Random, ground: GroundSet, masks: set, close: bool)
             grown = False
             for a in list(masks):
                 for b in list(masks):
-                    if _masks_intersecting(a, b) and not {a | b, a & b} <= masks:
+                    if is_intersecting(a, b) and not {a | b, a & b} <= masks:
                         masks |= {a | b, a & b}
                         grown = True
     if rng.random() < 0.5:

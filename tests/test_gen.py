@@ -10,16 +10,12 @@ from supercolor import (
     check_intersecting_family,
     check_supermodular,
     dump_json,
-    gen_closure,
     gen_instance,
-    gen_laminar,
-    gen_rank_complement,
     instance_payload,
-    is_partial_transversal,
     mixed_configs,
-    sample_partial_transversal,
 )
 from supercolor.gen import close_family, rank_complement_value
+from lemmas import is_partial_transversal, sample_partial_transversal
 
 
 def all_checks_ok(g):
@@ -30,11 +26,17 @@ def all_checks_ok(g):
     )
 
 
-@pytest.mark.parametrize("builder", [gen_laminar, gen_closure, gen_rank_complement])
+def first_function(seed, n_elements, strategy):
+    """g1 of the strategy's instance: the first function its generator draws."""
+    return gen_instance(GenConfig(seed=seed, n_elements=n_elements, strategy=strategy))[0]
+
+
+@pytest.mark.parametrize(
+    "strategy", ["laminar", "closure", "rank_complement"], ids=lambda s: f"gen_{s}"
+)
 @pytest.mark.parametrize("seed", [0, 1, 7, 99])
-def test_single_generators_valid(builder, seed):
-    cfg = GenConfig(seed=seed, n_elements=7, strategy="closure")
-    assert all_checks_ok(builder(cfg))
+def test_single_generators_valid(strategy, seed):
+    assert all_checks_ok(first_function(seed, 7, strategy))
 
 
 def test_generator_determinism():
@@ -46,16 +48,15 @@ def test_generator_determinism():
 
 
 def test_laminar_single_element():
-    cfg = GenConfig(seed=3, n_elements=1, strategy="laminar")
-    fn = gen_laminar(cfg)
+    fn = first_function(3, 1, "laminar")
     assert len(fn) <= 1
-    for x, v in fn.items():
-        assert x.names == ("a",) and v == 1
+    for x, v in fn.entries:
+        assert fn.ground.names_of(x) == ("a",) and v == 1
 
 
 def test_laminar_has_no_intersecting_pairs():
     for seed in range(30):
-        fn = gen_laminar(GenConfig(seed=seed, n_elements=8, strategy="laminar"))
+        fn = first_function(seed, 8, "laminar")
         masks = [m for m, _ in fn.entries]
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
@@ -117,7 +118,7 @@ def test_sample_partial_transversal():
     rng = random.Random(17)
     for cfg in mixed_configs(seed=900, count=30, n_max=8):
         g1, _ = gen_instance(cfg)
-        p = bunch_partition(g1)
+        parts = bunch_partition(g1)
         for _ in range(5):
-            k = sample_partial_transversal(p, rng)
-            assert is_partial_transversal(p, k)
+            k = sample_partial_transversal(parts, rng)
+            assert is_partial_transversal(parts, k)

@@ -33,7 +33,7 @@ from supercolor import (
     random_multigraph,
 )
 from supercolor import matching, pi
-from supercolor.bunch import d_list, d_values, effective_entries, part_masks, reduce_entries
+from supercolor.bunch import d_list, effective_entries, part_masks, reduce_entries
 from supercolor.core import (
     GroundSet,
     Report,
@@ -82,6 +82,12 @@ def ref_part_masks(eff, live: int) -> list[int]:
 
 def ref_d_values(eff, mask: int) -> dict[int, int]:
     return {i: max((v for m, v in eff if (m >> i) & 1), default=1) for i in bit_indices(mask)}
+
+
+def d_at(eff, mask: int) -> dict[int, int]:
+    """d_list read at the elements of mask, keyed by index as ref_d_values is."""
+    d = d_list(eff, max([mask.bit_length()] + [m.bit_length() for m, _ in eff]))
+    return {i: d[i] for i in bit_indices(mask)}
 
 
 def ref_reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
@@ -201,7 +207,7 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
         lead, follow = (0, 1) if case == "a" else (1, 0)
         for i in bit_indices(hit & ~k):
             pis[lead][i] += 1
-        for i, bound in d_values(effs[follow], k).items():
+        for i, bound in ref_d_values(effs[follow], k).items():
             pis[follow][i] += bound - 1
         levels.append((live, k, case))
         reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
@@ -237,7 +243,7 @@ def ref_condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> Cond
     """(i)-(iii) for valid functions with effective entries effs and a pair
     defined on their whole ground set."""
     ground = g1.ground
-    d1, d2 = (d_values(eff, ground.full_mask) for eff in effs)
+    d1, d2 = (ref_d_values(eff, ground.full_mask) for eff in effs)
     witnesses = []
 
     i_ok = True
@@ -303,15 +309,15 @@ def test_helpers_match_references_on_every_level():
     for g1, g2 in instances:
         effs = [same(effective_entries, ref_effective_entries, g.entries)[1] for g in (g1, g2)]
         live = g1.ground.full_mask
-        for eff in effs:  # d_list is d_values of the whole ground set
+        for eff in effs:  # d_list is ref_d_values of the whole ground set
             want = ref_d_values(eff, live)
             assert d_list(eff, g1.ground.size) == [want[i] for i in range(g1.ground.size)]
         while live & (live - 1):
             parts = [same(part_masks, ref_part_masks, eff, live)[1] for eff in effs]
             for eff in effs:
-                same(d_values, ref_d_values, eff, live)
+                same(d_at, ref_d_values, eff, live)
             k, case = same(k_and_case, ref_transversal_mask, *parts)[1]
-            same(d_values, ref_d_values, effs[1 if case == "a" else 0], k)
+            same(d_at, ref_d_values, effs[1 if case == "a" else 0], k)
             reduced = [same(reduce_entries, ref_reduce_entries, eff, k)[1] for eff in effs]
             effs = [
                 same(effective_entries, ref_effective_entries, [(p, hv[0]) for p, hv in r])[1]
@@ -372,8 +378,8 @@ def test_helpers_match_references_on_small_random_inputs():
     for i, (entries, live) in enumerate(cases):
         same(effective_entries, ref_effective_entries, entries)
         same(reduce_entries, ref_reduce_entries, entries, rng.getrandbits(7))
-        # d_values reads effective entries, whose values are at least 2
-        same(d_values, ref_d_values, ref_effective_entries(entries), live | rng.getrandbits(7))
+        # d_list reads effective entries, whose values are at least 2
+        same(d_at, ref_d_values, ref_effective_entries(entries), live | rng.getrandbits(7))
         kind, parts = same(part_masks, ref_part_masks, entries, live)
         compared += 4
         if kind != "ok":

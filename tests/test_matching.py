@@ -17,7 +17,6 @@ from supercolor import (
     encode_bipartite,
     gen_instance,
     instance_payload,
-    is_partial_transversal,
     mixed_configs,
     random_multigraph,
     verify_conditions,
@@ -25,6 +24,7 @@ from supercolor import (
 from supercolor.bunch import effective_entries, part_masks
 from supercolor.core import bit_indices
 from supercolor.matching import SCAN_NODE_BUDGET, closed_pairs, transversal_mask
+from lemmas import is_partial_transversal, part_of
 
 
 def graph(s, t, pairs):
@@ -110,7 +110,7 @@ def test_common_transversal_tight_singleton(abc_ground):
     # partitions {{a,b},{c}} and {{a},{b,c}}
     g1, g2 = two_partition_functions(abc_ground, [["a", "b"]], [["b", "c"]])
     result = common_transversal(g1, g2)
-    assert result.k.names == ("c",)
+    assert result.k == ("c",)
     assert result.case_tag == "a"
 
 
@@ -125,28 +125,33 @@ def test_common_transversal_worked_example(example_instance):
     g1, g2 = example_instance
     result = common_transversal(g1, g2)
     assert result.case_tag == "b"
-    p1, p2 = bunch_partition(g1), bunch_partition(g2)
     assert result.k
-    assert is_partial_transversal(p1, result.k)
-    assert is_partial_transversal(p2, result.k)
+    k = g1.ground.mask_of(result.k)
+    p1, p2 = bunch_partition(g1), bunch_partition(g2)
+    assert is_partial_transversal(p1, k)
+    assert is_partial_transversal(p2, k)
     # condition (b): a hit part on side 2 forces a hit part on side 1
-    for name in g1.ground.names:
-        if p2.part_of(name).mask & result.k.mask:
-            assert p1.part_of(name).mask & result.k.mask
+    assert_case_condition(p2, p1, k, g1.ground.full_mask)
 
 
 def test_common_transversal_condition_holds_randomly():
     for cfg in mixed_configs(seed=23, count=60, n_max=7):
         g1, g2 = gen_instance(cfg)
         result = common_transversal(g1, g2)
-        p1, p2 = bunch_partition(g1), bunch_partition(g2)
         assert result.k
-        assert is_partial_transversal(p1, result.k)
-        assert is_partial_transversal(p2, result.k)
+        k = g1.ground.mask_of(result.k)
+        p1, p2 = bunch_partition(g1), bunch_partition(g2)
+        assert is_partial_transversal(p1, k)
+        assert is_partial_transversal(p2, k)
         lead, follow = (p1, p2) if result.case_tag == "a" else (p2, p1)
-        for name in g1.ground.names:
-            if lead.part_of(name).mask & result.k.mask:
-                assert follow.part_of(name).mask & result.k.mask
+        assert_case_condition(lead, follow, k, g1.ground.full_mask)
+
+
+def assert_case_condition(lead, follow, k, full):
+    """Every element of a K-hit lead part lies in a K-hit follow part."""
+    for i in bit_indices(full):
+        if part_of(lead, 1 << i) & k:
+            assert part_of(follow, 1 << i) & k
 
 
 def _transversal_by_graph(parts1, parts2):

@@ -100,18 +100,18 @@ def _reference_pi(g1, g2, trace):
     if ground.size <= 1:
         return {u: 1 for u in ground.names}, {u: 1 for u in ground.names}
     result = common_transversal(g1, g2)
-    k, case = result.k, result.case_tag
-    trace.append({"universe": list(ground.names), "k": list(k.names), "case": case})
-    subs = _reference_pi(reduce(g1, k).reduced, reduce(g2, k).reduced, trace)
+    k, case = ground.mask_of(result.k), result.case_tag
+    trace.append({"universe": list(ground.names), "k": list(result.k), "case": case})
+    subs = _reference_pi(reduce(g1, k)[0], reduce(g2, k)[0], trace)
     lead, follow = (0, 1) if case == "a" else (1, 0)
     parts = bunch_partition((g1, g2)[lead])
     d = d_function((g1, g2)[follow])
     pis = ({}, {})
-    for u in ground.names:
-        if u in k:
+    for i, u in enumerate(ground.names):
+        if k >> i & 1:
             pis[lead][u], pis[follow][u] = 1, d[u]
         else:
-            hit = bool(parts.part_of(u).mask & k.mask)
+            hit = any(part >> i & 1 and part & k for part in parts)
             pis[lead][u] = subs[lead][u] + hit
             pis[follow][u] = subs[follow][u]
     return pis
@@ -167,8 +167,8 @@ def test_pointwise_bound_tighter_than_global():
         for u in g1.ground.names:
             crude = max(
                 [1]
-                + [v for x, v in g1.items() if u in x]
-                + [v for x, v in g2.items() if u in x]
+                + [v for x, v in g1.entries if u in g1.ground.names_of(x)]
+                + [v for x, v in g2.entries if u in g2.ground.names_of(x)]
             )
             assert max(d1[u], d2[u]) <= crude <= max(span, crude)
             assert max(d1[u], d2[u]) <= span
@@ -178,7 +178,7 @@ def test_strictness_witness():
     ground = GroundSet(("a", "b", "c"))
     g = SetFn.from_names(ground, [(["a", "b"], 2), (["a", "b", "c"], 2)])
     d = d_function(g)
-    crude = max(v for x, v in g.items() if "c" in x)
+    crude = max(v for x, v in g.entries if x & ground.mask_of(["c"]))
     assert crude == 2
     assert max(d["c"], d["c"]) == 1
 
