@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import sys
 import time
 import traceback
@@ -199,19 +198,18 @@ def _cmd_transversal(args, caps) -> tuple[int, dict]:
 
 
 def _derive(g1: SetFn, g2: SetFn) -> tuple[list, list]:
-    """Both sides' effective entries and d-lists (bunch.d_list), derived once
-    for functions already checked valid."""
+    """Check both functions (either side's invalidity before any capacity
+    error), then derive their effective entries and d-lists (bunch.d_list) once."""
+    for g in (g1, g2):
+        require_valid(g)
+    for g in (g1, g2):
+        require_capacity(g)
     effs = [bunch.effective_entries(g.entries) for g in (g1, g2)]
     return effs, [bunch.d_list(eff, g1.ground.size) for eff in effs]
 
 
 def _cmd_pi(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    # the command reports either side's invalidity before any capacity error
-    for g in (g1, g2):
-        require_valid(g)
-    for g in (g1, g2):
-        require_capacity(g)
     effs, ds = _derive(g1, g2)
     f_map = oracle._tight_lengths(g1.ground.names, ds)
     span = delta(g1, g2)
@@ -219,7 +217,7 @@ def _cmd_pi(args, caps) -> tuple[int, dict]:
         pair, levels = pi_mod._build(g1.ground, effs)
         trace = pi_mod._level_log(g1.ground, levels)
     else:
-        pair, trace = pi_mod._schrijver(g1, g2, caps), []
+        pair, trace = pi_mod.schrijver_pi(g1, g2, caps), []
     conditions = pi_mod._condition_report(g1, g2, pair, ds)
     if args.method == "keylemma":
         ok = conditions.all_ok
@@ -320,9 +318,9 @@ def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
     nonempty list, and count how often a coloring still exists."""
     if args.draws < 0:
         raise InputError("draws must be nonnegative")
-    colorable = uncolorable = skipped = 0
+    drawn = uncolorable = skipped = 0
     for cfg in gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
-        g1, g2 = gen.gen_instance(cfg)  # valid and capacity-bounded
+        g1, g2 = gen.gen_instance(cfg)
         names = g1.ground.names
         bound = oracle._tight_lengths(names, _derive(g1, g2)[1])
         if all(b == 1 for b in bound.values()):
@@ -330,21 +328,16 @@ def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
             continue
         shorter = {u: max(1, b - 1) for u, b in bound.items()}
         sigma = delta(g1, g2) + 2
-        rng = random.Random(cfg.seed ^ 0x7717)
         index = oracle._constraint_index(g1, g2)
-        for _ in range(args.draws):
-            lists = oracle._draw_lists(shorter, sigma, rng)
-            if oracle._list_search(names, lists, index, caps) is None:
-                uncolorable += 1
-            else:
-                colorable += 1
-    total = colorable + uncolorable
+        report = oracle._trials(names, shorter, index, args.draws, sigma, cfg.seed ^ 0x7717, caps)
+        drawn += args.draws
+        uncolorable += len(report.violations)
     return 0, {
-        "draws": total,
-        "colorable": colorable,
+        "draws": drawn,
+        "colorable": drawn - uncolorable,
         "uncolorable": uncolorable,
         "skipped_trivial_instances": skipped,
-        "failure_rate": (uncolorable / total) if total else None,
+        "failure_rate": (uncolorable / drawn) if drawn else None,
     }
 
 
@@ -472,11 +465,9 @@ def batch_verify(
     }
     failures = []
     for cfg in configs:
-        # gen_instance checks both functions (valid, capacity-bounded), so
-        # the cores below run on them without validating again
         g1, g2 = gen.gen_instance(cfg)
         names = g1.ground.names
-        effs, ds = _derive(g1, g2)
+        effs, ds = _derive(g1, g2)  # checked, on gen_instance's proof
         pair, _ = pi_mod._build(g1.ground, effs)
         conditions = pi_mod._condition_report(g1, g2, pair, ds)
         index = oracle._constraint_index(g1, g2)

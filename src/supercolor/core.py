@@ -8,6 +8,11 @@ convert only at the boundary, where files are read and the CLI prints.  A
 SetFn maps an explicit family of subsets to integers; the structural checks
 (intersecting-closure, supermodularity, capacity) run against it and report
 witnesses instead of raising.
+
+Validation happens once per function, at the boundary: require_valid and
+require_capacity record a pass in a private attribute of the frozen SetFn,
+outside ==, hash and repr, so later calls on it return at once.  A failed
+check records nothing, and the check_* reporters walk on every call.
 """
 
 from __future__ import annotations
@@ -226,7 +231,9 @@ def check_capacity(g: SetFn) -> Report:
 
 
 def require_valid(g: SetFn) -> None:
-    """Raise InputError unless g is an intersecting-supermodular function."""
+    """Raise InputError unless g is an intersecting-supermodular function; a pass is recorded."""
+    if getattr(g, "_valid", False):
+        return
     report = check_supermodular(g)  # raises if the family is not closed
     if not report.ok:
         v = report.violations[0]
@@ -235,21 +242,29 @@ def require_valid(g: SetFn) -> None:
             f"{{{','.join(v.subjects[0])}}}, {{{','.join(v.subjects[1])}}} "
             f"give {v.values[0]} > {v.values[1]}"
         )
+    object.__setattr__(g, "_valid", True)
 
 
 def require_capacity(g: SetFn) -> None:
+    if getattr(g, "_capacity", False):
+        return
     report = check_capacity(g)
     if not report.ok:
         v = report.violations[0]
         raise InputError(
             f"capacity violated: |{{{','.join(v.subjects[0])}}}| = {v.values[0]} < {v.values[1]}"
         )
+    object.__setattr__(g, "_capacity", True)
+
+
+def require_same_ground(g1: SetFn, g2: SetFn) -> None:
+    if g1.ground != g2.ground:
+        raise InputError("functions live on different ground sets")
 
 
 def delta(g1: SetFn, g2: SetFn) -> int:
     """max{1, max of all stored values}; the color count of the classic bound."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     best = 1
     for g in (g1, g2):
         for _, v in g.entries:
@@ -322,8 +337,7 @@ def load_instance(path) -> tuple[SetFn, SetFn]:
 
 def instance_payload(g1: SetFn, g2: SetFn) -> dict:
     """JSON-ready canonical form: elements in ground order, entries sorted."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     return {
         "elements": list(g1.ground.names),
         "g1": [{"set": list(g1.ground.names_of(m)), "value": v} for m, v in g1.entries],

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
-from .core import InputError, ResourceLimitError, SetFn, bit_indices
+from .core import InputError, ResourceLimitError, SetFn, bit_indices, require_same_ground
 from .bunch import bunch_partition
 
 SCAN_NODE_BUDGET = 1 << 22
@@ -245,8 +245,7 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str, in
 
 def common_transversal(g1: SetFn, g2: SetFn) -> TransversalResult:
     """Nonempty common partial transversal of both bunch partitions."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     if g1.ground.size == 0:
         raise InputError("common transversal needs a nonempty ground set")
     k, case, _ = transversal_mask(*(bunch_partition(g) for g in (g1, g2)))

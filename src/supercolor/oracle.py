@@ -13,8 +13,11 @@ is refused outright when some set's bound exceeds the number of distinct
 colors in the union of its elements' domains, since no assignment can give the
 set more colors than its elements can take.
 
-Each public function validates its arguments, then calls a private core that
-takes them as checked: _k_search, _min_k, _list_search, _trials and
+The public functions check what they rely on, through core.require_valid and
+require_capacity, which record a pass on the function: min_k capacity,
+tight_lengths validity, verify_main_theorem both, and find_k_coloring and
+find_list_coloring only a shared ground set and their k or lists.  Then each
+calls a private core: _k_search, _min_k, _list_search, _trials and
 _tight_lengths.  A core searches on a constraint index built once per
 instance (_constraint_index), so verify_main_theorem and min_k build it once
 per call, and cli.batch_verify once per instance for all of its searches.
@@ -35,6 +38,7 @@ from .core import (
     bit_indices,
     delta,
     require_capacity,
+    require_same_ground,
     require_valid,
 )
 from .bunch import d_list, effective_entries
@@ -163,8 +167,7 @@ def find_k_coloring(
     canonically smallest one never uses a color above |U|.  For the same
     reason it already numbers its colors in order of first use, so the search
     gives element i only colors up to 1 + the largest used before it."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     _require_k_search(g1.ground.size, caps)
@@ -213,8 +216,7 @@ def find_list_coloring(
     """Dominating coloring drawing each element's color from its own list,
     or None when the exhaustive search proves there is none.  A list for an
     element outside the ground set is bad input."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     domains = []
     budget = 1
     names = g1.ground.names
@@ -258,8 +260,7 @@ def _list_search(
 
 def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
     """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     for g in (g1, g2):
         require_valid(g)
     size = g1.ground.size

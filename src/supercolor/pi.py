@@ -19,10 +19,10 @@ mask, so its value is final once it is peeled.  The alternative schrijver_pi
 splits one dominating coloring into complementary halves; it meets (i) only
 against the global color count, not the pointwise bound.
 
-Each public function validates, then calls a core that takes its input as
-checked: _build (from effective entries), _condition_report (from d-lists)
-and _schrijver.  cli.batch_verify calls the cores on generated instances,
-which gen_instance has already checked.
+Each public function validates with core.require_valid and require_capacity,
+which record a pass on the function, so verify_conditions after construct_pi
+walks nothing.  The cores take derived data: _build (effective entries) and
+_condition_report (d-lists); cli.batch_verify calls them after the same checks.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .core import (
     bit_indices,
     delta,
     require_capacity,
+    require_same_ground,
     require_valid,
 )
 from .bunch import d_list, effective_entries, part_masks, reduce_entries
@@ -177,8 +178,7 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
 def _checked_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
     """The one validation (both functions valid and capacity-bounded on one
     ground set), then _build; with check, also (i)-(iii) on the pair."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     for g in (g1, g2):
         require_valid(g)
         require_capacity(g)
@@ -217,8 +217,7 @@ def _level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
 
 def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
     """Evaluate (i), (ii), (iii) exactly and list every witness of failure."""
-    if g1.ground != g2.ground:
-        raise InputError("functions live on different ground sets")
+    require_same_ground(g1, g2)
     for name in g1.ground.names:
         if name not in pair.pi1 or name not in pair.pi2:
             raise InputError(f"pair missing element {name!r}")
@@ -266,11 +265,6 @@ def schrijver_pi(
     for g in (g1, g2):
         require_valid(g)
         require_capacity(g)
-    return _schrijver(g1, g2, caps)
-
-
-def _schrijver(g1: SetFn, g2: SetFn, caps: oracle.SearchCaps) -> PiPair:
-    """schrijver_pi for valid capacity-bounded functions."""
     k = delta(g1, g2)
     coloring = oracle.find_k_coloring(g1, g2, k, caps)
     if coloring is None:

@@ -182,12 +182,13 @@ def test_cover_witness_minimal_set_is_itself(abc_ground):
 
 
 def test_cover_witness_validates_once(monkeypatch, example_g):
+    fresh = SetFn(example_g.ground, example_g.entries)  # no record of a passed check
     calls = []
     walk = core._check_pairs
     monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
-    x = example_g.ground.mask_of(["a", "b", "c", "d"])
-    assert example_g.ground.names_of(cover_witness(example_g, x)[1]) == tuple("abcdef")
-    assert calls == [example_g]  # one pair walk, shared with the partition
+    x = fresh.ground.mask_of(["a", "b", "c", "d"])
+    assert fresh.ground.names_of(cover_witness(fresh, x)[1]) == tuple("abcdef")
+    assert calls == [fresh]  # one pair walk, shared with the partition
 
 
 def test_cover_witness_requires_value_two(abc_ground):

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import pathlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,16 +15,20 @@ from supercolor import (
     check_capacity,
     check_intersecting_family,
     check_supermodular,
+    construct_pi,
     delta,
     dump_json,
     encode_bipartite,
+    gen_instance,
     instance_payload,
     is_intersecting,
+    mixed_configs,
     parse_instance,
     random_multigraph,
+    verify_conditions,
 )
 from supercolor import cli, core
-from supercolor.core import Report, Violation, bit_indices, require_valid
+from supercolor.core import Report, Violation, bit_indices, require_capacity, require_valid
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -263,6 +269,126 @@ def test_one_pair_walk_per_check(monkeypatch, example_path):
     assert len(calls) == 2
     assert cli.run(["check", str(example_path)]) == 0
     assert len(calls) == 4  # one walk per side
+
+
+# -- validation once: a passed check is recorded on the function ---------------
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The functions handed to each pair walk and each capacity scan, in order,
+    through core's bindings and the ones cli's check command uses."""
+    seen = SimpleNamespace(pairs=[], capacity=[])
+    walk, scan = core._check_pairs, core.check_capacity
+    for module in (core, cli):
+        monkeypatch.setattr(module, "_check_pairs", lambda g: seen.pairs.append(g) or walk(g))
+        monkeypatch.setattr(module, "check_capacity", lambda g: seen.capacity.append(g) or scan(g))
+    return seen
+
+
+def test_pi_op_walks_each_function_once(walks):
+    """The bench's pi op: parse, then two public calls on the same functions."""
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=3, count=20, n_min=6, n_max=10)]
+    instances.append(encode_bipartite(random_multigraph(random.Random(3280387012), 32)))
+    for instance in instances:
+        g1, g2 = parse_instance(dump_json(instance_payload(*instance)))
+        walks.pairs.clear()
+        walks.capacity.clear()
+        pair = construct_pi(g1, g2, check=False)
+        assert verify_conditions(g1, g2, pair).all_ok
+        assert walks.pairs == walks.capacity == [g1, g2]
+
+
+@pytest.mark.parametrize("argv, pair_walks", [
+    (["analyze"], 1),
+    (["reduce", "--k", "f,j"], 4),  # each side and each reduced side
+    (["transversal"], 2),
+    (["pi"], 2),
+    (["pi", "--method", "schrijver"], 2),
+    (["verify", "--trials", "5"], 2),
+    (["color", "--k", "4"], 0),  # the search needs no supermodularity
+    (["check"], 2),
+])
+def test_commands_walk_each_function_once(capsys, walks, example_path, argv, pair_walks):
+    assert cli.run([argv[0], str(example_path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(walks.pairs) == pair_walks
+
+
+def test_a_failed_check_records_nothing(walks, abc_ground):
+    not_closed = SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "c"], 1)])
+    not_supermodular = SetFn.from_names(
+        abc_ground, [(["a", "b"], 2), (["b", "c"], 2), (["b"], 1), (["a", "b", "c"], 2)]
+    )
+    over = SetFn.from_names(abc_ground, [(["a"], 2)])
+    require_valid(over)  # valid, but a proof of validity is none of capacity
+    for g, check, seen in (
+        (not_closed, require_valid, walks.pairs),
+        (not_supermodular, require_valid, walks.pairs),
+        (over, require_capacity, walks.capacity),
+    ):
+        seen.clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputError) as e:
+                check(g)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+        assert len(seen) == 2 and all(x is g for x in seen)
+
+
+def test_a_proven_function_is_equal_to_a_fresh_one(walks, example_path):
+    text = example_path.read_text()
+    proven, fresh = parse_instance(text), parse_instance(text)
+    for g in proven:
+        require_valid(g)
+        require_capacity(g)
+        require_valid(g)
+        require_capacity(g)
+    assert len(walks.pairs) == len(walks.capacity) == 2  # the second calls returned at once
+    assert proven == fresh
+    assert list(map(hash, proven)) == list(map(hash, fresh))
+    assert list(map(repr, proven)) == list(map(repr, fresh))
+    assert instance_payload(*proven) == instance_payload(*fresh)
+    assert cli.instance_digest(*proven) == cli.instance_digest(*fresh)
+
+
+def test_a_replaced_copy_is_unproven(walks, example_path):
+    g, _ = parse_instance(example_path.read_text())
+    require_valid(g)
+    require_capacity(g)
+    copy = dataclasses.replace(g)
+    for fn in (g, copy):
+        require_valid(fn)
+        require_capacity(fn)
+    assert [x is copy for x in walks.pairs] == [x is copy for x in walks.capacity] == [False, True]
+
+
+def test_only_the_require_checks_write_their_records():
+    """The records' attribute names appear in core.require_valid and
+    core.require_capacity alone, and the package keeps no functools cache."""
+    package = pathlib.Path(core.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "functools" not in text and "lru_cache" not in text, path.name
+        tree = ast.parse(text, str(path))
+        owner = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        uses += [
+            (path.name, owner.get(id(node)), node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("_valid", "_capacity")
+        ]
+    assert sorted(uses) == [
+        ("core.py", "require_capacity", "_capacity"),
+        ("core.py", "require_capacity", "_capacity"),
+        ("core.py", "require_valid", "_valid"),
+        ("core.py", "require_valid", "_valid"),
+    ]
 
 
 def test_capacity(example_g, abc_ground):

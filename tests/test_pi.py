@@ -133,8 +133,9 @@ def test_construct_pi_matches_public_steps():
 
 
 def test_construct_pi_validates_once(monkeypatch):
-    g1, g2 = encode_bipartite(random_multigraph(random.Random(3280387012), 32))
-    assert len(construct_pi_traced(g1, g2, check=False)[1]) == 27
+    graph = random_multigraph(random.Random(3280387012), 32)
+    assert len(construct_pi_traced(*encode_bipartite(graph), check=False)[1]) == 27
+    g1, g2 = encode_bipartite(graph)  # fresh: no record of a passed check
     calls = []
     walk = core._check_pairs
     monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
