@@ -9,13 +9,17 @@ both the per-element list-length bound and the level-by-level construction.
 The public functions validate, then call the mask-level helpers
 (effective_entries, part_masks, d_list, reduce_entries).  Those run at every
 level of construct_pi, on one hit part's entries, so they are plain loops
-over (mask, value) pairs: at that size the cost is per-call overhead, not the
+over (mask, value) pairs that return at once on the zero or one set a hit
+part often holds: at that size the cost is per-call overhead, not the
 asymptotics.  part_masks takes the maximal sets greedily by descending size
 and checks that every other set lies strictly inside the part holding its
-lowest bit, which is how an overlap surfaces.
+lowest bit, which is how an overlap surfaces.  reduce_entries keeps only the
+merged values; reduce finds the least set attaining each in one more pass.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .core import GroundSet, InputError, SetFn, require_valid
 
@@ -23,7 +27,12 @@ from .core import GroundSet, InputError, SetFn, require_valid
 def effective_entries(entries) -> list[tuple[int, int]]:
     """The (mask, value) entries with value >= 2 and no proper subset of equal
     or larger value, in the given order.  The function is taken as valid."""
-    big = [(m, v) for m, v in entries if v >= 2]  # only these can dominate
+    big = []  # only these can dominate; a loop, as a comprehension costs a call
+    for m, v in entries:
+        if v >= 2:
+            big.append((m, v))
+    if len(big) < 2:  # nothing else to dominate the one set
+        return big
     eff = []
     for m, v in big:
         outside = ~m
@@ -48,7 +57,22 @@ def part_masks(eff, live: int) -> list[int]:
     exactly when the maximal sets are distinct and pairwise disjoint, which
     is always so for a valid input; otherwise, or when a part is empty or
     leaves the live mask, an upstream validity bug surfaces as a hard error.
+    One set or none needs no sort: the singletons come out ascending, and the
+    set is inserted among them.
     """
+    if len(eff) < 2:
+        m = eff[0][0] if eff else 0
+        if eff and (not m or m & ~live):
+            raise RuntimeError(_NOT_A_PARTITION)
+        parts = []
+        rest = live & ~m
+        while rest:
+            low = rest & -rest
+            parts.append(low)
+            rest ^= low
+        if m:
+            insort(parts, m)
+        return parts
     parts = []
     covered = 0
     for m in sorted([m for m, _ in eff], key=int.bit_count, reverse=True):
@@ -91,20 +115,21 @@ def d_list(eff, size: int) -> list[int]:
     return d
 
 
-def reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
+def reduce_entries(entries, kmask: int) -> dict[int, int]:
     """Reduce (mask, value) entries by the removal mask, staying on their
     ground set: each set drops its k-elements, sets that met k lose one unit of
-    value, and sets with the same residual merge by maximum.  Returns, per
-    residual, (value, least attaining mask).  Valid entries stay valid for any
+    value, and sets with the same residual merge by maximum.  Returns residual
+    -> value, in order of first appearance.  Valid entries stay valid for any
     k, and reducing only the effective entries keeps the effective family."""
-    best: dict[int, tuple[int, int]] = {}
+    best: dict[int, int] = {}
     keep = ~kmask
     for m, v in entries:
-        hat = v - 1 if m & kmask else v
-        proj = m & keep
-        cur = best.get(proj)
-        if cur is None or hat > cur[0] or (hat == cur[0] and m < cur[1]):
-            best[proj] = (hat, m)
+        if m & kmask:
+            m &= keep
+            v -= 1
+        cur = best.get(m)
+        if cur is None or v > cur:
+            best[m] = v
     return best
 
 
@@ -144,12 +169,17 @@ def reduce(g: SetFn, kmask: int) -> tuple[SetFn, dict[int, int]]:
         )
     require_valid(g)
     best = reduce_entries(g.entries, kmask)
+    least: dict[int, int] = {}
+    for m, v in g.entries:  # ascending masks: the first attainer is the least
+        p = m & ~kmask
+        if p not in least and (v - 1 if m & kmask else v) == best[p]:
+            least[p] = m
     names = g.ground.names_of
     new_ground = GroundSet(names(g.ground.full_mask & ~kmask))
     renamed = {p: new_ground.mask_of(names(p)) for p in best}
-    reduced = SetFn(new_ground, tuple((renamed[p], hv[0]) for p, hv in best.items()))
+    reduced = SetFn(new_ground, tuple((renamed[p], v) for p, v in best.items()))
     try:
         require_valid(reduced)
     except InputError as e:
         raise RuntimeError(f"reduction lost validity (internal bug): {e}") from e
-    return reduced, {renamed[p]: hv[1] for p, hv in best.items()}
+    return reduced, {renamed[p]: least[p] for p in best}

@@ -9,13 +9,13 @@ strictly below V) and match V onto Γ(V).  closed_pairs finds V by a pruned
 search of at most SCAN_NODE_BUDGET nodes and checks the matching on adjacency
 masks; closed_matching maps its index pairs to a graph's edges.
 
-transversal_mask runs at every level of construct_pi.  Most levels end at its
-singleton step: the first lead part inside one follow part is the first tight
-set of closed_pairs' search, so it is returned without the part graph.  Else it
-builds the part-versus-part adjacency masks with plain loops over the two
-partitions, hands them to closed_pairs, and returns with K the hit mask: the
-union of the matched lead parts, which are the K-hit ones.  It checks the case
-condition on that path, from the matched parts of both sides.
+transversal_mask builds the part-versus-part adjacency masks with plain loops
+over the two partitions, hands them to closed_pairs, and returns with K the
+hit mask: the union of the matched lead parts, which are the K-hit ones.  It
+checks the case condition from the matched parts of both sides.  construct_pi
+calls it only on the levels its singleton step does not settle (see
+pi._build); that step finds closed_pairs' first tight set when it has one
+element, so common_transversal, which always calls it, gets the same K.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ class BipartiteGraph:
         object.__setattr__(self, "s_vertices", tuple(self.s_vertices))
         object.__setattr__(self, "t_vertices", tuple(self.t_vertices))
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        s_set, t_set = set(self.s_vertices), set(self.t_vertices)
-        if len(s_set) != len(self.s_vertices):
-            raise InputError("duplicate S-vertex ids")
-        if len(t_set) != len(self.t_vertices):
-            raise InputError("duplicate T-vertex ids")
+        s_set = _distinct(self.s_vertices, "S")
+        t_set = _distinct(self.t_vertices, "T")
         ids = set()
         for e in self.edges:
             if e.s not in s_set:
@@ -86,6 +83,17 @@ class BipartiteGraph:
             raise InputError(f'side must be "s" or "t", got {side!r}')
         pos = 0 if side == "s" else 1
         return sum(1 for e in self.edges if e[pos] == vertex)
+
+
+def _distinct(vertices: tuple, side: str) -> set:
+    """The set of vertices; the first repeated one (Python takes 1, 1.0 and
+    True as one id) is an input error that names it."""
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise InputError(f"duplicate {side}-vertex id {v!r}")
+        seen.add(v)
+    return seen
 
 
 def closed_pairs(adj: list[int], nt: int, s_names) -> list[tuple[int, int]]:
@@ -206,22 +214,9 @@ def transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str, in
     element, with the larger side as S; each matched pair of parts gives
     its least common element.  Each matched part holds exactly one element
     of K, so the matched lead parts are the K-hit ones.
-
-    Singleton step: if no lead part is empty and both cover one mask,
-    closed_pairs cannot raise, and its first tight set is V = {s}: s is the
-    first lead part inside the follow part holding its lowest bit.  K is that
-    bit and the hit mask is the part.  Other inputs take the general path.
     """
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
-    if 0 not in lead and sum(lead) == sum(follow):
-        for part in lead:
-            low = part & -part
-            for f in follow:
-                if f & low:
-                    break
-            if not part & ~f:
-                return low, case, part
     adj = []
     for part in lead:
         a = 0

@@ -11,7 +11,9 @@ off a common partial transversal K of the two bunch partitions, reduce both
 effective families by K, and repeat on the smaller instance.  Every effective
 set lies inside one bunch part and K meets a part in at most one element, so
 the reduction acts on each part alone: a level re-derives only the parts that
-K hits and carries every other part over unchanged.  Values start at
+K hits and carries every other part over unchanged.  Most levels find K by
+the singleton step, one lookup per lead part in the follow side's
+element-to-part index; only the others build a part graph.  Values start at
 1 and only grow: on the side whose matched parts drove the matching, the
 other elements of K-hit parts go up by one; on the other side, each K-element
 goes up by its per-element bound minus one.  A K-element leaves the live
@@ -36,7 +38,6 @@ from .core import (
     Report,
     SetFn,
     Violation,
-    bit_indices,
     delta,
     require_capacity,
     require_same_ground,
@@ -119,14 +120,20 @@ def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
     """Peel levels in one forward loop that raises both sides' values on
     element indices as it goes, for valid capacity-bounded functions on
     ground with effective entries effs (no validation of its own).  One
-    record per level: (live, K, case).
+    record per level: (live, K, case, hit), hit the K-hit lead parts.
 
     Each side keeps its sorted bunch parts, each part's effective entries and
     each element's part, and a level re-derives only the parts K hits, from
     their own entries.  That is exact: every effective set lies in one part, a
     part meets K at most once, and capacity keeps every projection nonempty,
     so no merge in reduce_entries or subset test in effective_entries crosses
-    two parts."""
+    two parts.
+
+    Singleton step: both sides partition live and no part is empty, so
+    closed_pairs' first tight set is V = {s} for the first lead part s inside
+    the follow part holding its lowest bit, found through the follow side's
+    index; K is that bit and the hit mask is the part.  Only when no lead
+    part qualifies does the level build the part graph (transversal_mask)."""
     pis = ([1] * ground.size, [1] * ground.size)
     # per side: sorted parts, entries by part, owner masks by element (see _split)
     sides = [([], {}, [ground.full_mask] * ground.size) for _ in effs]
@@ -134,25 +141,39 @@ def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
         _split(eff, ground.full_mask, *state)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
-        k, case, hit = transversal_mask(sides[0][0], sides[1][0])
+        case = "a" if len(sides[0][0]) >= len(sides[1][0]) else "b"
         lead, follow = (0, 1) if case == "a" else (1, 0)
-        for i in bit_indices(hit & ~k):
-            pis[lead][i] += 1
-        levels.append((live, k, case))
+        follow_owner = sides[follow][2]  # a part lies in live: stale bits are moot
+        for hit in sides[lead][0]:
+            k = hit & -hit
+            if not hit & ~follow_owner[k.bit_length() - 1]:
+                break
+        else:
+            k, _, hit = transversal_mask(sides[0][0], sides[1][0])
+        rest = hit & ~k
+        while rest:
+            low = rest & -rest
+            pis[lead][low.bit_length() - 1] += 1
+            rest ^= low
+        levels.append((live, k, case, hit))
         for side, (parts, inside, owner) in enumerate(sides):
-            for i in bit_indices(k):
+            rest = k
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
                 part = owner[i] & live
                 del parts[bisect_left(parts, part)]
                 eff = inside.pop(part)
                 if side == follow:  # i's bound: the largest value of a set holding it
                     bound = 1
                     for m, v in eff:
-                        if m >> i & 1 and v > bound:
+                        if m & low and v > bound:
                             bound = v
                     pis[follow][i] += bound - 1
-                if rest := part & ~k:
-                    reduced = [(p, hv[0]) for p, hv in reduce_entries(eff, k).items()]
-                    _split(effective_entries(reduced), rest, parts, inside, owner)
+                if left := part & ~k:
+                    reduced = reduce_entries(eff, k).items()
+                    _split(effective_entries(reduced), left, parts, inside, owner)
         live &= ~k
     return PiPair(*(dict(zip(ground.names, pi)) for pi in pis)), levels
 
@@ -169,8 +190,11 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
     for part in new:
         insort(parts, part)
         inside[part] = []
-        for i in bit_indices(part):
-            owner[i] = part
+        rest = part
+        while rest:
+            low = rest & -rest
+            owner[low.bit_length() - 1] = part
+            rest ^= low
     for e in eff:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
@@ -207,11 +231,11 @@ def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = True) -> tuple[PiPai
 
 
 def _level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
-    """_build's level records with their masks as names."""
+    """_build's level records, without hit, with their masks as names."""
     names = ground.names_of
     return [
         {"universe": list(names(live)), "k": list(names(k)), "case": case}
-        for live, k, case in levels
+        for live, k, case, _ in levels
     ]
 
 

@@ -228,7 +228,7 @@ def test_reduction_invariants_random():
 
 
 def _reduce(entries, kmask):
-    return [(p, hv[0]) for p, hv in reduce_entries(entries, kmask).items()]
+    return list(reduce_entries(entries, kmask).items())
 
 
 def test_reducing_effective_entries_keeps_the_effective_family():

@@ -337,6 +337,23 @@ def test_unhashable_vertex_names_are_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # Python takes 1 and true as one id
+        ({"S": [1, True], "T": ["t"], "edges": [[1, "t"]]}, "duplicate S-vertex id True"),
+        ({"S": ["s"], "T": ["t", "u", "t"], "edges": [["s", "t"]]}, "duplicate T-vertex id 't'"),
+    ],
+)
+def test_duplicate_vertex_ids_are_exit_2_and_named(capsys, tmp_path, doc, message):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    assert run(["encode-bipartite", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100000)

@@ -7,7 +7,8 @@ in a set).
 The helpers must give equal outputs, or raise the same exception type with
 the same message, on every level of real constructions, on small random
 inputs that break their preconditions on purpose, and on explicit inputs at
-the guards of transversal_mask's singleton step.
+the guards of construct_pi's singleton step, where transversal_mask's part
+graph must still give the reference's answer or error.
 
 construct_pi's loop, which re-derives only the bunch parts that K hits, is
 compared with ref_build, the loop it replaced, which rebuilt both whole
@@ -31,6 +32,7 @@ from supercolor import (
     gen_instance,
     mixed_configs,
     random_multigraph,
+    reduce,
 )
 from supercolor import matching, pi
 from supercolor.bunch import d_list, effective_entries, part_masks, reduce_entries
@@ -101,6 +103,11 @@ def ref_reduce_entries(entries, kmask: int) -> dict[int, tuple[int, int]]:
     return best
 
 
+def ref_reduced_values(entries, kmask: int) -> dict[int, int]:
+    """ref_reduce_entries without the attainers, as reduce_entries returns it."""
+    return {p: hv[0] for p, hv in ref_reduce_entries(entries, kmask).items()}
+
+
 def ref_transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str]:
     case = "a" if len(parts1) >= len(parts2) else "b"
     lead, follow = (parts1, parts2) if case == "a" else (parts2, parts1)
@@ -110,11 +117,10 @@ def ref_transversal_mask(parts1: list[int], parts2: list[int]) -> tuple[int, str
         common = lead[s] & follow[t]
         k |= common & -common
 
-    if __debug__:
-        # every element of a K-hit lead part must lie in a K-hit follow part
-        hit_lead, hit_follow = (sum(part for part in parts if part & k) for parts in (lead, follow))
-        if hit_lead & ~hit_follow:
-            raise RuntimeError("transversal case condition failed (internal bug)")
+    # every element of a K-hit lead part must lie in a K-hit follow part
+    hit_lead, hit_follow = (sum(part for part in parts if part & k) for parts in (lead, follow))
+    if hit_lead & ~hit_follow:
+        raise RuntimeError("transversal case condition failed (internal bug)")
     return k, case
 
 
@@ -210,8 +216,7 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
         for i, bound in ref_d_values(effs[follow], k).items():
             pis[follow][i] += bound - 1
         levels.append((live, k, case))
-        reduced = [[(p, hv[0]) for p, hv in reduce_entries(eff, k).items()] for eff in effs]
-        effs = [effective_entries(r) for r in reduced]
+        effs = [effective_entries(reduce_entries(eff, k).items()) for eff in effs]
         live &= ~k
 
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
@@ -318,14 +323,30 @@ def test_helpers_match_references_on_every_level():
                 same(d_at, ref_d_values, eff, live)
             k, case = same(k_and_case, ref_transversal_mask, *parts)[1]
             same(d_at, ref_d_values, effs[1 if case == "a" else 0], k)
-            reduced = [same(reduce_entries, ref_reduce_entries, eff, k)[1] for eff in effs]
-            effs = [
-                same(effective_entries, ref_effective_entries, [(p, hv[0]) for p, hv in r])[1]
-                for r in reduced
-            ]
+            reduced = [same(reduce_entries, ref_reduced_values, eff, k)[1] for eff in effs]
+            effs = [same(effective_entries, ref_effective_entries, r)[1] for r in reduced]
             live &= ~k
             levels += 1
     assert levels >= 700
+
+
+def test_reduce_matches_reference():
+    """bunch.reduce's values and least attainers, found in one more pass
+    over the entries, equal ref_reduce_entries', in the same key order."""
+    rng = random.Random(2017)
+    checked = 0
+    for cfg in mixed_configs(seed=17, count=200, n_min=1, n_max=8):
+        for g in gen_instance(cfg):
+            for k in (0, rng.getrandbits(g.ground.size), g.ground.full_mask):
+                red, attainers = reduce(g, k)
+                renamed = [
+                    (red.ground.mask_of(g.ground.names_of(p)), hv)
+                    for p, hv in ref_reduce_entries(g.entries, k).items()
+                ]
+                assert list(attainers.items()) == [(x, hv[1]) for x, hv in renamed]
+                assert dict(red.entries) == {x: hv[0] for x, hv in renamed}
+                checked += 1
+    assert checked == 1200
 
 
 def _random_entries(rng, n):
@@ -377,10 +398,12 @@ def test_helpers_match_references_on_small_random_inputs():
     compared = 0
     for i, (entries, live) in enumerate(cases):
         same(effective_entries, ref_effective_entries, entries)
-        same(reduce_entries, ref_reduce_entries, entries, rng.getrandbits(7))
+        seen["effective_entries", min(sum(v >= 2 for _, v in entries), 2)] += 1
+        same(reduce_entries, ref_reduced_values, entries, rng.getrandbits(7))
         # d_list reads effective entries, whose values are at least 2
         same(d_at, ref_d_values, ref_effective_entries(entries), live | rng.getrandbits(7))
         kind, parts = same(part_masks, ref_part_masks, entries, live)
+        seen["part_masks", min(len(entries), 2), kind] += 1
         compared += 4
         if kind != "ok":
             seen["part_masks", kind] += 1
@@ -402,12 +425,18 @@ def test_helpers_match_references_on_small_random_inputs():
     assert seen["part_masks", RuntimeError] >= 1000, seen
     assert seen["transversal_mask", InputError] >= 100, seen
     assert seen["transversal_mask", RuntimeError] >= 10, seen
+    # and the early returns: effective_entries with fewer than two values
+    # >= 2, part_masks with no set or one set, kept or refused
+    assert min(seen["effective_entries", n] for n in (0, 1)) >= 1000, seen
+    assert min(seen["part_masks", n, "ok"] for n in (0, 1)) >= 500, seen
+    assert seen["part_masks", 1, RuntimeError] >= 100, seen
 
 
 SINGLE = [1 << i for i in range(SUBSET_SCAN_LIMIT + 1)]
 
-# (parts1, parts2, what the reference gives) at the guards of transversal_mask's
-# singleton step; each pair is also compared the other way round
+# (parts1, parts2, what the reference gives) at the guards of construct_pi's
+# singleton step, which transversal_mask's part graph must handle as the
+# reference does; each pair is also compared the other way round
 SINGLETON_CASES = [
     (SINGLE, [sum(SINGLE)], "ok"),  # 25 lead parts, all inside one follow part
     (SINGLE[:-1], [sum(SINGLE[:-1])], "ok"),  # 24 of them
@@ -571,6 +600,38 @@ def test_construct_pi_matches_ref_build(monkeypatch):
     assert levels["|K| >= 2"] >= 100, levels
     assert levels["case b"] >= 1000, levels
     assert levels["hit part splits"] >= 100, levels
+
+
+def test_owner_lookup_matches_the_part_graph(monkeypatch):
+    """On the instances of test_construct_pi_matches_ref_build, every level
+    that _build's singleton step settles (through the follow side's owner
+    index, without calling transversal_mask) gets the (K, case, hit) that
+    transversal_mask's part graph gives on that level's partitions, rebuilt
+    from the whole families as ref_build does."""
+    graph_levels = set()  # the live mask of each level that built the part graph
+    real = pi.transversal_mask
+
+    def recording(parts1, parts2):
+        graph_levels.add(sum(parts1))
+        return real(parts1, parts2)
+
+    monkeypatch.setattr(pi, "transversal_mask", recording)
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=15, count=300, n_min=1, n_max=10)]
+    for edges in (32, 48, 64):
+        instances += [encode_bipartite(random_multigraph(random.Random(s), edges)) for s in range(20)]
+    levels = Counter()
+    for g1, g2 in instances:
+        graph_levels.clear()
+        effs = [effective_entries(g.entries) for g in (g1, g2)]
+        for live, k, case, hit in pi._build(g1.ground, effs)[1]:
+            if live in graph_levels:
+                levels["part graph"] += 1
+            else:
+                parts = [part_masks(eff, live) for eff in effs]
+                assert (k, case, hit) == real(*parts), (g1, g2, live)
+                levels["owner lookup"] += 1
+            effs = [effective_entries(reduce_entries(eff, k).items()) for eff in effs]
+    assert levels == {"owner lookup": 3421, "part graph": 208}, levels
 
 
 def entries_passed(monkeypatch, module, build) -> int:
