@@ -219,6 +219,24 @@ def test_color_with_lists(capsys, tmp_path):
     assert code == 1 and payload["coloring"] is None
 
 
+def test_color_lists_print_each_lists_own_color_objects(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"elements": ["a", "b"], "g1": [], "g2": []}')
+    lists = tmp_path / "lists.json"
+    lists.write_text('{"a": [1], "b": [1.0]}')
+    assert run(["color", str(inst), "--lists", str(lists)]) == 0
+    out = capsys.readouterr().out
+    assert '"a": 1,' in out and '"b": 1.0' in out
+
+
+def test_color_lists_stdout_pinned(capsys):
+    """The worked example on lists that mix ints, a float and strings."""
+    data = ROOT / "tests" / "data"
+    code = run(["color", str(data / "example1.json"), "--lists", str(data / "example1.lists.json")])
+    assert code == 0
+    assert capsys.readouterr().out == (data / "example1.color_lists.out").read_text()
+
+
 def test_color_lists_for_an_unknown_element_are_exit_2(capsys, example_path, tmp_path):
     # instance files and --k reject unknown names; a lists file does too
     lists = tmp_path / "lists.json"

@@ -152,6 +152,30 @@ def test_list_coloring_unsat():
     assert find_list_coloring(g, g, {"a": [1], "b": [1]}) is None
 
 
+def test_list_coloring_returns_each_lists_own_color_objects():
+    # 1 == 1.0, so they are one color to the constraint, but each element's
+    # coloring is the object from its own list
+    ground = GroundSet(("a", "b"))
+    pair = SetFn.from_names(ground, [(["a", "b"], 2)])
+    coloring = find_list_coloring(pair, pair, {"a": [1], "b": [1.0, 2]})
+    assert coloring == {"a": 1, "b": 2} and type(coloring["b"]) is int
+    empty = SetFn(ground, ())
+    coloring = find_list_coloring(empty, empty, {"a": [1], "b": [1.0]})
+    assert coloring == {"a": 1, "b": 1.0}
+    assert type(coloring["a"]) is int and type(coloring["b"]) is float
+
+
+def test_list_coloring_string_colors_keep_their_own_order(abc_ground):
+    # each list is tried in its own sorted order, whatever order the colors
+    # first appear in across the lists
+    g = SetFn.from_names(abc_ground, [(["a", "b", "c"], 3)])
+    lists = {"a": ["q", "p"], "b": ["r", "p", "q"], "c": ["r", "p"]}
+    assert find_list_coloring(g, g, lists) == {"a": "p", "b": "q", "c": "r"}
+    empty = SetFn(abc_ground, ())
+    lists = {"a": ["x", 2], "b": ["y", "x"], "c": [None, "x"]}
+    assert find_list_coloring(empty, empty, lists) == {"a": 2, "b": "x", "c": None}
+
+
 def test_list_coloring_validates_lists(abc_ground):
     empty = SetFn(abc_ground, ())
     with pytest.raises(InputError):
