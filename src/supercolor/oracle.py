@@ -13,14 +13,28 @@ is refused outright when some set's bound exceeds the number of distinct
 colors in the union of its elements' domains, since no assignment can give the
 set more colors than its elements can take.
 
+Inside the search a color is an int and a set of colors is an int mask.  Its
+state is one color mask per constraint: the colors of the members placed so
+far.  Since elements are placed in ground order, the members still to come
+after element i are fixed, so the test at i is static: the constraint index
+(_constraint_index, built once per instance) holds, per element, each
+constraint's need, bound minus the members after i, and the element's color
+passes when every such mask, with its bit added, has at least need bits.  Only
+needs above 1 are kept, since one color always meets them.  A placed element
+saves the masks it feeds and backtracking restores them; a rejected color
+changes nothing.  k-searches and drawn lists already color with ints;
+find_list_coloring turns each distinct color (by equality, so 1 and 1.0 are
+one) into a bit at its boundary, and maps the coloring back to the objects of
+each element's own list.
+
 The public functions check what they rely on, through core.require_valid and
 require_capacity, which record a pass on the function: min_k capacity,
 tight_lengths validity, verify_main_theorem both, and find_k_coloring and
 find_list_coloring only a shared ground set and their k or lists.  Then each
 calls a private core: _k_search, _min_k, _list_search, _trials and
-_tight_lengths.  A core searches on a constraint index built once per
-instance (_constraint_index), so verify_main_theorem and min_k build it once
-per call, and cli.batch_verify once per instance for all of its searches.
+_tight_lengths.  A core searches on the constraint index, so
+verify_main_theorem and min_k build it once per call, and cli.batch_verify
+once per instance for all of its searches.
 """
 
 from __future__ import annotations
@@ -70,64 +84,58 @@ def _constraints(g1: SetFn, g2: SetFn) -> list[tuple[int, int]] | None:
 
 
 def _constraint_index(g1: SetFn, g2: SetFn) -> tuple | None:
-    """The search's constraint index, None when no assignment can dominate:
-    per element the constraints that hold it, per constraint its elements,
-    and per constraint its bound.  It does not depend on the domains, so one
-    index serves every search on the instance."""
+    """The search's constraint index, None when no assignment can dominate.
+    Per constraint: its elements and bound.  Per element i: its checks, each
+    a (constraint, need) pair where need = bound - (members after i) > 1, and
+    the constraints with members after i, whose color masks i feeds.  It does
+    not depend on the domains, so one index serves every search on the
+    instance."""
     constraints = _constraints(g1, g2)
     if constraints is None:
         return None
-    per_elem: list[list[int]] = [[] for _ in range(g1.ground.size)]
+    n = g1.ground.size
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    feeds: list[list[int]] = [[] for _ in range(n)]
     members = []
     bounds = []
     for ci, (mask, bound) in enumerate(constraints):
         elems = list(bit_indices(mask))
         members.append(elems)
         bounds.append(bound)
-        for i in elems:
-            per_elem[i].append(ci)
-    return per_elem, members, bounds
+        for after, i in enumerate(reversed(elems)):
+            if after:
+                feeds[i].append(ci)
+            if bound - after > 1:
+                checks[i].append((ci, bound - after))
+    return members, bounds, checks, feeds
 
 
 def _search(
-    names: Sequence[str], domains: Sequence[Sequence], index, first_use: bool = False
+    names: Sequence[str], domains: Sequence[Sequence[int]], index, first_use: bool = False
 ) -> Coloring | None:
-    """First dominating assignment in canonical order, or None.  With
-    first_use, for k-colorings whose domains are 1..k, element i tries only
-    colors up to 1 + the largest color used before it (see find_k_coloring)."""
+    """First dominating assignment in canonical order, or None.  A color is
+    an int c >= 0, held in masks as the bit 1 << c.  With first_use, for
+    k-colorings whose domains are 1..k, element i tries only colors up to
+    1 + the largest color used before it (see find_k_coloring)."""
     n = len(names)
     if index is None:
         return None
-    per_elem, members, bounds = index
+    members, bounds, checks, feeds = index
+    reach = []  # per element, the mask of its domain
+    for dom in domains:
+        m = 0
+        for color in dom:
+            m |= 1 << color
+        reach.append(m)
     for elems, bound in zip(members, bounds):
-        if len(set().union(*(domains[i] for i in elems))) < bound:
+        m = 0
+        for i in elems:
+            m |= reach[i]
+        if m.bit_count() < bound:
             return None  # pigeonhole: too few colors to reach the bound
-    remaining = [len(elems) for elems in members]
-    counts: list[dict] = [{} for _ in bounds]
-    distinct = [0] * len(bounds)
+    masks = [0] * len(bounds)  # per constraint, the colors of its placed members
+    saved: list = [None] * n  # per placed element, the masks it fed, before it
     assignment: list = [None] * n
-
-    def place(i: int, color) -> bool:
-        ok = True
-        for ci in per_elem[i]:
-            remaining[ci] -= 1
-            c = counts[ci].get(color, 0) + 1
-            counts[ci][color] = c
-            if c == 1:
-                distinct[ci] += 1
-            if distinct[ci] + remaining[ci] < bounds[ci]:
-                ok = False
-        return ok
-
-    def unplace(i: int, color) -> None:
-        for ci in per_elem[i]:
-            remaining[ci] += 1
-            c = counts[ci][color] - 1
-            if c:
-                counts[ci][color] = c
-            else:
-                del counts[ci][color]
-                distinct[ci] -= 1
 
     # depth-first on an explicit stack, so any number of elements fits:
     # options[i] holds element i's untried colors, tops[i] the largest color
@@ -142,17 +150,25 @@ def _search(
             options[i] = iter(domains[i][: tops[i] + 1] if first_use else domains[i])
             descending = False
         for color in options[i]:
-            if place(i, color):
+            bit = 1 << color
+            for ci, need in checks[i]:
+                if (masks[ci] | bit).bit_count() < need:
+                    break
+            else:
                 assignment[i] = color
+                fed = feeds[i]
+                saved[i] = [masks[ci] for ci in fed]
+                for ci in fed:
+                    masks[ci] |= bit
                 if first_use:
                     tops[i + 1] = tops[i] + (color > tops[i])
                 i, descending = i + 1, True
                 break
-            unplace(i, color)
         else:
             i -= 1
             if i >= 0:
-                unplace(i, assignment[i])
+                for ci, m in zip(feeds[i], saved[i]):
+                    masks[ci] = m
     return None
 
 
@@ -214,25 +230,34 @@ def find_list_coloring(
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> Coloring | None:
     """Dominating coloring drawing each element's color from its own list,
-    or None when the exhaustive search proves there is none.  A list for an
-    element outside the ground set is bad input."""
+    or None when the exhaustive search proves there is none.  Every element
+    needs a nonempty list, and a list for an element outside the ground set
+    is bad input; both are checked before the list budget.
+
+    Colors equal as values are one color (1 and 1.0), so each distinct color
+    becomes one bit for the search; the coloring maps each element's bit
+    back to the object in its own list."""
     require_same_ground(g1, g2)
-    domains = []
-    budget = 1
     names = g1.ground.names
-    for at, name in enumerate(names):
+    for name in names:
         if name not in lists:
             raise InputError(f"no color list for element {name!r}")
-        pool = lists[name]
-        if not pool:
+        if not lists[name]:
             raise InputError(f"empty color list for element {name!r}")
-        dom = sorted(set(pool), key=lambda c: (type(c).__name__, c))
-        domains.append(tuple(dom))
-        budget = _spend(budget, len(dom), names, at, caps)
     if len(lists) > len(names):  # every element has a list, so some list is not an element's
         for name in lists:
             g1.ground.index(name)  # raises on the first unknown element
-    return _search(names, domains, _constraint_index(g1, g2))
+    bit_of: dict = {}
+    own: list[dict] = []  # per element, bit -> the color object of its list
+    budget = 1
+    for at, name in enumerate(names):
+        dom = sorted(set(lists[name]), key=lambda c: (type(c).__name__, c))
+        budget = _spend(budget, len(dom), names, at, caps)
+        own.append({bit_of.setdefault(c, len(bit_of)): c for c in dom})
+    found = _search(names, [tuple(bits) for bits in own], _constraint_index(g1, g2))
+    if found is None:
+        return None
+    return {name: bits[found[name]] for name, bits in zip(names, own)}
 
 
 def _spend(budget: int, size: int, names: Sequence[str], at: int, caps: SearchCaps) -> int:

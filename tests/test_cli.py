@@ -251,6 +251,28 @@ def test_color_lists_for_an_unknown_element_are_exit_2(capsys, example_path, tmp
     assert captured.err == "error: unknown element 'zz'\n"
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [("drop", "no color list for element 'i'"), ("add", "unknown element 'zz'")],
+)
+def test_bad_lists_are_exit_2_before_the_list_budget(capsys, tmp_path, change, message):
+    # the product of ten-color lists passes the default budget at 'h', so the
+    # whole mapping is checked before the budget is spent
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"elements": list("abcdefghi"), "g1": [], "g2": []}))
+    doc = {name: list(range(10)) for name in "abcdefghi"}
+    if change == "drop":
+        del doc["i"]
+    else:
+        doc["zz"] = [1]
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps(doc))
+    assert run(["color", str(inst), "--lists", str(lists)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unhashable_colors_are_exit_2(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"elements": ["a"], "g1": [], "g2": []}')

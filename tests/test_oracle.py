@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercolor import (
     BipartiteGraph,
@@ -319,6 +320,82 @@ def test_k_coloring_matches_full_domain_search():
             assert find_k_coloring(g1, g2, k) == want, (cfg, k)
             found[want is None] += 1
     assert found[False] >= 500 and found[True] >= 500, found
+
+
+def _canonical_list(pool):
+    """A list as find_list_coloring orders it: distinct, sorted within each type."""
+    return tuple(sorted(set(pool), key=lambda c: (type(c).__name__, c)))
+
+
+def _matches_ref_on_lists(g1, g2, lists, caps=SearchCaps()):
+    """find_list_coloring against ref_search, down to each color's type;
+    returns whether a coloring exists."""
+    names = g1.ground.names
+    domains = [_canonical_list(lists[name]) for name in names]
+    want = ref_search(names, domains, _constraints(g1, g2))
+    got = find_list_coloring(g1, g2, lists, caps)
+    assert got == want, (lists, got, want)
+    if want is not None:
+        assert [type(got[u]) for u in names] == [type(want[u]) for u in names]
+    return want is not None
+
+
+def test_search_matches_ref_search_on_lists_and_k_at_delta():
+    # whole colorings, not just existence: tight, uniform {1..delta} and
+    # one-shorter lists, and the k-searches at delta - 1 and delta
+    rng = random.Random(8)
+    caps = SearchCaps(list_budget=10**8)  # uniform lists on 8 elements
+    outcomes = Counter()
+    for cfg in mixed_configs(seed=2113, count=250, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        names = g1.ground.names
+        n, span = g1.ground.size, delta(g1, g2)
+        tight = tight_lengths(g1, g2)
+        pool = range(1, span + 3)
+        cases = {
+            "tight": {u: rng.sample(pool, need) for u, need in tight.items()},
+            "uniform": {u: list(range(1, max(1, span) + 1)) for u in names},
+            "shorter": {u: rng.sample(pool, max(1, need - 1)) for u, need in tight.items()},
+        }
+        for kind, lists in cases.items():
+            outcomes[kind, _matches_ref_on_lists(g1, g2, lists, caps)] += 1
+        for k in (span - 1, span):
+            if k < 1:
+                continue
+            colors = tuple(range(1, min(k, n) + 1))
+            want = ref_search(names, [colors] * n, _constraints(g1, g2))
+            assert find_k_coloring(g1, g2, k) == want, (cfg, k)
+            outcomes["k", want is not None] += 1
+    assert outcomes["tight", False] == 0  # the paper's statement
+    for key in [("tight", True), ("uniform", True), ("shorter", True), ("shorter", False),
+                ("k", True), ("k", False)]:
+        assert outcomes[key] > 0, outcomes
+
+
+@st.composite
+def _families_and_lists(draw):
+    n = draw(st.integers(1, 5))
+    ground = GroundSet(tuple("abcde"[:n]))
+    sets = draw(st.dictionaries(st.integers(0, 2**n - 1), st.integers(-1, 4), max_size=6))
+    sides = [SetFn(ground, tuple(sets.items())), SetFn(ground, ())]
+    if draw(st.booleans()):
+        sides.reverse()
+    colors = st.sampled_from([1, 2, 3, 10, "1", "a", "b", "z"])
+    lists = {u: draw(st.lists(colors, min_size=1, max_size=4)) for u in ground.names}
+    return (*sides, lists)
+
+
+def test_list_search_matches_ref_search_on_random_families():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_families_and_lists())
+    def check(case):
+        g1, g2, lists = case
+        seen.add(_matches_ref_on_lists(g1, g2, lists))
+
+    check()
+    assert seen == {True, False}
 
 
 def test_k_coloring_at_delta_on_a_hard_encoding():
