@@ -134,7 +134,7 @@ def _search(
         if m.bit_count() < bound:
             return None  # pigeonhole: too few colors to reach the bound
     masks = [0] * len(bounds)  # per constraint, the colors of its placed members
-    saved: list = [None] * n  # per placed element, the masks it fed, before it
+    saved: list = [None] * n  # per placed element, the masks it feeds as they were before it
     assignment: list = [None] * n
 
     # depth-first on an explicit stack, so any number of elements fits:

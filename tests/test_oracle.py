@@ -340,35 +340,26 @@ def _matches_ref_on_lists(g1, g2, lists, caps=SearchCaps()):
     return want is not None
 
 
-def test_search_matches_ref_search_on_lists_and_k_at_delta():
-    # whole colorings, not just existence: tight, uniform {1..delta} and
-    # one-shorter lists, and the k-searches at delta - 1 and delta
+def test_list_search_matches_ref_search_on_tight_uniform_and_shorter_lists():
+    # whole colorings, not just existence; the k-searches at every k up to
+    # delta + 1 are compared in test_k_coloring_matches_full_domain_search
     rng = random.Random(8)
     caps = SearchCaps(list_budget=10**8)  # uniform lists on 8 elements
     outcomes = Counter()
     for cfg in mixed_configs(seed=2113, count=250, n_max=8):
         g1, g2 = gen_instance(cfg)
-        names = g1.ground.names
-        n, span = g1.ground.size, delta(g1, g2)
+        span = delta(g1, g2)
         tight = tight_lengths(g1, g2)
         pool = range(1, span + 3)
         cases = {
             "tight": {u: rng.sample(pool, need) for u, need in tight.items()},
-            "uniform": {u: list(range(1, max(1, span) + 1)) for u in names},
+            "uniform": {u: list(range(1, max(1, span) + 1)) for u in tight},
             "shorter": {u: rng.sample(pool, max(1, need - 1)) for u, need in tight.items()},
         }
         for kind, lists in cases.items():
             outcomes[kind, _matches_ref_on_lists(g1, g2, lists, caps)] += 1
-        for k in (span - 1, span):
-            if k < 1:
-                continue
-            colors = tuple(range(1, min(k, n) + 1))
-            want = ref_search(names, [colors] * n, _constraints(g1, g2))
-            assert find_k_coloring(g1, g2, k) == want, (cfg, k)
-            outcomes["k", want is not None] += 1
     assert outcomes["tight", False] == 0  # the paper's statement
-    for key in [("tight", True), ("uniform", True), ("shorter", True), ("shorter", False),
-                ("k", True), ("k", False)]:
+    for key in [("tight", True), ("uniform", True), ("shorter", True), ("shorter", False)]:
         assert outcomes[key] > 0, outcomes
 
 
@@ -376,13 +367,11 @@ def test_search_matches_ref_search_on_lists_and_k_at_delta():
 def _families_and_lists(draw):
     n = draw(st.integers(1, 5))
     ground = GroundSet(tuple("abcde"[:n]))
-    sets = draw(st.dictionaries(st.integers(0, 2**n - 1), st.integers(-1, 4), max_size=6))
-    sides = [SetFn(ground, tuple(sets.items())), SetFn(ground, ())]
-    if draw(st.booleans()):
-        sides.reverse()
+    sets = st.dictionaries(st.integers(0, 2**n - 1), st.integers(-1, 4), max_size=4)
+    g1, g2 = (SetFn(ground, tuple(draw(sets).items())) for _ in range(2))
     colors = st.sampled_from([1, 2, 3, 10, "1", "a", "b", "z"])
     lists = {u: draw(st.lists(colors, min_size=1, max_size=4)) for u in ground.names}
-    return (*sides, lists)
+    return g1, g2, lists
 
 
 def test_list_search_matches_ref_search_on_random_families():
