@@ -22,10 +22,13 @@ constraint's need, bound minus the members after i, and the element's color
 passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
-changes nothing.  k-searches and drawn lists already color with ints;
-find_list_coloring turns each distinct color (by equality, so 1 and 1.0 are
-one) into a bit at its boundary, and maps the coloring back to the objects of
-each element's own list.
+changes nothing.  A k-search colors with 1..min(k, n), already small bits.
+Every list search, find_list_coloring's and each drawn trial's, goes through
+_bit_search, which numbers the distinct colors (by equality, so 1 and 1.0 are
+one) in order of first appearance and maps the coloring back to the objects of
+each element's own list; so a mask is as wide as the colors in play, not as
+the largest color value (a trial's colors come from a pool 1..sigma_size of
+any size).
 
 The public functions check what they rely on, through core.require_valid and
 require_capacity, which record a pass on the function: min_k capacity,
@@ -114,9 +117,11 @@ def _search(
     names: Sequence[str], domains: Sequence[Sequence[int]], index, first_use: bool = False
 ) -> Coloring | None:
     """First dominating assignment in canonical order, or None.  A color is
-    an int c >= 0, held in masks as the bit 1 << c.  With first_use, for
-    k-colorings whose domains are 1..k, element i tries only colors up to
-    1 + the largest color used before it (see find_k_coloring)."""
+    an int c >= 0, held in masks as the bit 1 << c, so colors must be small:
+    k-searches use 1..min(k, n), and list searches go through _bit_search.
+    With first_use, for k-colorings whose domains are 1..k, element i tries
+    only colors up to 1 + the largest color used before it (see
+    find_k_coloring)."""
     n = len(names)
     if index is None:
         return None
@@ -234,9 +239,8 @@ def find_list_coloring(
     needs a nonempty list, and a list for an element outside the ground set
     is bad input; both are checked before the list budget.
 
-    Colors equal as values are one color (1 and 1.0), so each distinct color
-    becomes one bit for the search; the coloring maps each element's bit
-    back to the object in its own list."""
+    Colors equal as values are one color (1 and 1.0); each element's color
+    is the object in its own list."""
     require_same_ground(g1, g2)
     names = g1.ground.names
     for name in names:
@@ -247,17 +251,13 @@ def find_list_coloring(
     if len(lists) > len(names):  # every element has a list, so some list is not an element's
         for name in lists:
             g1.ground.index(name)  # raises on the first unknown element
-    bit_of: dict = {}
-    own: list[dict] = []  # per element, bit -> the color object of its list
+    domains = []
     budget = 1
     for at, name in enumerate(names):
         dom = sorted(set(lists[name]), key=lambda c: (type(c).__name__, c))
         budget = _spend(budget, len(dom), names, at, caps)
-        own.append({bit_of.setdefault(c, len(bit_of)): c for c in dom})
-    found = _search(names, [tuple(bits) for bits in own], _constraint_index(g1, g2))
-    if found is None:
-        return None
-    return {name: bits[found[name]] for name, bits in zip(names, own)}
+        domains.append(dom)
+    return _bit_search(names, domains, _constraint_index(g1, g2))
 
 
 def _spend(budget: int, size: int, names: Sequence[str], at: int, caps: SearchCaps) -> int:
@@ -280,7 +280,25 @@ def _list_search(
     budget = 1
     for at, dom in enumerate(domains):
         budget = _spend(budget, len(dom), names, at, caps)
-    return _search(names, domains, index)
+    return _bit_search(names, domains, index)
+
+
+def _bit_search(
+    names: Sequence[str], domains: Sequence[Sequence[Hashable]], index
+) -> Coloring | None:
+    """_search on domains of any distinct hashable colors, each in its
+    element's visiting order.  Each distinct color (by equality) becomes a
+    bit, numbered in order of first appearance, so the masks are as wide as
+    the number of colors in play, however large the color values; the
+    coloring maps each element's bit back to the object in its own domain.
+    The search compares colors only for equality, so the numbering changes
+    neither the coloring found nor whether one exists."""
+    bit_of: dict = {}
+    bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
+    found = _search(names, bits, index)
+    if found is None:
+        return None
+    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
 
 
 def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:

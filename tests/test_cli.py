@@ -591,6 +591,14 @@ def test_verify(capsys, example_path):
     assert payload["sigma"] == 6
 
 
+def test_verify_on_a_huge_color_pool(capsys, example_path):
+    code, payload = run_cli(
+        capsys, "verify", str(example_path), "--trials", "10", "--sigma", "1000000000000"
+    )
+    assert code == 0 and payload["ok"]
+    assert payload["sigma"] == 10**12
+
+
 def test_encode_bipartite(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text('{"S": ["s"], "T": ["t1", "t2"], "edges": [["s", "t1"], ["s", "t2"]]}')

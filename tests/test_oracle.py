@@ -236,6 +236,19 @@ def test_verify_main_theorem_pool_too_small(example_instance):
         verify_main_theorem(g1, g2, trials=1, sigma_size=2, seed=0)
 
 
+def test_verify_main_theorem_on_a_huge_color_pool(example_instance):
+    # a search mask holds the colors in play, not bits up to the largest value
+    g1, g2 = example_instance
+    assert verify_main_theorem(g1, g2, trials=20, sigma_size=10**12, seed=3).ok
+
+
+def test_list_coloring_with_huge_colors(abc_ground):
+    g1 = SetFn.from_names(abc_ground, [(["a", "b"], 2)])
+    lists = {"a": [10**30], "b": [2**200, 10**30], "c": [-(10**40)]}
+    coloring = find_list_coloring(g1, SetFn(abc_ground, ()), lists)
+    assert coloring == {"a": 10**30, "b": 2**200, "c": -(10**40)}
+
+
 def test_verify_main_theorem_rejects_invalid_without_trials(abc_ground):
     not_closed = SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "c"], 1)])
     with pytest.raises(InputError, match="not intersecting-closed"):
