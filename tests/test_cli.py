@@ -237,6 +237,19 @@ def test_color_lists_stdout_pinned(capsys):
     assert capsys.readouterr().out == (data / "example1.color_lists.out").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("pi", "--method", "schrijver"), "pi_schrijver"),
+        (("verify", "--trials", "5"), "verify"),
+    ],
+)
+def test_worked_example_stdout_pinned(capsys, argv, name):
+    data = ROOT / "tests" / "data"
+    assert run([argv[0], str(data / "example1.json"), *argv[1:]]) == 0
+    assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
+
+
 def test_color_lists_for_an_unknown_element_are_exit_2(capsys, example_path, tmp_path):
     # instance files and --k reject unknown names; a lists file does too
     lists = tmp_path / "lists.json"
