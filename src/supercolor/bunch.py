@@ -7,7 +7,10 @@ padded with singletons, always partition the universe; that partition drives
 both the per-element list-length bound and the level-by-level construction.
 
 The public functions validate, then call the mask-level helpers
-(effective_entries, part_masks, d_list, reduce_entries).  Those run at every
+(effective_entries, part_masks, d_list, reduce_entries).  checked is the one
+boundary for a pair: it validates both functions on their shared ground set
+and derives their effective entries and d-lists into an Instance, which
+pi, oracle and the CLI take from there.  The helpers run at every
 level of construct_pi, on one hit part's entries, so they are plain loops
 over (mask, value) pairs that return at once on the zero or one set a hit
 part often holds: at that size the cost is per-call overhead, not the
@@ -20,8 +23,9 @@ merged values; reduce finds the least set attaining each in one more pass.
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass
 
-from .core import GroundSet, InputError, SetFn, require_valid
+from .core import GroundSet, InputError, SetFn, require_same_ground, require_valid
 
 
 def effective_entries(entries) -> list[tuple[int, int]]:
@@ -113,6 +117,39 @@ def d_list(eff, size: int) -> list[int]:
                 d[i] = v
             m ^= low
     return d
+
+
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """Two valid functions on one ground set with each side's effective
+    entries and d-list; build it with checked.  Capacity is not implied: it
+    stays the per-function record of core.require_capacity, so a function
+    that needs it requires it itself."""
+
+    g1: SetFn
+    g2: SetFn
+    effs: tuple[list, list]
+    ds: tuple[list, list]
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.g1.ground
+
+    def tight_lengths(self) -> dict[str, int]:
+        """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
+        return {name: a if a > b else b for name, a, b in zip(self.ground.names, *self.ds)}
+
+
+def checked(g1: SetFn, g2: SetFn) -> Instance:
+    """Check that g1 and g2 share a ground set and are both valid, then
+    derive the Instance.  A caller that also needs capacity requires it
+    afterwards, so either side's invalidity comes before a capacity error."""
+    require_same_ground(g1, g2)
+    for g in (g1, g2):
+        require_valid(g)
+    effs = (effective_entries(g1.entries), effective_entries(g2.entries))
+    size = g1.ground.size
+    return Instance(g1, g2, effs, (d_list(effs[0], size), d_list(effs[1], size)))
 
 
 def reduce_entries(entries, kmask: int) -> dict[int, int]:

@@ -26,16 +26,14 @@ from .core import (
     InputError,
     ResourceLimitError,
     SetFn,
-    _check_pairs,
     check_capacity,
+    check_pairs,
     decode_json,
     delta,
     dump_json,
     instance_payload,
     load_instance,
     read_text,
-    require_capacity,
-    require_valid,
 )
 from . import bunch, encode, gen, oracle, pi as pi_mod
 from .matching import common_transversal
@@ -111,7 +109,7 @@ def _cmd_check(args, caps) -> tuple[int, dict]:
     results = {}
     all_ok = True
     for key, g in (("g1", g1), ("g2", g2)):
-        family, unequal = _check_pairs(g)
+        family, unequal = check_pairs(g)
         if family.ok:
             supermodular = unequal.to_dict()
         else:
@@ -197,28 +195,16 @@ def _cmd_transversal(args, caps) -> tuple[int, dict]:
     return 0, payload
 
 
-def _derive(g1: SetFn, g2: SetFn) -> tuple[list, list]:
-    """Check both functions (either side's invalidity before any capacity
-    error), then derive their effective entries and d-lists (bunch.d_list) once."""
-    for g in (g1, g2):
-        require_valid(g)
-    for g in (g1, g2):
-        require_capacity(g)
-    effs = [bunch.effective_entries(g.entries) for g in (g1, g2)]
-    return effs, [bunch.d_list(eff, g1.ground.size) for eff in effs]
-
-
 def _cmd_pi(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    effs, ds = _derive(g1, g2)
-    f_map = oracle._tight_lengths(g1.ground.names, ds)
+    inst = bunch.checked(g1, g2)
     span = delta(g1, g2)
     if args.method == "keylemma":
-        pair, levels = pi_mod._build(g1.ground, effs)
-        trace = pi_mod._level_log(g1.ground, levels)
+        pair, levels = pi_mod.build(inst, check=False)
+        trace = pi_mod.level_log(inst.ground, levels)
     else:
         pair, trace = pi_mod.schrijver_pi(g1, g2, caps), []
-    conditions = pi_mod._condition_report(g1, g2, pair, ds)
+    conditions = pi_mod.condition_report(inst, pair)
     if args.method == "keylemma":
         ok = conditions.all_ok
     else:
@@ -232,7 +218,7 @@ def _cmd_pi(args, caps) -> tuple[int, dict]:
         "method": args.method,
         "pi1": pair.pi1,
         "pi2": pair.pi2,
-        "f": f_map,
+        "f": inst.tight_lengths(),
         "delta": span,
         "conditions": conditions.to_dict(),
         "trace": trace,
@@ -321,15 +307,14 @@ def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
     drawn = uncolorable = skipped = 0
     for cfg in gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max):
         g1, g2 = gen.gen_instance(cfg)
-        names = g1.ground.names
-        bound = oracle._tight_lengths(names, _derive(g1, g2)[1])
+        bound = bunch.checked(g1, g2).tight_lengths()
         if all(b == 1 for b in bound.values()):
             skipped += 1  # nothing to shorten
             continue
         shorter = {u: max(1, b - 1) for u, b in bound.items()}
         sigma = delta(g1, g2) + 2
-        index = oracle._constraint_index(g1, g2)
-        report = oracle._trials(names, shorter, index, args.draws, sigma, cfg.seed ^ 0x7717, caps)
+        index = oracle.constraint_index(g1, g2)
+        report = oracle.list_trials(index, shorter, args.draws, sigma, cfg.seed ^ 0x7717, caps)
         drawn += args.draws
         uncolorable += len(report.violations)
     return 0, {
@@ -466,16 +451,15 @@ def batch_verify(
     failures = []
     for cfg in configs:
         g1, g2 = gen.gen_instance(cfg)
-        names = g1.ground.names
-        effs, ds = _derive(g1, g2)  # checked, on gen_instance's proof
-        pair, _ = pi_mod._build(g1.ground, effs)
-        conditions = pi_mod._condition_report(g1, g2, pair, ds)
-        index = oracle._constraint_index(g1, g2)
+        inst = bunch.checked(g1, g2)  # no walk: gen_instance recorded both checks
+        pair, _ = pi_mod.build(inst, check=False)
+        conditions = pi_mod.condition_report(inst, pair)
+        index = oracle.constraint_index(g1, g2)
         span = delta(g1, g2)
-        theorem = oracle._trials(
-            names, oracle._tight_lengths(names, ds), index, list_trials, span + 2, cfg.seed, caps
+        theorem = oracle.list_trials(
+            index, inst.tight_lengths(), list_trials, span + 2, cfg.seed, caps
         )
-        threshold_ok = oracle._min_k(names, index, span, caps) == span
+        threshold_ok = oracle.least_k(index, span, caps) == span
         for key, ok in (
             ("pi_conditions", conditions.all_ok),
             ("main_theorem", theorem.ok),

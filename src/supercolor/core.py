@@ -168,7 +168,7 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _check_pairs(g: SetFn) -> tuple[Report, Report]:
+def check_pairs(g: SetFn) -> tuple[Report, Report]:
     """One walk over the intersecting pairs of g's family, in entry order.
 
     Returns the missing unions and intersections (union first within a pair)
@@ -202,7 +202,7 @@ def _check_pairs(g: SetFn) -> tuple[Report, Report]:
 
 def check_intersecting_family(g: SetFn) -> Report:
     """Check closure under union/intersection of every intersecting pair."""
-    return _check_pairs(g)[0]
+    return check_pairs(g)[0]
 
 
 def check_supermodular(g: SetFn) -> Report:
@@ -211,7 +211,7 @@ def check_supermodular(g: SetFn) -> Report:
     Requires the family to be intersecting-closed; otherwise the inequality
     is not even well defined and an InputError names a missing set.
     """
-    family, supermodular = _check_pairs(g)
+    family, supermodular = check_pairs(g)
     if not family.ok:
         v = family.violations[0]
         raise InputError(

@@ -14,7 +14,7 @@ over the two partitions, hands them to closed_pairs, and returns with K the
 hit mask: the union of the matched lead parts, which are the K-hit ones.  It
 checks the case condition from the matched parts of both sides.  construct_pi
 calls it only on the levels its singleton step does not settle (see
-pi._build); that step finds closed_pairs' first tight set when it has one
+pi.build); that step finds closed_pairs' first tight set when it has one
 element, so common_transversal, which always calls it, gets the same K.
 """
 

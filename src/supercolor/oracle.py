@@ -10,41 +10,39 @@ is the canonically smallest one.  A k-coloring search also skips colorings
 whose colors are not numbered in order of first use; the canonically
 smallest one is never among them.  Before any element is assigned, the search
 is refused outright when some set's bound exceeds the number of distinct
-colors in the union of its elements' domains, since no assignment can give the
-set more colors than its elements can take.
+colors its elements can take: for a k-search, the number of colors tried; for
+a list search, the colors in the union of its elements' lists.
 
 Inside the search a color is an int and a set of colors is an int mask.  Its
 state is one color mask per constraint: the colors of the members placed so
 far.  Since elements are placed in ground order, the members still to come
 after element i are fixed, so the test at i is static: the constraint index
-(_constraint_index, built once per instance) holds, per element, each
+(constraint_index, built once per instance) holds, per element, each
 constraint's need, bound minus the members after i, and the element's color
 passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
 changes nothing.  A k-search colors with 1..min(k, n), already small bits.
 Every list search, find_list_coloring's and each drawn trial's, goes through
-_bit_search, which numbers the distinct colors (by equality, so 1 and 1.0 are
-one) in order of first appearance and maps the coloring back to the objects of
-each element's own list; so a mask is as wide as the colors in play, not as
-the largest color value (a trial's colors come from a pool 1..sigma_size of
-any size).
+list_coloring, which numbers the distinct colors (by equality, so 1 and 1.0
+are one) in order of first appearance and maps the coloring back to the
+objects of each element's own list; so a mask is as wide as the colors in
+play, not as the largest color value (a trial's colors come from a pool
+1..sigma_size of any size).
 
-The public functions check what they rely on, through core.require_valid and
-require_capacity, which record a pass on the function: min_k capacity,
-tight_lengths validity, verify_main_theorem both, and find_k_coloring and
-find_list_coloring only a shared ground set and their k or lists.  Then each
-calls a private core: _k_search, _min_k, _list_search, _trials and
-_tight_lengths.  A core searches on the constraint index, so
-verify_main_theorem and min_k build it once per call, and cli.batch_verify
-once per instance for all of its searches.
+k_coloring, least_k, list_coloring and list_trials search on the index, which
+needs no validity, so cli.batch_verify builds it once per instance for all
+of its searches.  The functions on (g1, g2) check what they rely on, then
+call them: min_k capacity, tight_lengths bunch.checked, verify_main_theorem
+both, and find_k_coloring and find_list_coloring only a shared ground set
+and their k or lists.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .core import (
     InputError,
@@ -56,9 +54,8 @@ from .core import (
     delta,
     require_capacity,
     require_same_ground,
-    require_valid,
 )
-from .bunch import d_list, effective_entries
+from .bunch import checked
 
 
 @dataclass(frozen=True)
@@ -86,19 +83,31 @@ def _constraints(g1: SetFn, g2: SetFn) -> list[tuple[int, int]] | None:
     return out
 
 
-def _constraint_index(g1: SetFn, g2: SetFn) -> tuple | None:
-    """The search's constraint index, None when no assignment can dominate.
+class ConstraintIndex(NamedTuple):
+    """The search's view of an instance (see constraint_index)."""
+
+    names: tuple[str, ...]
+    feasible: bool  # False: some set's bound exceeds its size, so nothing dominates
+    members: list[list[int]]  # per constraint, its elements
+    bounds: list[int]
+    checks: list[list[tuple[int, int]]]  # per element, its (constraint, need) pairs
+    feeds: list[list[int]]  # per element, the constraints with members after it
+
+
+def constraint_index(g1: SetFn, g2: SetFn) -> ConstraintIndex:
+    """The search's constraint index of two functions on one ground set.
     Per constraint: its elements and bound.  Per element i: its checks, each
     a (constraint, need) pair where need = bound - (members after i) > 1, and
     the constraints with members after i, whose color masks i feeds.  It does
     not depend on the domains, so one index serves every search on the
-    instance."""
+    instance.  It needs no validity, only the entries."""
+    require_same_ground(g1, g2)
+    names = g1.ground.names
     constraints = _constraints(g1, g2)
     if constraints is None:
-        return None
-    n = g1.ground.size
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    feeds: list[list[int]] = [[] for _ in range(n)]
+        return ConstraintIndex(names, False, [], [], [], [])
+    checks: list[list[tuple[int, int]]] = [[] for _ in names]
+    feeds: list[list[int]] = [[] for _ in names]
     members = []
     bounds = []
     for ci, (mask, bound) in enumerate(constraints):
@@ -110,34 +119,22 @@ def _constraint_index(g1: SetFn, g2: SetFn) -> tuple | None:
                 feeds[i].append(ci)
             if bound - after > 1:
                 checks[i].append((ci, bound - after))
-    return members, bounds, checks, feeds
+    return ConstraintIndex(names, True, members, bounds, checks, feeds)
 
 
 def _search(
-    names: Sequence[str], domains: Sequence[Sequence[int]], index, first_use: bool = False
+    domains: Sequence[Sequence[int]], index: ConstraintIndex, first_use: bool = False
 ) -> Coloring | None:
     """First dominating assignment in canonical order, or None.  A color is
     an int c >= 0, held in masks as the bit 1 << c, so colors must be small:
-    k-searches use 1..min(k, n), and list searches go through _bit_search.
-    With first_use, for k-colorings whose domains are 1..k, element i tries
-    only colors up to 1 + the largest color used before it (see
-    find_k_coloring)."""
-    n = len(names)
-    if index is None:
+    k-searches use 1..min(k, n), and list searches number theirs (see
+    list_coloring).  With first_use, for k-colorings whose domains are 1..k,
+    element i tries only colors up to 1 + the largest color used before it
+    (see k_coloring)."""
+    if not index.feasible:
         return None
-    members, bounds, checks, feeds = index
-    reach = []  # per element, the mask of its domain
-    for dom in domains:
-        m = 0
-        for color in dom:
-            m |= 1 << color
-        reach.append(m)
-    for elems, bound in zip(members, bounds):
-        m = 0
-        for i in elems:
-            m |= reach[i]
-        if m.bit_count() < bound:
-            return None  # pigeonhole: too few colors to reach the bound
+    names, _, _, bounds, checks, feeds = index
+    n = len(names)
     masks = [0] * len(bounds)  # per constraint, the colors of its placed members
     saved: list = [None] * n  # per placed element, the masks it feeds as they were before it
     assignment: list = [None] * n
@@ -177,6 +174,25 @@ def _search(
     return None
 
 
+def k_coloring(
+    index: ConstraintIndex, k: int, caps: SearchCaps = DEFAULT_CAPS
+) -> Coloring | None:
+    """find_k_coloring on the instance's index.  Every element has the same
+    colors, so the pigeonhole pre-check is one comparison: a bound above the
+    number of colors tried cannot be met."""
+    if k < 1:
+        raise InputError(f"need k >= 1, got {k}")
+    n = len(index.names)
+    if n > caps.k_search_elements:
+        raise ResourceLimitError(
+            f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
+        )
+    colors = tuple(range(1, min(k, max(1, n)) + 1))
+    if max(index.bounds, default=0) > len(colors):
+        return None
+    return _search([colors] * n, index, first_use=True)
+
+
 def find_k_coloring(
     g1: SetFn, g2: SetFn, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
@@ -188,24 +204,19 @@ def find_k_coloring(
     canonically smallest one never uses a color above |U|.  For the same
     reason it already numbers its colors in order of first use, so the search
     gives element i only colors up to 1 + the largest used before it."""
-    require_same_ground(g1, g2)
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    _require_k_search(g1.ground.size, caps)
-    return _k_search(g1.ground.names, _constraint_index(g1, g2), k)
+    return k_coloring(constraint_index(g1, g2), k, caps)
 
 
-def _require_k_search(n: int, caps: SearchCaps) -> None:
-    if n > caps.k_search_elements:
-        raise ResourceLimitError(
-            f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
-        )
-
-
-def _k_search(names: Sequence[str], index, k: int) -> Coloring | None:
-    n = len(names)
-    colors = tuple(range(1, min(k, max(1, n)) + 1))
-    return _search(names, [colors] * n, index, first_use=True)
+def least_k(index: ConstraintIndex, start: int, caps: SearchCaps = DEFAULT_CAPS) -> int:
+    """Smallest k >= start admitting a dominating k-coloring, on the index
+    of a capacity-valid instance."""
+    k = start
+    while k_coloring(index, k, caps) is None:
+        if k >= len(index.names):
+            # an injective coloring with n colors dominates any capacity-valid pair
+            raise RuntimeError("no coloring up to |U| colors (internal bug)")
+        k += 1
+    return k
 
 
 def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
@@ -214,18 +225,47 @@ def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
     colors, so every smaller k is infeasible by pigeonhole."""
     require_capacity(g1)
     require_capacity(g2)
-    start = delta(g1, g2)
-    return _min_k(g1.ground.names, _constraint_index(g1, g2), start, caps)
+    return least_k(constraint_index(g1, g2), delta(g1, g2), caps)
 
 
-def _min_k(names: Sequence[str], index, start: int, caps: SearchCaps) -> int:
-    """min_k on a capacity-valid instance's index, searching k from start."""
-    _require_k_search(len(names), caps)
-    for k in range(start, max(1, len(names)) + 1):
-        if _k_search(names, index, k) is not None:
-            return k
-    # an injective coloring with n colors dominates any capacity-valid pair
-    raise RuntimeError("no coloring up to |U| colors (internal bug)")
+def list_coloring(
+    index: ConstraintIndex, lists: Mapping[str, Sequence], caps: SearchCaps = DEFAULT_CAPS
+) -> Coloring | None:
+    """find_list_coloring on the instance's index, for lists of distinct
+    colors, each in its element's visiting order, once the list budget
+    admits them.  Each distinct color (by equality) becomes a bit, numbered
+    in order of first appearance, and the coloring maps each element's bit
+    back to the object in its own list.  The search compares colors only for
+    equality, so the numbering changes neither the coloring found nor
+    whether one exists."""
+    names = index.names
+    domains = [lists[name] for name in names]
+    budget = 1
+    for at, dom in enumerate(domains):
+        budget *= len(dom)
+        if budget > caps.list_budget:
+            raise ResourceLimitError(
+                f"list search budget {caps.list_budget} exceeded: product {budget}"
+                f" at element {names[at]!r} ({at + 1} of {len(names)})"
+            )
+    bit_of: dict = {}
+    bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
+    reach = []  # per element, the mask of its list
+    for b in bits:
+        m = 0
+        for color in b:
+            m |= 1 << color
+        reach.append(m)
+    for elems, bound in zip(index.members, index.bounds):
+        m = 0
+        for i in elems:
+            m |= reach[i]
+        if m.bit_count() < bound:
+            return None  # pigeonhole: too few colors to reach the bound
+    found = _search(bits, index)
+    if found is None:
+        return None
+    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
 
 
 def find_list_coloring(
@@ -251,69 +291,15 @@ def find_list_coloring(
     if len(lists) > len(names):  # every element has a list, so some list is not an element's
         for name in lists:
             g1.ground.index(name)  # raises on the first unknown element
-    domains = []
-    budget = 1
-    for at, name in enumerate(names):
-        dom = sorted(set(lists[name]), key=lambda c: (type(c).__name__, c))
-        budget = _spend(budget, len(dom), names, at, caps)
-        domains.append(dom)
-    return _bit_search(names, domains, _constraint_index(g1, g2))
-
-
-def _spend(budget: int, size: int, names: Sequence[str], at: int, caps: SearchCaps) -> int:
-    """The list product after element at's list of size; over the cap it raises."""
-    budget *= size
-    if budget > caps.list_budget:
-        raise ResourceLimitError(
-            f"list search budget {caps.list_budget} exceeded: product {budget}"
-            f" at element {names[at]!r} ({at + 1} of {len(names)})"
-        )
-    return budget
-
-
-def _list_search(
-    names: Sequence[str], lists: Mapping[str, tuple[int, ...]], index, caps: SearchCaps
-) -> Coloring | None:
-    """find_list_coloring on lists of _draw_lists, whose tuples are already
-    sorted and distinct, so only the list budget is checked."""
-    domains = [lists[name] for name in names]
-    budget = 1
-    for at, dom in enumerate(domains):
-        budget = _spend(budget, len(dom), names, at, caps)
-    return _bit_search(names, domains, index)
-
-
-def _bit_search(
-    names: Sequence[str], domains: Sequence[Sequence[Hashable]], index
-) -> Coloring | None:
-    """_search on domains of any distinct hashable colors, each in its
-    element's visiting order.  Each distinct color (by equality) becomes a
-    bit, numbered in order of first appearance, so the masks are as wide as
-    the number of colors in play, however large the color values; the
-    coloring maps each element's bit back to the object in its own domain.
-    The search compares colors only for equality, so the numbering changes
-    neither the coloring found nor whether one exists."""
-    bit_of: dict = {}
-    bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
-    found = _search(names, bits, index)
-    if found is None:
-        return None
-    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
+    domains = {
+        name: sorted(set(lists[name]), key=lambda c: (type(c).__name__, c)) for name in names
+    }
+    return list_coloring(constraint_index(g1, g2), domains, caps)
 
 
 def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
     """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
-    require_same_ground(g1, g2)
-    for g in (g1, g2):
-        require_valid(g)
-    size = g1.ground.size
-    ds = [d_list(effective_entries(g.entries), size) for g in (g1, g2)]
-    return _tight_lengths(g1.ground.names, ds)
-
-
-def _tight_lengths(names: Sequence[str], ds) -> dict[str, int]:
-    """tight_lengths from both sides' d-lists (bunch.d_list)."""
-    return {name: a if a > b else b for name, a, b in zip(names, *ds)}
+    return checked(g1, g2).tight_lengths()
 
 
 def _draw_lists(
@@ -348,32 +334,32 @@ def verify_main_theorem(
     """Run repeated random tight-list instances and demand a coloring each
     time.  A failure witnesses an implementation bug and is reported with the
     lists that triggered it."""
+    lengths = tight_lengths(g1, g2)
     require_capacity(g1)
     require_capacity(g2)
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
     if sigma_size is None:
         sigma_size = delta(g1, g2) + 2
-    lengths = tight_lengths(g1, g2)
-    index = _constraint_index(g1, g2)
-    return _trials(g1.ground.names, lengths, index, trials, sigma_size, seed, caps)
+    return list_trials(constraint_index(g1, g2), lengths, trials, sigma_size, seed, caps)
 
 
-def _trials(
-    names: Sequence[str],
+def list_trials(
+    index: ConstraintIndex,
     lengths: Mapping[str, int],
-    index,
     trials: int,
     sigma_size: int,
     seed: int,
-    caps: SearchCaps,
+    caps: SearchCaps = DEFAULT_CAPS,
 ) -> Report:
-    """verify_main_theorem on checked arguments and the instance's index."""
+    """Color trials lists of the given lengths, drawn from {1..sigma_size}
+    by a generator seeded with seed, on the instance's index; each list
+    that does not color is a violation that carries the lists."""
+    if trials < 0:
+        raise InputError("trials must be nonnegative")
     rng = random.Random(seed)
     violations = []
     for trial in range(trials):
         lists = _draw_lists(lengths, sigma_size, rng)
-        if _list_search(names, lists, index, caps) is None:
-            subjects = tuple((name, *map(str, lists[name])) for name in names)
+        if list_coloring(index, lists, caps) is None:
+            subjects = tuple((name, *map(str, lists[name])) for name in index.names)
             violations.append(Violation("list_coloring_missing", subjects, (trial,)))
     return Report(tuple(violations))

@@ -21,10 +21,11 @@ mask, so its value is final once it is peeled.  The alternative schrijver_pi
 splits one dominating coloring into complementary halves; it meets (i) only
 against the global color count, not the pointwise bound.
 
-Each public function validates with core.require_valid and require_capacity,
-which record a pass on the function, so verify_conditions after construct_pi
-walks nothing.  The cores take derived data: _build (effective entries) and
-_condition_report (d-lists); cli.batch_verify calls them after the same checks.
+build and condition_report take a checked pair, a bunch.Instance, and read
+its effective entries and d-lists; build also requires capacity.
+construct_pi and verify_conditions check the pair with bunch.checked and
+call them.  core.require_valid and require_capacity record a pass on the
+function, so verify_conditions after construct_pi walks nothing.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from .core import (
     Violation,
     delta,
     require_capacity,
-    require_same_ground,
     require_valid,
 )
-from .bunch import d_list, effective_entries, part_masks, reduce_entries
+from .bunch import Instance, checked, effective_entries, part_masks, reduce_entries
 from .matching import transversal_mask
 from . import oracle
 
@@ -116,11 +116,11 @@ def _short_sets(colors: list, entries) -> list[tuple[int, int, int]]:
     return short
 
 
-def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
+def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
     """Peel levels in one forward loop that raises both sides' values on
-    element indices as it goes, for valid capacity-bounded functions on
-    ground with effective entries effs (no validation of its own).  One
-    record per level: (live, K, case, hit), hit the K-hit lead parts.
+    element indices as it goes, once both functions pass require_capacity.
+    One record per level: (live, K, case, hit), hit the K-hit lead parts;
+    with check, the pair must also meet (i)-(iii).
 
     Each side keeps its sorted bunch parts, each part's effective entries and
     each element's part, and a level re-derives only the parts K hits, from
@@ -134,10 +134,13 @@ def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
     the follow part holding its lowest bit, found through the follow side's
     index; K is that bit and the hit mask is the part.  Only when no lead
     part qualifies does the level build the part graph (transversal_mask)."""
+    for g in (inst.g1, inst.g2):
+        require_capacity(g)
+    ground = inst.ground
     pis = ([1] * ground.size, [1] * ground.size)
     # per side: sorted parts, entries by part, owner masks by element (see _split)
-    sides = [([], {}, [ground.full_mask] * ground.size) for _ in effs]
-    for eff, state in zip(effs, sides):
+    sides = [([], {}, [ground.full_mask] * ground.size) for _ in inst.effs]
+    for eff, state in zip(inst.effs, sides):
         _split(eff, ground.full_mask, *state)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
@@ -175,7 +178,14 @@ def _build(ground: GroundSet, effs: list) -> tuple[PiPair, list[tuple]]:
                     reduced = reduce_entries(eff, k).items()
                     _split(effective_entries(reduced), left, parts, inside, owner)
         live &= ~k
-    return PiPair(*(dict(zip(ground.names, pi)) for pi in pis)), levels
+    pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
+    if check:
+        report = condition_report(inst, pair)
+        if not report.all_ok:
+            raise RuntimeError(
+                f"constructed pair violates its contract (internal bug): {report.to_dict()}"
+            )
+    return pair, levels
 
 
 def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
@@ -199,39 +209,21 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
 
-def _checked_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
-    """The one validation (both functions valid and capacity-bounded on one
-    ground set), then _build; with check, also (i)-(iii) on the pair."""
-    require_same_ground(g1, g2)
-    for g in (g1, g2):
-        require_valid(g)
-        require_capacity(g)
-    effs = [effective_entries(g.entries) for g in (g1, g2)]
-    pair, levels = _build(g1.ground, effs)
-    if check:
-        ds = [d_list(eff, g1.ground.size) for eff in effs]
-        report = _condition_report(g1, g2, pair, ds)
-        if not report.all_ok:
-            raise RuntimeError(
-                f"constructed pair violates its contract (internal bug): {report.to_dict()}"
-            )
-    return pair, levels
-
-
 def construct_pi(g1: SetFn, g2: SetFn, check: bool = True) -> PiPair:
     """Build a pair satisfying (i)-(iii) for two valid capacity-bounded
     functions on a shared ground set."""
-    return _checked_build(g1, g2, check)[0]
+    return build(checked(g1, g2), check)[0]
 
 
 def construct_pi_traced(g1: SetFn, g2: SetFn, check: bool = True) -> tuple[PiPair, list]:
     """As construct_pi, but also return the per-level (universe, K, case) log."""
-    pair, levels = _checked_build(g1, g2, check)
-    return pair, _level_log(g1.ground, levels)
+    inst = checked(g1, g2)
+    pair, levels = build(inst, check)
+    return pair, level_log(inst.ground, levels)
 
 
-def _level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
-    """_build's level records, without hit, with their masks as names."""
+def level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
+    """build's level records, without hit, with their masks as names."""
     names = ground.names_of
     return [
         {"universe": list(names(live)), "k": list(names(k)), "case": case}
@@ -241,23 +233,19 @@ def _level_log(ground: GroundSet, levels: list[tuple]) -> list[dict]:
 
 def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
     """Evaluate (i), (ii), (iii) exactly and list every witness of failure."""
-    require_same_ground(g1, g2)
-    for name in g1.ground.names:
+    return condition_report(checked(g1, g2), pair)
+
+
+def condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
+    """(i)-(iii) on the instance's d-lists for a pair defined on its whole
+    ground set, on lists indexed by element."""
+    ground = inst.ground
+    names = ground.names
+    for name in names:
         if name not in pair.pi1 or name not in pair.pi2:
             raise InputError(f"pair missing element {name!r}")
-    for g in (g1, g2):
-        require_valid(g)
-    ds = [d_list(effective_entries(g.entries), g1.ground.size) for g in (g1, g2)]
-    return _condition_report(g1, g2, pair, ds)
-
-
-def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, ds: list) -> ConditionReport:
-    """(i)-(iii) for valid functions with d-lists ds (bunch.d_list) and a pair
-    defined on their whole ground set, on lists indexed by element."""
-    ground = g1.ground
-    names = ground.names
     pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
-    (d1, d2), (p1, p2) = ds, pis
+    (d1, d2), (p1, p2) = inst.ds, pis
     witnesses = []
 
     for i, name in enumerate(names):
@@ -266,12 +254,12 @@ def _condition_report(g1: SetFn, g2: SetFn, pair: PiPair, ds: list) -> Condition
             witnesses.append(Violation("condition_i", ((name,),), (p1[i], p2[i], bound)))
     before_ii = len(witnesses)
 
-    for side, (p, g) in enumerate(zip(pis, (g1, g2)), start=1):
+    for side, (p, g) in enumerate(zip(pis, (inst.g1, inst.g2)), start=1):
         for m, got, bound in _short_sets(p, g.entries):
             witnesses.append(Violation("condition_ii", (ground.names_of(m),), (side, got, bound)))
     before_iii = len(witnesses)
 
-    for side, (p, d) in enumerate(zip(pis, ds), start=1):
+    for side, (p, d) in enumerate(zip(pis, inst.ds), start=1):
         for i, name in enumerate(names):
             if p[i] > d[i]:
                 witnesses.append(Violation("condition_iii", ((name,),), (side, p[i], d[i])))
@@ -286,8 +274,9 @@ def schrijver_pi(
     """Split one dominating coloring with k = delta(g1, g2) colors into the
     pair (pi, k+1-pi).  Satisfies (i) with the constant bound k and (ii), but
     not the pointwise bound (iii) in general."""
-    for g in (g1, g2):
+    for g in (g1, g2):  # either side's invalidity before any capacity error
         require_valid(g)
+    for g in (g1, g2):
         require_capacity(g)
     k = delta(g1, g2)
     coloring = oracle.find_k_coloring(g1, g2, k, caps)

@@ -62,7 +62,7 @@ def work(monkeypatch):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
 
-    count("_check_pairs", "pair walks", core)
+    count("check_pairs", "pair walks", core)
     count("check_capacity", "capacity scans", core)
     # a hit part's entries are a list, a function's own entries a tuple
     count("effective_entries", "whole-family derivations", bunch,
@@ -219,8 +219,8 @@ def test_battery_failure_payloads_match(monkeypatch):
     real = oracle._search
     monkeypatch.setattr(
         oracle, "_search",
-        lambda names, domains, index, first_use=False:
-            real(names, domains, index, first_use) if first_use else None,
+        lambda domains, index, first_use=False:
+            real(domains, index, first_use) if first_use else None,
     )
     for cfg in CONFIGS[:20]:
         got = battery(cfg, 2, BIG_LISTS)

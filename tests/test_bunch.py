@@ -184,8 +184,8 @@ def test_cover_witness_minimal_set_is_itself(abc_ground):
 def test_cover_witness_validates_once(monkeypatch, example_g):
     fresh = SetFn(example_g.ground, example_g.entries)  # no record of a passed check
     calls = []
-    walk = core._check_pairs
-    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    walk = core.check_pairs
+    monkeypatch.setattr(core, "check_pairs", lambda g: calls.append(g) or walk(g))
     x = fresh.ground.mask_of(["a", "b", "c", "d"])
     assert fresh.ground.names_of(cover_witness(fresh, x)[1]) == tuple("abcdef")
     assert calls == [fresh]  # one pair walk, shared with the partition

@@ -11,12 +11,15 @@ import pytest
 
 from supercolor import (
     GenConfig,
+    InputError,
     cli,
     dump_json,
     gen_instance,
     instance_payload,
+    load_instance,
     mixed_configs,
     oracle,
+    pi,
 )
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
@@ -248,6 +251,36 @@ def test_worked_example_stdout_pinned(capsys, argv, name):
     data = ROOT / "tests" / "data"
     assert run([argv[0], str(data / "example1.json"), *argv[1:]]) == 0
     assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda path: pi.construct_pi(*load_instance(path)),
+    lambda path: pi.schrijver_pi(*load_instance(path)),
+    lambda path: oracle.verify_main_theorem(*load_instance(path), trials=1),
+    lambda path: run(["verify", str(path)]),
+    lambda path: run(["pi", str(path)]),
+], ids=["construct_pi", "schrijver_pi", "verify_main_theorem", "cli-verify", "cli-pi"])
+def test_either_sides_invalidity_comes_before_any_capacity_error(capsys, tmp_path, entry):
+    # g1 is valid but over capacity, g2 within capacity but not supermodular
+    path = tmp_path / "both_bad.json"
+    path.write_text(json.dumps({
+        "elements": ["a", "b", "c"],
+        "g1": [{"set": ["a"], "value": 2}],
+        "g2": [
+            {"set": ["b"], "value": 0},
+            {"set": ["a", "b"], "value": 2},
+            {"set": ["b", "c"], "value": 2},
+            {"set": ["a", "b", "c"], "value": 1},
+        ],
+    }))
+    message = "function is not supermodular: {a,b}, {b,c} give 4 > 1"
+    try:
+        code = entry(path)
+    except InputError as e:
+        assert str(e) == message
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_color_lists_for_an_unknown_element_are_exit_2(capsys, example_path, tmp_path):
@@ -551,8 +584,8 @@ try:
 except RuntimeError as e:
     raised = str(e)
 calls = []
-report = pi._condition_report
-pi._condition_report = lambda *args: calls.append(1) or report(*args)
+report = pi.condition_report
+pi.condition_report = lambda *args: calls.append(1) or report(*args)
 pi.construct_pi(*load_instance(%r))
 print(json.dumps({"debug": __debug__, "raised": raised, "checks": len(calls)}))
 """ % str(example_path)

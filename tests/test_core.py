@@ -259,9 +259,9 @@ def test_pair_walk_matches_two_walk_reference():
 
 def test_one_pair_walk_per_check(monkeypatch, example_path):
     calls = []
-    walk = core._check_pairs
-    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
-    monkeypatch.setattr(cli, "_check_pairs", core._check_pairs)
+    walk = core.check_pairs
+    monkeypatch.setattr(core, "check_pairs", lambda g: calls.append(g) or walk(g))
+    monkeypatch.setattr(cli, "check_pairs", core.check_pairs)
     g1, _ = parse_instance(example_path.read_text())
     require_valid(g1)
     assert len(calls) == 1
@@ -278,9 +278,9 @@ def walks(monkeypatch):
     """The functions handed to each pair walk and each capacity scan, in order,
     through core's bindings and the ones cli's check command uses."""
     seen = SimpleNamespace(pairs=[], capacity=[])
-    walk, scan = core._check_pairs, core.check_capacity
+    walk, scan = core.check_pairs, core.check_capacity
     for module in (core, cli):
-        monkeypatch.setattr(module, "_check_pairs", lambda g: seen.pairs.append(g) or walk(g))
+        monkeypatch.setattr(module, "check_pairs", lambda g: seen.pairs.append(g) or walk(g))
         monkeypatch.setattr(module, "check_capacity", lambda g: seen.capacity.append(g) or scan(g))
     return seen
 

@@ -34,8 +34,8 @@ from supercolor import (
     random_multigraph,
     reduce,
 )
-from supercolor import matching, pi
-from supercolor.bunch import d_list, effective_entries, part_masks, reduce_entries
+from supercolor import bunch, matching, pi
+from supercolor.bunch import checked, d_list, effective_entries, part_masks, reduce_entries
 from supercolor.core import (
     GroundSet,
     Report,
@@ -47,7 +47,7 @@ from supercolor.core import (
     require_valid,
 )
 from supercolor.matching import closed_pairs, transversal_mask
-from supercolor.pi import ConditionReport, PiPair, _condition_report, dominates, verify_conditions
+from supercolor.pi import ConditionReport, PiPair, condition_report, dominates, verify_conditions
 
 
 # -- references ---------------------------------------------------------------
@@ -205,7 +205,7 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
         require_valid(g)
         require_capacity(g)
     ground = g1.ground
-    entry_effs = effs = [effective_entries(g.entries) for g in (g1, g2)]
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
     pis = ([1] * ground.size, [1] * ground.size)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
@@ -221,8 +221,7 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
 
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
     if check:
-        ds = [d_list(eff, ground.size) for eff in entry_effs]
-        report = _condition_report(g1, g2, pair, ds)
+        report = condition_report(checked(g1, g2), pair)
         if not report.all_ok:
             raise RuntimeError(
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
@@ -604,7 +603,7 @@ def test_construct_pi_matches_ref_build(monkeypatch):
 
 def test_owner_lookup_matches_the_part_graph(monkeypatch):
     """On the instances of test_construct_pi_matches_ref_build, every level
-    that _build's singleton step settles (through the follow side's owner
+    that build's singleton step settles (through the follow side's owner
     index, without calling transversal_mask) gets the (K, case, hit) that
     transversal_mask's part graph gives on that level's partitions, rebuilt
     from the whole families as ref_build does."""
@@ -623,7 +622,7 @@ def test_owner_lookup_matches_the_part_graph(monkeypatch):
     for g1, g2 in instances:
         graph_levels.clear()
         effs = [effective_entries(g.entries) for g in (g1, g2)]
-        for live, k, case, hit in pi._build(g1.ground, effs)[1]:
+        for live, k, case, hit in pi.build(checked(g1, g2), check=False)[1]:
             if live in graph_levels:
                 levels["part graph"] += 1
             else:
@@ -637,14 +636,19 @@ def test_owner_lookup_matches_the_part_graph(monkeypatch):
 def entries_passed(monkeypatch, module, build) -> int:
     """Entries that build passes to module's effective_entries and
     reduce_entries on 20 seeded 32-edge encodings, past the entry step's two
-    calls of effective_entries on the functions' own entries."""
+    calls of effective_entries on the functions' own entries.  The entry step
+    may derive through bunch.checked, so bunch's bindings count too."""
     sizes = []
     for name in ("effective_entries", "reduce_entries"):
-        def counting(entries, *rest, fn=getattr(module, name)):
+        real = getattr(module, name)
+
+        def counting(entries, *rest, fn=real):
             sizes.append(len(entries))
             return fn(entries, *rest)
 
-        monkeypatch.setattr(module, name, counting)
+        for mod in (module, bunch):
+            if getattr(mod, name) is real:
+                monkeypatch.setattr(mod, name, counting)
     total = 0
     for seed in range(20):
         g1, g2 = encode_bipartite(random_multigraph(random.Random(seed), 32))
@@ -683,7 +687,7 @@ def _transplanted(pair: PiPair, other: PiPair) -> PiPair:
 
 def same_report(g1, g2, pair) -> dict:
     effs = [effective_entries(g.entries) for g in (g1, g2)]
-    got = _condition_report(g1, g2, pair, [d_list(eff, g1.ground.size) for eff in effs]).to_dict()
+    got = condition_report(checked(g1, g2), pair).to_dict()
     want = ref_condition_report(g1, g2, pair, effs).to_dict()
     assert list(got.items()) == list(want.items()), (pair, g1, g2)
     return want

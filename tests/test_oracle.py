@@ -24,6 +24,7 @@ from supercolor import (
     random_multigraph,
     verify_main_theorem,
 )
+from supercolor import oracle
 from supercolor.core import bit_indices, require_capacity
 from supercolor.oracle import _constraints, tight_lengths
 
@@ -139,6 +140,21 @@ def test_min_k_matches_delta_at_ten_elements():
     for cfg in mixed_configs(seed=4242, count=15, n_min=10, n_max=10):
         g1, g2 = gen_instance(cfg)
         assert min_k(g1, g2) == delta(g1, g2), cfg
+
+
+def test_k_search_below_delta_is_refused_before_searching(monkeypatch):
+    # every element has the same k colors, so a bound above k is a pigeonhole
+    # refusal; no element is assigned
+    searches = []
+    real = oracle._search
+    monkeypatch.setattr(oracle, "_search", lambda *args: searches.append(1) or real(*args))
+    below = 0
+    for cfg in mixed_configs(seed=2718, count=30, n_min=10, n_max=10):
+        g1, g2 = gen_instance(cfg)
+        for k in range(1, delta(g1, g2)):
+            assert find_k_coloring(g1, g2, k) is None, (cfg, k)
+            below += 1
+    assert searches == [] and below >= 30
 
 
 def test_list_coloring_singleton_lists(abc_ground):

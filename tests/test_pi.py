@@ -137,8 +137,8 @@ def test_construct_pi_validates_once(monkeypatch):
     assert len(construct_pi_traced(*encode_bipartite(graph), check=False)[1]) == 27
     g1, g2 = encode_bipartite(graph)  # fresh: no record of a passed check
     calls = []
-    walk = core._check_pairs
-    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    walk = core.check_pairs
+    monkeypatch.setattr(core, "check_pairs", lambda g: calls.append(g) or walk(g))
     construct_pi(g1, g2, check=False)
     assert calls == [g1, g2]  # one pair walk per side, at entry; none per level
 
@@ -146,8 +146,8 @@ def test_construct_pi_validates_once(monkeypatch):
 def test_construct_pi_check_validates_once(monkeypatch):
     g1, g2 = encode_bipartite(random_multigraph(random.Random(3280387012), 32))
     calls = []
-    walk = core._check_pairs
-    monkeypatch.setattr(core, "_check_pairs", lambda g: calls.append(g) or walk(g))
+    walk = core.check_pairs
+    monkeypatch.setattr(core, "check_pairs", lambda g: calls.append(g) or walk(g))
     construct_pi(g1, g2, check=True)
     assert calls == [g1, g2]  # the final check reuses the entry validation
 
