@@ -253,6 +253,14 @@ def test_worked_example_stdout_pinned(capsys, argv, name):
     assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
 
 
+def test_tightness_probe_stdout_pinned(capsys, monkeypatch):
+    """Its counts depend on every list drawn: 8 of 85 trials are uncolorable."""
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    assert run(["tightness-probe", "--count", "20"]) == 0
+    expected = (ROOT / "tests" / "data" / "tightness_probe.count20.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("entry", [
     lambda path: pi.construct_pi(*load_instance(path)),
     lambda path: pi.schrijver_pi(*load_instance(path)),
