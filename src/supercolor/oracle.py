@@ -23,12 +23,15 @@ passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
 changes nothing.  A k-search colors with 1..min(k, n), already small bits.
-Every list search, find_list_coloring's and each drawn trial's, goes through
-list_coloring, which numbers the distinct colors (by equality, so 1 and 1.0
-are one) in order of first appearance and maps the coloring back to the
-objects of each element's own list; so a mask is as wide as the colors in
-play, not as the largest color value (a trial's colors come from a pool
-1..sigma_size of any size).
+Every list search, find_list_coloring's and each drawn trial's, numbers the
+distinct colors (by equality, so 1 and 1.0 are one) in order of first
+appearance, so a mask is as wide as the colors in play, not as the largest
+color value (a trial's colors come from a pool 1..sigma_size of any size).
+list_coloring checks the list budget and maps the coloring back to the
+objects of each element's own list.  list_trials checks its lengths, the
+pool and the budget once per call, then per trial draws the lists (with
+Random.sample's draws, without its per-call cost) and only asks whether a
+coloring exists.
 
 k_coloring, least_k, list_coloring and list_trials search on the index, which
 needs no validity, so cli.batch_verify builds it once per instance for all
@@ -42,7 +45,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from math import ceil, log
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     InputError,
@@ -228,26 +232,27 @@ def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
     return least_k(constraint_index(g1, g2), delta(g1, g2), caps)
 
 
-def list_coloring(
-    index: ConstraintIndex, lists: Mapping[str, Sequence], caps: SearchCaps = DEFAULT_CAPS
-) -> Coloring | None:
-    """find_list_coloring on the instance's index, for lists of distinct
-    colors, each in its element's visiting order, once the list budget
-    admits them.  Each distinct color (by equality) becomes a bit, numbered
-    in order of first appearance, and the coloring maps each element's bit
-    back to the object in its own list.  The search compares colors only for
-    equality, so the numbering changes neither the coloring found nor
-    whether one exists."""
-    names = index.names
-    domains = [lists[name] for name in names]
+def _require_budget(names: Sequence[str], sizes: Sequence[int], caps: SearchCaps) -> None:
+    """Refuse lists of these sizes, one per element in ground order, whose
+    product exceeds the list budget."""
     budget = 1
-    for at, dom in enumerate(domains):
-        budget *= len(dom)
+    for at, size in enumerate(sizes):
+        budget *= size
         if budget > caps.list_budget:
             raise ResourceLimitError(
                 f"list search budget {caps.list_budget} exceeded: product {budget}"
                 f" at element {names[at]!r} ({at + 1} of {len(names)})"
             )
+
+
+def _list_search(
+    index: ConstraintIndex, domains: Sequence[Sequence]
+) -> tuple[list[tuple[int, ...]], Coloring | None]:
+    """The list search of list_coloring and list_trials: each element's
+    list as color numbers, and the first assignment of those numbers, or
+    None.  Each distinct color (by equality) becomes a bit, numbered in
+    order of first appearance.  Before searching, a set whose elements' lists
+    hold fewer distinct colors than its bound gives None (pigeonhole)."""
     bit_of: dict = {}
     bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
     reach = []  # per element, the mask of its list
@@ -261,8 +266,23 @@ def list_coloring(
         for i in elems:
             m |= reach[i]
         if m.bit_count() < bound:
-            return None  # pigeonhole: too few colors to reach the bound
-    found = _search(bits, index)
+            return bits, None
+    return bits, _search(bits, index)
+
+
+def list_coloring(
+    index: ConstraintIndex, lists: Mapping[str, Sequence], caps: SearchCaps = DEFAULT_CAPS
+) -> Coloring | None:
+    """find_list_coloring on the instance's index, for lists of distinct
+    colors, each in its element's visiting order, once the list budget
+    admits them.  The coloring maps each element's color number back to the
+    object in its own list.  The search compares colors only for equality,
+    so the numbering changes neither the coloring found nor whether one
+    exists."""
+    names = index.names
+    domains = [lists[name] for name in names]
+    _require_budget(names, [len(dom) for dom in domains], caps)
+    bits, found = _list_search(index, domains)
     if found is None:
         return None
     return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
@@ -302,25 +322,60 @@ def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
     return checked(g1, g2).tight_lengths()
 
 
-def _draw_lists(
-    lengths: Mapping[str, int], sigma_size: int, rng: random.Random
-) -> dict[str, tuple[int, ...]]:
-    lists = {}
-    for name, need in lengths.items():
+def _require_pool(needs: Iterable[int], sigma_size: int) -> None:
+    for need in needs:
         if sigma_size < need:
             raise InputError(
                 f"color pool of {sigma_size} too small for list length {need}"
             )
-        lists[name] = tuple(sorted(rng.sample(range(1, sigma_size + 1), need)))
-    return lists
+
+
+def _draw(rng: random.Random, sigma_size: int, need: int) -> tuple[int, ...]:
+    """tuple(sorted(rng.sample(range(1, sigma_size + 1), need))) for
+    0 <= need <= sigma_size, draw for draw, leaving rng in the same state.
+    Like Random.sample through _randbelow, it calls only rng.getrandbits,
+    drawing width n.bit_length() until the value is below n, and it takes
+    sample's branch: when sigma_size is at most sample's set size, a pool
+    whose last live color fills each pick's place; otherwise set selection,
+    which redraws repeats."""
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if need > 5:
+        setsize += 4 ** ceil(log(need * 3, 4))
+    if sigma_size <= setsize:
+        pool = list(range(1, sigma_size + 1))
+        picked = []
+        for n in range(sigma_size, sigma_size - need, -1):
+            width = n.bit_length()
+            j = getrandbits(width)
+            while j >= n:
+                j = getrandbits(width)
+            picked.append(pool[j])
+            pool[j] = pool[n - 1]  # the live pool is pool[:n - 1]
+    else:
+        width = sigma_size.bit_length()
+        selected: set[int] = set()
+        for _ in range(need):
+            j = getrandbits(width)
+            while j >= sigma_size or j in selected:
+                j = getrandbits(width)
+            selected.add(j)
+        picked = [j + 1 for j in selected]
+    picked.sort()
+    return tuple(picked)
 
 
 def random_lists(
     g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
 ) -> dict[str, tuple[int, ...]]:
     """Per-element lists of the tight length max{d1(u), d2(u)}, drawn without
-    replacement from the pool {1..sigma_size}."""
-    return _draw_lists(tight_lengths(g1, g2), sigma_size, rng)
+    replacement from the pool {1..sigma_size}, in ground order.  For
+    random.Random and SystemRandom each list equals
+    tuple(sorted(rng.sample(range(1, sigma_size + 1), length))), with the
+    same draws from rng."""
+    lengths = tight_lengths(g1, g2)
+    _require_pool(lengths.values(), sigma_size)
+    return {name: _draw(rng, sigma_size, need) for name, need in lengths.items()}
 
 
 def verify_main_theorem(
@@ -352,14 +407,37 @@ def list_trials(
 ) -> Report:
     """Color trials lists of the given lengths, drawn from {1..sigma_size}
     by a generator seeded with seed, on the instance's index; each list
-    that does not color is a violation that carries the lists."""
+    that does not color is a violation that carries the lists.
+
+    lengths holds an int >= 1 for each element of the index and for nothing
+    else.  With trials > 0, a pool smaller than some length, then lists over
+    the list budget, are refused once, before any draw.  Each trial draws
+    the lists in the order of lengths, as random_lists does, and only asks
+    whether a coloring exists."""
     if trials < 0:
         raise InputError("trials must be nonnegative")
+    names = index.names
+    for name in names:
+        if name not in lengths:
+            raise InputError(f"no list length for element {name!r}")
+        need = lengths[name]
+        if not isinstance(need, int) or isinstance(need, bool) or need < 1:
+            raise InputError(
+                f"list length of element {name!r} must be an int >= 1, got {need!r}"
+            )
+    if len(lengths) > len(names):  # every element has a length, so some length is not an element's
+        unknown = next(name for name in lengths if name not in names)
+        raise InputError(f"unknown element {unknown!r}")
+    if trials == 0:
+        return Report(())
+    _require_pool(lengths.values(), sigma_size)
+    _require_budget(names, [lengths[name] for name in names], caps)
     rng = random.Random(seed)
     violations = []
     for trial in range(trials):
-        lists = _draw_lists(lengths, sigma_size, rng)
-        if list_coloring(index, lists, caps) is None:
-            subjects = tuple((name, *map(str, lists[name])) for name in index.names)
+        lists = {name: _draw(rng, sigma_size, need) for name, need in lengths.items()}
+        domains = [lists[name] for name in names]
+        if _list_search(index, domains)[1] is None:
+            subjects = tuple((name, *map(str, dom)) for name, dom in zip(names, domains))
             violations.append(Violation("list_coloring_missing", subjects, (trial,)))
     return Report(tuple(violations))

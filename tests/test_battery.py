@@ -29,7 +29,7 @@ from supercolor.oracle import (
     find_k_coloring,
     find_list_coloring,
     min_k,
-    random_lists,
+    tight_lengths,
     verify_main_theorem,
 )
 from supercolor.pi import construct_pi, dominates, verify_conditions
@@ -124,12 +124,14 @@ def test_pi_command_validates_and_derives_once(capsys, example_path, work, metho
 # -- differential: the battery against the public functions --------------------
 
 def ref_theorem(g1, g2, trials, seed, caps) -> Report:
-    """verify_main_theorem from find_list_coloring per trial."""
+    """verify_main_theorem from find_list_coloring per trial, on lists drawn
+    by Random.sample itself."""
     rng = random.Random(seed)
     sigma = delta(g1, g2) + 2
+    lengths = tight_lengths(g1, g2)
     violations = []
     for trial in range(trials):
-        lists = random_lists(g1, g2, sigma, rng)
+        lists = {u: tuple(sorted(rng.sample(range(1, sigma + 1), b))) for u, b in lengths.items()}
         coloring = find_list_coloring(g1, g2, lists, caps)
         if coloring is None:
             subjects = tuple((name, *map(str, lists[name])) for name in g1.ground.names)

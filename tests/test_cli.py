@@ -253,6 +253,11 @@ def test_worked_example_stdout_pinned(capsys, argv, name):
     assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
 
 
+def test_verify_with_no_trials_skips_the_pool_check(capsys, example_path):
+    assert run(["verify", str(example_path), "--trials", "0", "--sigma", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_tightness_probe_stdout_pinned(capsys, monkeypatch):
     """Its counts depend on every list drawn: 8 of 85 trials are uncolorable."""
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -25,7 +26,7 @@ from supercolor import (
     verify_main_theorem,
 )
 from supercolor import oracle
-from supercolor.core import bit_indices, require_capacity
+from supercolor.core import Report, Violation, bit_indices, require_capacity
 from supercolor.oracle import _constraints, tight_lengths
 
 
@@ -276,6 +277,96 @@ def test_search_determinism(example_instance):
     r1 = verify_main_theorem(g1, g2, trials=5, seed=42)
     r2 = verify_main_theorem(g1, g2, trials=5, seed=42)
     assert r1 == r2
+
+
+def test_draws_equal_the_stdlib_sample():
+    # sample's own choice: a swap pool up to its set size, set selection above
+    branches = Counter()
+    for sigma in [*range(1, 121), 10**3, 10**12]:
+        for need in range(min(sigma, 40) + 1):
+            setsize = 21 + (4 ** math.ceil(math.log(need * 3, 4)) if need > 5 else 0)
+            branches["pool" if sigma <= setsize else "set"] += 1
+            for seed in range(4):
+                mine, stdlib = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    want = tuple(sorted(stdlib.sample(range(1, sigma + 1), need)))
+                    assert oracle._draw(mine, sigma, need) == want, (sigma, need, seed)
+                assert mine.getstate() == stdlib.getstate(), (sigma, need, seed)
+    assert branches["pool"] > 1000 and branches["set"] > 1000, branches
+
+
+def shortened(g1, g2):
+    return {u: max(1, b - 1) for u, b in tight_lengths(g1, g2).items()}
+
+
+def test_list_trials_draw_in_the_order_of_lengths():
+    """list_trials against Random.sample and find_list_coloring per trial,
+    on lengths listed in reverse ground order and one shorter than tight,
+    so that some trials do not color."""
+    missing = 0
+    for cfg in mixed_configs(seed=23, count=40, n_min=4, n_max=7):
+        g1, g2 = gen_instance(cfg)
+        lengths = dict(reversed(shortened(g1, g2).items()))
+        sigma = delta(g1, g2) + 2
+        rng = random.Random(cfg.seed)
+        want = []
+        for trial in range(4):
+            lists = {u: sorted(rng.sample(range(1, sigma + 1), b)) for u, b in lengths.items()}
+            if find_list_coloring(g1, g2, lists) is None:
+                subjects = tuple((u, *map(str, lists[u])) for u in g1.ground.names)
+                want.append(Violation("list_coloring_missing", subjects, (trial,)))
+        index = oracle.constraint_index(g1, g2)
+        got = oracle.list_trials(index, lengths, 4, sigma, cfg.seed)
+        assert got == Report(tuple(want)), cfg
+        missing += len(want)
+    assert missing > 0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"j": None}, "no list length for element 'j'"),
+    ({"zz": 1}, "unknown element 'zz'"),
+    ({"j": 0}, "list length of element 'j' must be an int >= 1, got 0"),
+    ({"j": -1}, "list length of element 'j' must be an int >= 1, got -1"),
+    ({"j": 2.0}, "list length of element 'j' must be an int >= 1, got 2.0"),
+    ({"j": True}, "list length of element 'j' must be an int >= 1, got True"),
+], ids=["missing", "unknown", "zero", "negative", "float", "bool"])
+def test_list_trials_rejects_bad_lengths(example_instance, change, message):
+    g1, g2 = example_instance
+    lengths = tight_lengths(g1, g2) | change
+    lengths = {u: b for u, b in lengths.items() if b is not None}
+    index = oracle.constraint_index(g1, g2)
+    for trials in (0, 2):
+        with pytest.raises(InputError) as e:
+            oracle.list_trials(index, lengths, trials, 10, seed=0)
+        assert str(e.value) == message
+
+
+def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
+    g1, g2 = example_instance
+    lengths = tight_lengths(g1, g2)
+    index = oracle.constraint_index(g1, g2)
+    caps = SearchCaps(list_budget=5)
+    # the message list_coloring gives on lists of these lengths
+    with pytest.raises(ResourceLimitError) as e:
+        oracle.list_coloring(index, {u: range(b) for u, b in lengths.items()}, caps)
+    over_budget = str(e.value)
+    assert over_budget.startswith("list search budget 5 exceeded: product ")
+
+    def entered(*args):
+        raise AssertionError("entered")
+
+    monkeypatch.setattr(oracle, "_search", entered)
+    monkeypatch.setattr(oracle, "_draw", entered)
+    for trials in (1, 50):
+        with pytest.raises(ResourceLimitError) as e:
+            oracle.list_trials(index, lengths, trials, 10, 0, caps)
+        assert str(e.value) == over_budget
+        # a pool too small for a list (a's, the first) comes before the budget
+        with pytest.raises(InputError) as e:
+            oracle.list_trials(index, lengths, trials, 2, 0, caps)
+        assert str(e.value) == "color pool of 2 too small for list length 4"
+    # with no trials neither check runs
+    assert oracle.list_trials(index, lengths, 0, 0, 0, caps).ok
 
 
 def ref_search(names, domains, constraints):
