@@ -253,6 +253,13 @@ def test_worked_example_stdout_pinned(capsys, argv, name):
     assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
 
 
+@pytest.mark.parametrize("strategy", ["laminar", "closure", "rank_complement", "bipartite"])
+def test_gen_stdout_pinned(capsys, strategy):
+    assert run(["gen", "--strategy", strategy, "--n", "7", "--seed", "42"]) == 0
+    expected = (ROOT / "tests" / "data" / f"gen.{strategy}.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_with_no_trials_skips_the_pool_check(capsys, example_path):
     assert run(["verify", str(example_path), "--trials", "0", "--sigma", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True

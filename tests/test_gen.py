@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from supercolor import (
     instance_payload,
     mixed_configs,
 )
-from supercolor.gen import close_family, rank_complement_value
+from supercolor.gen import STRATEGIES, close_family, random_multigraph, rank_complement_value
 from lemmas import is_partial_transversal, sample_partial_transversal
 
 
@@ -122,3 +123,49 @@ def test_sample_partial_transversal():
         for _ in range(5):
             k = sample_partial_transversal(parts, rng)
             assert is_partial_transversal(parts, k)
+
+
+# sha256 of the canonical JSON of every instance, in order; any change to a
+# draw, to its order or to what a generator builds from it moves these
+MIXED_DIGESTS = {
+    1: "4b330f83d6bad5bbb8f7d2bc97850c4a8e07679ee997221d5d6ffcb6af34fb62",
+    2: "bc29481b29df23fa8d4f8b150c98cdc901799e17723a179e7be6fc5d9902d6b4",
+    3: "465aa2f3a5860d4dc3848df8265f88c99bb54de542d9f679b07a040ff4a70511",
+}
+
+
+def instances_digest(configs):
+    h = hashlib.sha256()
+    for cfg in configs:
+        h.update(dump_json(instance_payload(*gen_instance(cfg))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(MIXED_DIGESTS))
+def test_mixed_instances_pinned(seed):
+    assert instances_digest(mixed_configs(seed, 500, n_max=10)) == MIXED_DIGESTS[seed]
+
+
+def test_every_strategy_and_size_pinned():
+    configs = [
+        GenConfig(seed=seed, n_elements=n, strategy=strategy)
+        for strategy in STRATEGIES
+        for n in range(1, 11)
+        for seed in range(3)
+    ]
+    assert instances_digest(configs) == (
+        "50d3d1e8e2d0fce0d4743b0eba4e4c7c2cab3646247b22f617267cab0a1417b9"
+    )
+
+
+def test_random_multigraph_pinned():
+    """Vertices and edges for 1..64 edges from one generator per seed, then
+    one more draw, so the generator's state after each graph is pinned too."""
+    h = hashlib.sha256()
+    for seed in range(5):
+        rng = random.Random(seed)
+        for m in range(1, 65):
+            g = random_multigraph(rng, m)
+            h.update(repr((g.s_vertices, g.t_vertices, g.edges)).encode())
+        h.update(repr(rng.getrandbits(64)).encode())
+    assert h.hexdigest() == "4f540b5f818ceb93807416571d5a812d367f5ce78d6f1c2d26c45bb56a80567f"
