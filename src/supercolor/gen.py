@@ -11,6 +11,12 @@ Strategies:
 
 Every generator re-checks its output and the same config always reproduces
 the same instance byte for byte.
+
+The draws call only rng.getrandbits (and rng.random): each site makes, draw
+for draw, the draws of the Random method it stands for (randint, shuffle,
+sample of range(n), choice), so for random.Random and SystemRandom it gives
+what those methods give and leaves the generator in the same state, without
+their per-call cost.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     GenerationError,
     GroundSet,
     InputError,
     SetFn,
-    is_intersecting,
     require_capacity,
     require_valid,
 )
@@ -63,11 +69,47 @@ def _ground(n: int) -> GroundSet:
     return GroundSet(tuple(string.ascii_lowercase[:n]))
 
 
+# -- draws ------------------------------------------------------------------
+# Random._randbelow(n) draws n.bit_length() bits until the value is below n;
+# randint(a, b) is a + _randbelow(b - a + 1) and choice(seq) is
+# seq[_randbelow(len(seq))].
+
+def _below(getrandbits, n: int) -> int:
+    """rng._randbelow(n) for n >= 1, given rng.getrandbits."""
+    width = n.bit_length()
+    r = getrandbits(width)
+    while r >= n:
+        r = getrandbits(width)
+    return r
+
+
+def _shuffled(getrandbits, n: int) -> list[int]:
+    """order = list(range(n)); rng.shuffle(order); order."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _sample_mask(getrandbits, n: int, k: int) -> int:
+    """The mask of rng.sample(range(n), k)'s elements, for k <= n <= 21, where
+    sample takes its pool branch: each pick's place is filled by the last
+    live element."""
+    pool = list(range(n))
+    mask = 0
+    for live in range(n, n - k, -1):
+        j = _below(getrandbits, live)
+        mask |= 1 << pool[j]
+        pool[j] = pool[live - 1]
+    return mask
+
+
 # -- laminar ----------------------------------------------------------------
 
 def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
-    order = list(range(n))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    order = _shuffled(getrandbits, n)
     out: set[int] = set()
 
     def rec(lo: int, hi: int) -> None:
@@ -79,7 +121,7 @@ def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
                 mask |= 1 << i
             out.add(mask)
         if hi - lo >= 2:
-            cut = rng.randint(lo + 1, hi - 1)
+            cut = lo + 1 + _below(getrandbits, hi - lo - 1)
             rec(lo, cut)
             rec(cut, hi)
 
@@ -89,7 +131,8 @@ def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
 
 def _laminar_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -> SetFn:
     masks = _laminar_masks(rng, ground.size, cfg.density)
-    pairs = tuple((m, rng.randint(1, m.bit_count())) for m in masks)
+    getrandbits = rng.getrandbits
+    pairs = tuple((m, 1 + _below(getrandbits, m.bit_count())) for m in masks)
     return SetFn(ground, pairs)
 
 
@@ -98,29 +141,30 @@ def _laminar_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -> SetFn:
 def close_family(base, cap: int | None = None) -> list[int] | None:
     """Close a family of masks under union/intersection of intersecting
     pairs; None once the fixpoint exceeds the cap."""
-    masks: set[int] = set(base)
-    frontier = list(masks)
-    while frontier:
-        x = frontier.pop()
-        for y in list(masks):
-            if is_intersecting(x, y):
-                for z in (x | y, x & y):
-                    if z not in masks:
-                        masks.add(z)
-                        frontier.append(z)
-        if cap is not None and len(masks) > cap:
+    seen: set[int] = set(base)
+    family = list(seen)  # grows; each mask meets every mask before it once
+    if cap is not None and len(family) > cap:
+        return None
+    for i, x in enumerate(family):
+        for y in islice(family, i):
+            meet = x & y
+            if meet and meet != x and meet != y:  # x and y cross
+                for z in (x | y, meet):
+                    if z not in seen:
+                        seen.add(z)
+                        family.append(z)
+        if cap is not None and len(family) > cap:
             return None
-    return sorted(masks)
+    family.sort()
+    return family
 
 
 def _closure_masks(rng: random.Random, n: int, cfg: GenConfig) -> list[int] | None:
+    getrandbits = rng.getrandbits
     base = set()
     for _ in range(cfg.base_sets):
-        size = rng.randint(1, n)
-        mask = 0
-        for i in rng.sample(range(n), size):
-            mask |= 1 << i
-        base.add(mask)
+        size = 1 + _below(getrandbits, n)
+        base.add(_sample_mask(getrandbits, n, size))
     return close_family(base, cfg.family_cap)
 
 
@@ -131,7 +175,7 @@ def _repair_supermodular(values: dict[int, int], masks: list[int]) -> bool:
         (a, b)
         for i, a in enumerate(masks)
         for b in masks[i + 1 :]
-        if is_intersecting(a, b)
+        if (meet := a & b) and meet != a and meet != b  # a and b cross
     ]
     for _ in range(REPAIR_MAX_PASSES):
         dirty = False
@@ -160,7 +204,8 @@ def _closure_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -> SetFn:
         masks = _closure_masks(rng, ground.size, cfg)
         if masks is None:
             continue
-        values = {m: rng.randint(1, m.bit_count()) for m in masks}
+        getrandbits = rng.getrandbits
+        values = {m: 1 + _below(getrandbits, m.bit_count()) for m in masks}
         if not _repair_supermodular(values, masks):
             continue
         return SetFn(ground, tuple(values.items()))
@@ -176,12 +221,12 @@ def rank_complement_value(mask: int, blocks: list[int], caps: list[int]) -> int:
 
 
 def _random_blocks(rng: random.Random, n: int) -> list[int]:
-    order = list(range(n))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    order = _shuffled(getrandbits, n)
     blocks = []
     lo = 0
     while lo < n:
-        hi = rng.randint(lo + 1, n)
+        hi = lo + 1 + _below(getrandbits, n - lo)
         mask = 0
         for i in order[lo:hi]:
             mask |= 1 << i
@@ -193,7 +238,8 @@ def _random_blocks(rng: random.Random, n: int) -> list[int]:
 def _rank_complement_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -> SetFn:
     n = ground.size
     blocks = _random_blocks(rng, n)
-    caps = [rng.randint(0, b.bit_count()) for b in blocks]
+    getrandbits = rng.getrandbits
+    caps = [_below(getrandbits, b.bit_count() + 1) for b in blocks]
     for _ in range(cfg.max_attempts):
         masks = _closure_masks(rng, n, cfg)
         if masks is not None:
@@ -205,11 +251,19 @@ def _rank_complement_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -
 # -- bipartite ---------------------------------------------------------------
 
 def random_multigraph(rng: random.Random, n_edges: int) -> BipartiteGraph:
-    ns = rng.randint(1, n_edges)
-    nt = rng.randint(1, n_edges)
+    """n_edges >= 1 edges between 1..n_edges S- and T-vertices, each end
+    drawn uniformly."""
+    if n_edges < 1:
+        raise InputError(f"need n_edges >= 1, got {n_edges}")
+    getrandbits = rng.getrandbits
+    ns = 1 + _below(getrandbits, n_edges)
+    nt = 1 + _below(getrandbits, n_edges)
     s_names = tuple(f"s{i}" for i in range(1, ns + 1))
     t_names = tuple(f"t{i}" for i in range(1, nt + 1))
-    pairs = [(rng.choice(s_names), rng.choice(t_names)) for _ in range(n_edges)]
+    pairs = [
+        (s_names[_below(getrandbits, ns)], t_names[_below(getrandbits, nt)])
+        for _ in range(n_edges)
+    ]
     return BipartiteGraph.from_pairs(s_names, t_names, pairs)
 
 

@@ -27,7 +27,8 @@ Every list search, find_list_coloring's and each drawn trial's, numbers the
 distinct colors (by equality, so 1 and 1.0 are one) in order of first
 appearance, so a mask is as wide as the colors in play, not as the largest
 color value (a trial's colors come from a pool 1..sigma_size of any size).
-list_coloring checks the list budget and maps the coloring back to the
+list_coloring checks its lists (one nonempty list per element and none for
+another name) and the list budget, and maps the coloring back to the
 objects of each element's own list.  list_trials checks its lengths, the
 pool and the budget once per call, then per trial draws the lists (with
 Random.sample's draws, without its per-call cost) and only asks whether a
@@ -245,6 +246,13 @@ def _require_budget(names: Sequence[str], sizes: Sequence[int], caps: SearchCaps
             )
 
 
+def _require_known(names: Sequence[str], per_element: Mapping) -> None:
+    """Given an entry for every name, refuse an entry for any other name."""
+    if len(per_element) > len(names):
+        unknown = next(name for name in per_element if name not in names)
+        raise InputError(f"unknown element {unknown!r}")
+
+
 def _list_search(
     index: ConstraintIndex, domains: Sequence[Sequence]
 ) -> tuple[list[tuple[int, ...]], Coloring | None]:
@@ -274,12 +282,19 @@ def list_coloring(
     index: ConstraintIndex, lists: Mapping[str, Sequence], caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
     """find_list_coloring on the instance's index, for lists of distinct
-    colors, each in its element's visiting order, once the list budget
-    admits them.  The coloring maps each element's color number back to the
-    object in its own list.  The search compares colors only for equality,
-    so the numbering changes neither the coloring found nor whether one
-    exists."""
+    colors, each in its element's visiting order.  Every element needs a
+    nonempty list and no other name may have one, then the list budget must
+    admit them; all are checked before the search.  The coloring maps each
+    element's color number back to the object in its own list.  The search
+    compares colors only for equality, so the numbering changes neither the
+    coloring found nor whether one exists."""
     names = index.names
+    for name in names:
+        if name not in lists:
+            raise InputError(f"no color list for element {name!r}")
+        if not lists[name]:
+            raise InputError(f"empty color list for element {name!r}")
+    _require_known(names, lists)
     domains = [lists[name] for name in names]
     _require_budget(names, [len(dom) for dom in domains], caps)
     bits, found = _list_search(index, domains)
@@ -295,24 +310,17 @@ def find_list_coloring(
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> Coloring | None:
     """Dominating coloring drawing each element's color from its own list,
-    or None when the exhaustive search proves there is none.  Every element
+    or None when the exhaustive search proves there is none.  Each list is
+    made distinct and sorted, then list_coloring checks them: every element
     needs a nonempty list, and a list for an element outside the ground set
     is bad input; both are checked before the list budget.
 
     Colors equal as values are one color (1 and 1.0); each element's color
     is the object in its own list."""
     require_same_ground(g1, g2)
-    names = g1.ground.names
-    for name in names:
-        if name not in lists:
-            raise InputError(f"no color list for element {name!r}")
-        if not lists[name]:
-            raise InputError(f"empty color list for element {name!r}")
-    if len(lists) > len(names):  # every element has a list, so some list is not an element's
-        for name in lists:
-            g1.ground.index(name)  # raises on the first unknown element
     domains = {
-        name: sorted(set(lists[name]), key=lambda c: (type(c).__name__, c)) for name in names
+        name: sorted(set(colors), key=lambda c: (type(c).__name__, c))
+        for name, colors in lists.items()
     }
     return list_coloring(constraint_index(g1, g2), domains, caps)
 
@@ -425,9 +433,7 @@ def list_trials(
             raise InputError(
                 f"list length of element {name!r} must be an int >= 1, got {need!r}"
             )
-    if len(lengths) > len(names):  # every element has a length, so some length is not an element's
-        unknown = next(name for name in lengths if name not in names)
-        raise InputError(f"unknown element {unknown!r}")
+    _require_known(names, lengths)
     if trials == 0:
         return Report(())
     _require_pool(lengths.values(), sigma_size)

@@ -15,6 +15,7 @@ from supercolor import (
     instance_payload,
     mixed_configs,
 )
+from supercolor import gen
 from supercolor.gen import STRATEGIES, close_family, random_multigraph, rank_complement_value
 from lemmas import is_partial_transversal, sample_partial_transversal
 
@@ -169,3 +170,47 @@ def test_random_multigraph_pinned():
             h.update(repr((g.s_vertices, g.t_vertices, g.edges)).encode())
         h.update(repr(rng.getrandbits(64)).encode())
     assert h.hexdigest() == "4f540b5f818ceb93807416571d5a812d367f5ce78d6f1c2d26c45bb56a80567f"
+
+
+def assert_same_draws(mine, stdlib):
+    """mine and stdlib, three calls each on generators seeded alike, give the
+    same outputs and leave the generators in the same state."""
+    for seed in range(4):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [mine(a) for _ in range(3)] == [stdlib(b) for _ in range(3)], seed
+        assert a.getstate() == b.getstate(), seed
+
+
+def shuffled(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
+def test_draws_equal_the_stdlib_calls():
+    """Each draw of gen against the Random method it stands for, on this
+    interpreter's Random, so a change to its internals fails here."""
+    for n in range(1, 71):
+        assert_same_draws(lambda r: gen._below(r.getrandbits, n), lambda r: r._randbelow(n))
+        assert_same_draws(
+            lambda r: 3 + gen._below(r.getrandbits, n), lambda r: r.randint(3, n + 2)
+        )
+    for n in range(13):
+        assert_same_draws(lambda r: gen._shuffled(r.getrandbits, n), lambda r: shuffled(r, n))
+    for n in range(gen.MAX_GEN_ELEMENTS + 1):
+        for k in range(n + 1):
+            assert_same_draws(
+                lambda r: gen._sample_mask(r.getrandbits, n, k),
+                lambda r: sum(1 << i for i in r.sample(range(n), k)),
+            )
+    for length in range(1, 41):
+        seq = tuple(f"v{i}" for i in range(length))
+        assert_same_draws(
+            lambda r: seq[gen._below(r.getrandbits, length)], lambda r: r.choice(seq)
+        )
+
+
+@pytest.mark.parametrize("n_edges", [0, -1])
+def test_random_multigraph_refuses_no_edges(n_edges):
+    with pytest.raises(InputError, match="n_edges"):
+        random_multigraph(random.Random(1), n_edges)

@@ -341,6 +341,24 @@ def test_list_trials_rejects_bad_lengths(example_instance, change, message):
         assert str(e.value) == message
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"j": None}, "no color list for element 'j'"),
+    ({"zz": (1,)}, "unknown element 'zz'"),
+    ({"j": ()}, "empty color list for element 'j'"),
+], ids=["missing", "unknown", "empty"])
+def test_list_coloring_rejects_bad_lists(example_instance, change, message):
+    """list_coloring checks its lists as find_list_coloring does, with the
+    same messages."""
+    g1, g2 = example_instance
+    lists = {u: tuple(range(1, b + 1)) for u, b in tight_lengths(g1, g2).items()} | change
+    lists = {u: dom for u, dom in lists.items() if dom is not None}
+    index = oracle.constraint_index(g1, g2)
+    for search in (lambda: oracle.list_coloring(index, lists), lambda: find_list_coloring(g1, g2, lists)):
+        with pytest.raises(InputError) as e:
+            search()
+        assert str(e.value) == message
+
+
 def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
     g1, g2 = example_instance
     lengths = tight_lengths(g1, g2)
