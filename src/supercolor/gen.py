@@ -143,9 +143,10 @@ def close_family(base, cap: int | None = None) -> list[int] | None:
     pairs; None once the fixpoint exceeds the cap."""
     seen: set[int] = set(base)
     family = list(seen)  # grows; each mask meets every mask before it once
-    if cap is not None and len(family) > cap:
-        return None
     for i, x in enumerate(family):
+        # the last mask adds none, so the last check sees the closure's size
+        if cap is not None and len(family) > cap:
+            return None
         for y in islice(family, i):
             meet = x & y
             if meet and meet != x and meet != y:  # x and y cross
@@ -153,8 +154,6 @@ def close_family(base, cap: int | None = None) -> list[int] | None:
                     if z not in seen:
                         seen.add(z)
                         family.append(z)
-        if cap is not None and len(family) > cap:
-            return None
     family.sort()
     return family
 

@@ -81,6 +81,31 @@ def test_close_family_cap():
     assert close_family(base, cap=2) is None
 
 
+def naive_closure(base):
+    family = set(base)
+    while True:
+        more = {
+            z
+            for x in family
+            for y in family
+            if x & y and x & ~y and y & ~x
+            for z in (x | y, x & y)
+        } - family
+        if not more:
+            return sorted(family)
+        family |= more
+
+
+def test_close_family_equals_the_fixpoint_and_refuses_exactly_above_the_cap():
+    rng = random.Random(11)
+    for _ in range(300):
+        base = {rng.randrange(1, 64) for _ in range(rng.randint(0, 5))}
+        want = naive_closure(base)
+        assert close_family(base) == want, base
+        for cap in range(max(0, len(want) - 2), len(want) + 2):
+            assert close_family(base, cap) == (want if len(want) <= cap else None), (base, cap)
+
+
 def test_rank_complement_extremes():
     blocks = [0b00111, 0b11000]
     full_caps = [3, 2]
