@@ -12,11 +12,17 @@ Strategies:
 Every generator re-checks its output and the same config always reproduces
 the same instance byte for byte.
 
-The draws call only rng.getrandbits (and rng.random): each site makes, draw
-for draw, the draws of the Random method it stands for (randint, shuffle,
-sample of range(n), choice), so for random.Random and SystemRandom it gives
-what those methods give and leaves the generator in the same state, without
-their per-call cost.
+The draws of gen_instance and random_multigraph, and the list draws of
+sorted_sample, call only rng.getrandbits (and rng.random, for the laminar
+strategy): each site makes, draw for draw, the draws of the Random method it
+stands for (randint, shuffle, sample, choice), so for random.Random and
+SystemRandom it gives what those methods give and leaves the generator in
+the same state, without their per-call cost.  sorted_sample is the one
+replay of Random.sample: gen's base sets and oracle's tight lists both draw
+through it.  The replays follow CPython's Random internals (_randbelow and
+sample's set size), and the tests pin them against the running
+interpreter's Random.  mixed_configs calls Random's own methods (choices,
+randint, randrange): it is not timed, and its stream fixes every config.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import random
 import string
 from dataclasses import dataclass
 from itertools import islice
+from math import ceil, log
 
 from .core import (
     GenerationError,
@@ -71,8 +78,8 @@ def _ground(n: int) -> GroundSet:
 
 # -- draws ------------------------------------------------------------------
 # Random._randbelow(n) draws n.bit_length() bits until the value is below n;
-# randint(a, b) is a + _randbelow(b - a + 1) and choice(seq) is
-# seq[_randbelow(len(seq))].
+# randint(a, b) is a + _randbelow(b - a + 1), choice(seq) is
+# seq[_randbelow(len(seq))], and shuffle and sample draw through _randbelow.
 
 def _below(getrandbits, n: int) -> int:
     """rng._randbelow(n) for n >= 1, given rng.getrandbits."""
@@ -92,17 +99,32 @@ def _shuffled(getrandbits, n: int) -> list[int]:
     return order
 
 
-def _sample_mask(getrandbits, n: int, k: int) -> int:
-    """The mask of rng.sample(range(n), k)'s elements, for k <= n <= 21, where
-    sample takes its pool branch: each pick's place is filled by the last
-    live element."""
-    pool = list(range(n))
-    mask = 0
-    for live in range(n, n - k, -1):
-        j = _below(getrandbits, live)
-        mask |= 1 << pool[j]
-        pool[j] = pool[live - 1]
-    return mask
+def sorted_sample(getrandbits, population: range, k: int) -> tuple[int, ...]:
+    """tuple(sorted(rng.sample(population, k))) for 0 <= k <= len(population),
+    given rng.getrandbits, leaving rng in the same state.  It takes sample's
+    branch: up to sample's set size, a pool whose last live element fills
+    each pick's place; above it, set selection, which redraws repeats."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        picked = []
+        for live in range(n, n - k, -1):
+            j = _below(getrandbits, live)
+            picked.append(pool[j])
+            pool[j] = pool[live - 1]
+    else:
+        selected: set[int] = set()
+        for _ in range(k):
+            j = _below(getrandbits, n)
+            while j in selected:
+                j = _below(getrandbits, n)
+            selected.add(j)
+        picked = [population[j] for j in selected]
+    picked.sort()
+    return tuple(picked)
 
 
 # -- laminar ----------------------------------------------------------------
@@ -163,7 +185,10 @@ def _closure_masks(rng: random.Random, n: int, cfg: GenConfig) -> list[int] | No
     base = set()
     for _ in range(cfg.base_sets):
         size = 1 + _below(getrandbits, n)
-        base.add(_sample_mask(getrandbits, n, size))
+        mask = 0
+        for i in sorted_sample(getrandbits, range(n), size):
+            mask |= 1 << i
+        base.add(mask)
     return close_family(base, cfg.family_cap)
 
 

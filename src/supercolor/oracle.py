@@ -30,14 +30,14 @@ color value (a trial's colors come from a pool 1..sigma_size of any size).
 list_coloring checks its lists (one nonempty list per element and none for
 another name) and the list budget, and maps the coloring back to the
 objects of each element's own list.  list_trials checks its lengths, the
-pool and the budget once per call, then per trial draws the lists (with
-Random.sample's draws, without its per-call cost) and only asks whether a
-coloring exists.
+pool and the budget once per call, then per trial draws the lists with
+gen.sorted_sample, as random_lists does, and only asks whether a coloring
+exists.
 
 k_coloring, least_k, list_coloring and list_trials search on the index, which
 needs no validity, so cli.batch_verify builds it once per instance for all
 of its searches.  The functions on (g1, g2) check what they rely on, then
-call them: min_k capacity, tight_lengths bunch.checked, verify_main_theorem
+call them: min_k capacity, random_lists bunch.checked, verify_main_theorem
 both, and find_k_coloring and find_list_coloring only a shared ground set
 and their k or lists.
 """
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import ceil, log
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -61,6 +60,7 @@ from .core import (
     require_same_ground,
 )
 from .bunch import checked
+from .gen import sorted_sample
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,6 @@ def find_list_coloring(
     return list_coloring(constraint_index(g1, g2), domains, caps)
 
 
-def tight_lengths(g1: SetFn, g2: SetFn) -> dict[str, int]:
-    """Per-element tight list length max{d1(u), d2(u)}, in ground order."""
-    return checked(g1, g2).tight_lengths()
-
-
 def _require_pool(needs: Iterable[int], sigma_size: int) -> None:
     for need in needs:
         if sigma_size < need:
@@ -338,52 +333,17 @@ def _require_pool(needs: Iterable[int], sigma_size: int) -> None:
             )
 
 
-def _draw(rng: random.Random, sigma_size: int, need: int) -> tuple[int, ...]:
-    """tuple(sorted(rng.sample(range(1, sigma_size + 1), need))) for
-    0 <= need <= sigma_size, draw for draw, leaving rng in the same state.
-    Like Random.sample through _randbelow, it calls only rng.getrandbits,
-    drawing width n.bit_length() until the value is below n, and it takes
-    sample's branch: when sigma_size is at most sample's set size, a pool
-    whose last live color fills each pick's place; otherwise set selection,
-    which redraws repeats."""
-    getrandbits = rng.getrandbits
-    setsize = 21
-    if need > 5:
-        setsize += 4 ** ceil(log(need * 3, 4))
-    if sigma_size <= setsize:
-        pool = list(range(1, sigma_size + 1))
-        picked = []
-        for n in range(sigma_size, sigma_size - need, -1):
-            width = n.bit_length()
-            j = getrandbits(width)
-            while j >= n:
-                j = getrandbits(width)
-            picked.append(pool[j])
-            pool[j] = pool[n - 1]  # the live pool is pool[:n - 1]
-    else:
-        width = sigma_size.bit_length()
-        selected: set[int] = set()
-        for _ in range(need):
-            j = getrandbits(width)
-            while j >= sigma_size or j in selected:
-                j = getrandbits(width)
-            selected.add(j)
-        picked = [j + 1 for j in selected]
-    picked.sort()
-    return tuple(picked)
-
-
 def random_lists(
     g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
 ) -> dict[str, tuple[int, ...]]:
     """Per-element lists of the tight length max{d1(u), d2(u)}, drawn without
-    replacement from the pool {1..sigma_size}, in ground order.  For
-    random.Random and SystemRandom each list equals
-    tuple(sorted(rng.sample(range(1, sigma_size + 1), length))), with the
-    same draws from rng."""
-    lengths = tight_lengths(g1, g2)
+    replacement from the pool {1..sigma_size}, in ground order, each by
+    gen.sorted_sample."""
+    lengths = checked(g1, g2).tight_lengths()
     _require_pool(lengths.values(), sigma_size)
-    return {name: _draw(rng, sigma_size, need) for name, need in lengths.items()}
+    getrandbits = rng.getrandbits
+    colors = range(1, sigma_size + 1)
+    return {name: sorted_sample(getrandbits, colors, need) for name, need in lengths.items()}
 
 
 def verify_main_theorem(
@@ -397,7 +357,7 @@ def verify_main_theorem(
     """Run repeated random tight-list instances and demand a coloring each
     time.  A failure witnesses an implementation bug and is reported with the
     lists that triggered it."""
-    lengths = tight_lengths(g1, g2)
+    lengths = checked(g1, g2).tight_lengths()
     require_capacity(g1)
     require_capacity(g2)
     if sigma_size is None:
@@ -438,10 +398,11 @@ def list_trials(
         return Report(())
     _require_pool(lengths.values(), sigma_size)
     _require_budget(names, [lengths[name] for name in names], caps)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    colors = range(1, sigma_size + 1)
     violations = []
     for trial in range(trials):
-        lists = {name: _draw(rng, sigma_size, need) for name, need in lengths.items()}
+        lists = {name: sorted_sample(getrandbits, colors, need) for name, need in lengths.items()}
         domains = [lists[name] for name in names]
         if _list_search(index, domains)[1] is None:
             subjects = tuple((name, *map(str, dom)) for name, dom in zip(names, domains))

@@ -9,9 +9,9 @@ package code calls them, so they live here.
 import random
 
 from supercolor import BipartiteGraph, InputError, Report, SetFn, Violation, bunch_partition
+from supercolor.bunch import checked
 from supercolor.core import bit_indices
 from supercolor.encode import encode_bipartite
-from supercolor.oracle import tight_lengths
 
 KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
 
@@ -66,7 +66,7 @@ def sample_partial_transversal(parts, rng: random.Random) -> int:
 def check_degree_identity(g: BipartiteGraph) -> Report:
     """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
     max{deg(s), deg(t)}."""
-    bound = tight_lengths(*encode_bipartite(g))
+    bound = checked(*encode_bipartite(g)).tight_lengths()
     s_deg = {v: g.degree(v, "s") for v in g.s_vertices}
     t_deg = {v: g.degree(v, "t") for v in g.t_vertices}
     violations = []

@@ -29,7 +29,6 @@ from supercolor.oracle import (
     find_k_coloring,
     find_list_coloring,
     min_k,
-    tight_lengths,
     verify_main_theorem,
 )
 from supercolor.pi import construct_pi, dominates, verify_conditions
@@ -128,7 +127,7 @@ def ref_theorem(g1, g2, trials, seed, caps) -> Report:
     by Random.sample itself."""
     rng = random.Random(seed)
     sigma = delta(g1, g2) + 2
-    lengths = tight_lengths(g1, g2)
+    lengths = bunch.checked(g1, g2).tight_lengths()
     violations = []
     for trial in range(trials):
         lists = {u: tuple(sorted(rng.sample(range(1, sigma + 1), b))) for u, b in lengths.items()}

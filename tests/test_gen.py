@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -222,12 +224,18 @@ def test_draws_equal_the_stdlib_calls():
         )
     for n in range(13):
         assert_same_draws(lambda r: gen._shuffled(r.getrandbits, n), lambda r: shuffled(r, n))
-    for n in range(gen.MAX_GEN_ELEMENTS + 1):
-        for k in range(n + 1):
-            assert_same_draws(
-                lambda r: gen._sample_mask(r.getrandbits, n, k),
-                lambda r: sum(1 << i for i in r.sample(range(n), k)),
-            )
+    # sample's own choice: a swap pool up to its set size, set selection above
+    branches = Counter()
+    for n in [*range(121), 10**3, 10**12]:
+        for k in range(min(n, 40) + 1):
+            setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+            branches["pool" if n <= setsize else "set"] += 1
+            for population in (range(n), range(1, n + 1)):
+                assert_same_draws(
+                    lambda r: gen.sorted_sample(r.getrandbits, population, k),
+                    lambda r: tuple(sorted(r.sample(population, k))),
+                )
+    assert branches["pool"] > 1000 and branches["set"] > 1000, branches
     for length in range(1, 41):
         seq = tuple(f"v{i}" for i in range(length))
         assert_same_draws(

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -26,8 +25,9 @@ from supercolor import (
     verify_main_theorem,
 )
 from supercolor import oracle
+from supercolor.bunch import checked
 from supercolor.core import Report, Violation, bit_indices, require_capacity
-from supercolor.oracle import _constraints, tight_lengths
+from supercolor.oracle import _constraints
 
 
 def test_empty_families_one_color(abc_ground):
@@ -100,7 +100,7 @@ def test_search_matches_brute_force():
             expected = brute_force_coloring(g1, g2, [range(1, k + 1)] * n)
             assert find_k_coloring(g1, g2, k) == expected, (cfg, k)
             outcomes.add(("k", expected is not None))
-        tight = tight_lengths(g1, g2)
+        tight = checked(g1, g2).tight_lengths()
         sigma = delta(g1, g2) + 2
         for shorten in (0, 1):
             lists = {
@@ -279,24 +279,8 @@ def test_search_determinism(example_instance):
     assert r1 == r2
 
 
-def test_draws_equal_the_stdlib_sample():
-    # sample's own choice: a swap pool up to its set size, set selection above
-    branches = Counter()
-    for sigma in [*range(1, 121), 10**3, 10**12]:
-        for need in range(min(sigma, 40) + 1):
-            setsize = 21 + (4 ** math.ceil(math.log(need * 3, 4)) if need > 5 else 0)
-            branches["pool" if sigma <= setsize else "set"] += 1
-            for seed in range(4):
-                mine, stdlib = random.Random(seed), random.Random(seed)
-                for _ in range(3):
-                    want = tuple(sorted(stdlib.sample(range(1, sigma + 1), need)))
-                    assert oracle._draw(mine, sigma, need) == want, (sigma, need, seed)
-                assert mine.getstate() == stdlib.getstate(), (sigma, need, seed)
-    assert branches["pool"] > 1000 and branches["set"] > 1000, branches
-
-
 def shortened(g1, g2):
-    return {u: max(1, b - 1) for u, b in tight_lengths(g1, g2).items()}
+    return {u: max(1, b - 1) for u, b in checked(g1, g2).tight_lengths().items()}
 
 
 def test_list_trials_draw_in_the_order_of_lengths():
@@ -332,7 +316,7 @@ def test_list_trials_draw_in_the_order_of_lengths():
 ], ids=["missing", "unknown", "zero", "negative", "float", "bool"])
 def test_list_trials_rejects_bad_lengths(example_instance, change, message):
     g1, g2 = example_instance
-    lengths = tight_lengths(g1, g2) | change
+    lengths = checked(g1, g2).tight_lengths() | change
     lengths = {u: b for u, b in lengths.items() if b is not None}
     index = oracle.constraint_index(g1, g2)
     for trials in (0, 2):
@@ -350,7 +334,8 @@ def test_list_coloring_rejects_bad_lists(example_instance, change, message):
     """list_coloring checks its lists as find_list_coloring does, with the
     same messages."""
     g1, g2 = example_instance
-    lists = {u: tuple(range(1, b + 1)) for u, b in tight_lengths(g1, g2).items()} | change
+    tight = checked(g1, g2).tight_lengths()
+    lists = {u: tuple(range(1, b + 1)) for u, b in tight.items()} | change
     lists = {u: dom for u, dom in lists.items() if dom is not None}
     index = oracle.constraint_index(g1, g2)
     for search in (lambda: oracle.list_coloring(index, lists), lambda: find_list_coloring(g1, g2, lists)):
@@ -361,7 +346,7 @@ def test_list_coloring_rejects_bad_lists(example_instance, change, message):
 
 def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
     g1, g2 = example_instance
-    lengths = tight_lengths(g1, g2)
+    lengths = checked(g1, g2).tight_lengths()
     index = oracle.constraint_index(g1, g2)
     caps = SearchCaps(list_budget=5)
     # the message list_coloring gives on lists of these lengths
@@ -374,7 +359,7 @@ def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
         raise AssertionError("entered")
 
     monkeypatch.setattr(oracle, "_search", entered)
-    monkeypatch.setattr(oracle, "_draw", entered)
+    monkeypatch.setattr(oracle, "sorted_sample", entered)
     for trials in (1, 50):
         with pytest.raises(ResourceLimitError) as e:
             oracle.list_trials(index, lengths, trials, 10, 0, caps)
@@ -487,7 +472,7 @@ def test_list_search_matches_ref_search_on_tight_uniform_and_shorter_lists():
     for cfg in mixed_configs(seed=2113, count=250, n_max=8):
         g1, g2 = gen_instance(cfg)
         span = delta(g1, g2)
-        tight = tight_lengths(g1, g2)
+        tight = checked(g1, g2).tight_lengths()
         pool = range(1, span + 3)
         cases = {
             "tight": {u: rng.sample(pool, need) for u, need in tight.items()},
