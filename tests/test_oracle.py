@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -277,6 +278,25 @@ def test_search_determinism(example_instance):
     r1 = verify_main_theorem(g1, g2, trials=5, seed=42)
     r2 = verify_main_theorem(g1, g2, trials=5, seed=42)
     assert r1 == r2
+
+
+def test_draws_equal_the_stdlib_sample():
+    """The oracle's list draw, sorted_sample over the color pool {1..sigma},
+    against Random.sample on that pool, on both of sample's branches."""
+    branches = Counter()
+    for sigma in [*range(1, 121), 10**3, 10**12]:
+        colors = range(1, sigma + 1)
+        for need in range(min(sigma, 40) + 1):
+            setsize = 21 + (4 ** math.ceil(math.log(need * 3, 4)) if need > 5 else 0)
+            branches["pool" if sigma <= setsize else "set"] += 1
+            for seed in range(4):
+                mine, stdlib = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    want = tuple(sorted(stdlib.sample(colors, need)))
+                    got = oracle.sorted_sample(mine.getrandbits, colors, need)
+                    assert got == want, (sigma, need, seed)
+                assert mine.getstate() == stdlib.getstate(), (sigma, need, seed)
+    assert branches["pool"] > 1000 and branches["set"] > 1000, branches
 
 
 def shortened(g1, g2):
