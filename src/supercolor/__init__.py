@@ -14,7 +14,6 @@ from .core import (
     delta,
     dump_json,
     instance_payload,
-    is_intersecting,
     load_instance,
     parse_instance,
 )
@@ -46,7 +45,6 @@ from .oracle import (
     find_k_coloring,
     find_list_coloring,
     min_k,
-    random_lists,
     verify_main_theorem,
 )
 from .encode import (

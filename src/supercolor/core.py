@@ -120,9 +120,6 @@ class SetFn:
     ) -> "SetFn":
         return cls(ground, tuple((ground.mask_of(ns), v) for ns, v in pairs))
 
-    def value_of_mask(self, mask: int) -> int:
-        return self._values[mask]  # type: ignore[attr-defined]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -153,11 +150,6 @@ class Report:
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
-
-
-def is_intersecting(a: int, b: int) -> bool:
-    """True iff the sets with masks a and b cross: A∩B, A\\B and B\\A are all nonempty."""
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
 def bit_indices(mask: int) -> Iterator[int]:

@@ -78,12 +78,6 @@ class BipartiteGraph:
     def edge_ids(self) -> tuple:
         return tuple(e.id for e in self.edges)
 
-    def degree(self, vertex, side: str) -> int:
-        if side not in ("s", "t"):
-            raise InputError(f'side must be "s" or "t", got {side!r}')
-        pos = 0 if side == "s" else 1
-        return sum(1 for e in self.edges if e[pos] == vertex)
-
 
 def _distinct(vertices: tuple, side: str) -> set:
     """The set of vertices; the first repeated one (Python takes 1, 1.0 and

@@ -8,10 +8,11 @@ on fully assigned sets, so a completed assignment needs no final recheck; the
 pruning never discards a satisfiable branch, hence the first assignment found
 is the canonically smallest one.  A k-coloring search also skips colorings
 whose colors are not numbered in order of first use; the canonically
-smallest one is never among them.  Before any element is assigned, the search
-is refused outright when some set's bound exceeds the number of distinct
-colors its elements can take: for a k-search, the number of colors tried; for
-a list search, the colors in the union of its elements' lists.
+smallest one is never among them.  One pigeonhole rule refuses a search
+before any element is assigned: some constraint's bound exceeds
+min(|X|, the distinct colors its elements can take), where those colors are
+the ones tried in a k-search and the union of the elements' lists in a list
+search.
 
 Inside the search a color is an int and a set of colors is an int mask.  Its
 state is one color mask per constraint: the colors of the members placed so
@@ -31,14 +32,13 @@ list_coloring checks its lists (one nonempty list per element and none for
 another name) and the list budget, and maps the coloring back to the
 objects of each element's own list.  list_trials checks its lengths, the
 pool and the budget once per call, then per trial draws the lists with
-gen.sorted_sample, as random_lists does, and only asks whether a coloring
-exists.
+gen.sorted_sample and only asks whether a coloring exists.
 
 k_coloring, least_k, list_coloring and list_trials search on the index, which
 needs no validity, so cli.batch_verify builds it once per instance for all
 of its searches.  The functions on (g1, g2) check what they rely on, then
-call them: min_k capacity, random_lists bunch.checked, verify_main_theorem
-both, and find_k_coloring and find_list_coloring only a shared ground set
+call them: min_k capacity, verify_main_theorem validity (bunch.checked) and
+capacity, and find_k_coloring and find_list_coloring only a shared ground set
 and their k or lists.
 """
 
@@ -74,25 +74,10 @@ DEFAULT_CAPS = SearchCaps()
 Coloring = dict[str, Hashable]
 
 
-def _constraints(g1: SetFn, g2: SetFn) -> list[tuple[int, int]] | None:
-    """Collect (mask, bound) pairs that can actually fail; None means UNSAT."""
-    out = []
-    for g in (g1, g2):
-        for mask, bound in g.entries:
-            if bound <= 0:
-                continue
-            if mask == 0 or bound > mask.bit_count():
-                return None  # no assignment can produce bound distinct colors
-            if bound >= 2:
-                out.append((mask, bound))
-    return out
-
-
 class ConstraintIndex(NamedTuple):
     """The search's view of an instance (see constraint_index)."""
 
     names: tuple[str, ...]
-    feasible: bool  # False: some set's bound exceeds its size, so nothing dominates
     members: list[list[int]]  # per constraint, its elements
     bounds: list[int]
     checks: list[list[tuple[int, int]]]  # per element, its (constraint, need) pairs
@@ -101,6 +86,8 @@ class ConstraintIndex(NamedTuple):
 
 def constraint_index(g1: SetFn, g2: SetFn) -> ConstraintIndex:
     """The search's constraint index of two functions on one ground set.
+    It keeps each constraint that one color cannot meet: bound >= 2, or
+    bound >= 1 on the empty set, also when the bound exceeds the set's size.
     Per constraint: its elements and bound.  Per element i: its checks, each
     a (constraint, need) pair where need = bound - (members after i) > 1, and
     the constraints with members after i, whose color masks i feeds.  It does
@@ -108,23 +95,40 @@ def constraint_index(g1: SetFn, g2: SetFn) -> ConstraintIndex:
     instance.  It needs no validity, only the entries."""
     require_same_ground(g1, g2)
     names = g1.ground.names
-    constraints = _constraints(g1, g2)
-    if constraints is None:
-        return ConstraintIndex(names, False, [], [], [], [])
     checks: list[list[tuple[int, int]]] = [[] for _ in names]
     feeds: list[list[int]] = [[] for _ in names]
     members = []
     bounds = []
-    for ci, (mask, bound) in enumerate(constraints):
-        elems = list(bit_indices(mask))
-        members.append(elems)
-        bounds.append(bound)
-        for after, i in enumerate(reversed(elems)):
-            if after:
-                feeds[i].append(ci)
-            if bound - after > 1:
-                checks[i].append((ci, bound - after))
-    return ConstraintIndex(names, True, members, bounds, checks, feeds)
+    for g in (g1, g2):
+        for mask, bound in g.entries:
+            if bound < 2 and (mask or bound < 1):
+                continue
+            ci = len(bounds)
+            elems = list(bit_indices(mask))
+            members.append(elems)
+            bounds.append(bound)
+            for after, i in enumerate(reversed(elems)):
+                if after:
+                    feeds[i].append(ci)
+                if bound - after > 1:
+                    checks[i].append((ci, bound - after))
+    return ConstraintIndex(names, members, bounds, checks, feeds)
+
+
+def _refused(index: ConstraintIndex, reach: Sequence[int]) -> bool:
+    """The pigeonhole test, the only one before a search: True when some
+    constraint's bound exceeds min(|X|, the colors its elements can take),
+    reach holding per element the mask of its colors.  No assignment meets
+    such a bound."""
+    for elems, bound in zip(index.members, index.bounds):
+        if bound > len(elems):
+            return True
+        m = 0
+        for i in elems:
+            m |= reach[i]
+        if m.bit_count() < bound:
+            return True
+    return False
 
 
 def _search(
@@ -135,10 +139,9 @@ def _search(
     k-searches use 1..min(k, n), and list searches number theirs (see
     list_coloring).  With first_use, for k-colorings whose domains are 1..k,
     element i tries only colors up to 1 + the largest color used before it
-    (see k_coloring)."""
-    if not index.feasible:
-        return None
-    names, _, _, bounds, checks, feeds = index
+    (see k_coloring).  Callers run _refused first: no check here sees a
+    constraint on the empty set."""
+    names, _, bounds, checks, feeds = index
     n = len(names)
     masks = [0] * len(bounds)  # per constraint, the colors of its placed members
     saved: list = [None] * n  # per placed element, the masks it feeds as they were before it
@@ -182,9 +185,8 @@ def _search(
 def k_coloring(
     index: ConstraintIndex, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
-    """find_k_coloring on the instance's index.  Every element has the same
-    colors, so the pigeonhole pre-check is one comparison: a bound above the
-    number of colors tried cannot be met."""
+    """find_k_coloring on the instance's index.  Every element takes the
+    colors 1..min(k, n)."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     n = len(index.names)
@@ -193,7 +195,7 @@ def k_coloring(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
     colors = tuple(range(1, min(k, max(1, n)) + 1))
-    if max(index.bounds, default=0) > len(colors):
+    if _refused(index, [(2 << colors[-1]) - 2] * n):
         return None
     return _search([colors] * n, index, first_use=True)
 
@@ -259,8 +261,7 @@ def _list_search(
     """The list search of list_coloring and list_trials: each element's
     list as color numbers, and the first assignment of those numbers, or
     None.  Each distinct color (by equality) becomes a bit, numbered in
-    order of first appearance.  Before searching, a set whose elements' lists
-    hold fewer distinct colors than its bound gives None (pigeonhole)."""
+    order of first appearance."""
     bit_of: dict = {}
     bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
     reach = []  # per element, the mask of its list
@@ -269,12 +270,8 @@ def _list_search(
         for color in b:
             m |= 1 << color
         reach.append(m)
-    for elems, bound in zip(index.members, index.bounds):
-        m = 0
-        for i in elems:
-            m |= reach[i]
-        if m.bit_count() < bound:
-            return bits, None
+    if _refused(index, reach):
+        return bits, None
     return bits, _search(bits, index)
 
 
@@ -333,19 +330,6 @@ def _require_pool(needs: Iterable[int], sigma_size: int) -> None:
             )
 
 
-def random_lists(
-    g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
-) -> dict[str, tuple[int, ...]]:
-    """Per-element lists of the tight length max{d1(u), d2(u)}, drawn without
-    replacement from the pool {1..sigma_size}, in ground order, each by
-    gen.sorted_sample."""
-    lengths = checked(g1, g2).tight_lengths()
-    _require_pool(lengths.values(), sigma_size)
-    getrandbits = rng.getrandbits
-    colors = range(1, sigma_size + 1)
-    return {name: sorted_sample(getrandbits, colors, need) for name, need in lengths.items()}
-
-
 def verify_main_theorem(
     g1: SetFn,
     g2: SetFn,
@@ -380,8 +364,8 @@ def list_trials(
     lengths holds an int >= 1 for each element of the index and for nothing
     else.  With trials > 0, a pool smaller than some length, then lists over
     the list budget, are refused once, before any draw.  Each trial draws
-    the lists in the order of lengths, as random_lists does, and only asks
-    whether a coloring exists."""
+    the lists in the order of lengths, each by gen.sorted_sample, and only
+    asks whether a coloring exists."""
     if trials < 0:
         raise InputError("trials must be nonnegative")
     names = index.names

@@ -1,19 +1,27 @@
 """Definitions that only the tests use, as lemma checks on masks.
 
 cover_witness, part_of, is_partial_transversal and sample_partial_transversal
-state properties of bunch partitions and reductions; check_degree_identity
-and coloring_is_proper tie the bipartite encoding to edge coloring.  No
-package code calls them, so they live here.
+state properties of bunch partitions and reductions; is_intersecting tells
+crossing sets apart; check_degree_identity, degrees and coloring_is_proper
+tie the bipartite encoding to edge coloring; random_lists draws one set of
+tight lists.  No package code calls them, so they live here.
 """
 
 import random
+from collections import Counter
 
 from supercolor import BipartiteGraph, InputError, Report, SetFn, Violation, bunch_partition
 from supercolor.bunch import checked
 from supercolor.core import bit_indices
 from supercolor.encode import encode_bipartite
+from supercolor.gen import sorted_sample
 
 KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
+
+
+def is_intersecting(a: int, b: int) -> bool:
+    """True iff the sets with masks a and b cross: A∩B, A\\B and B\\A are all nonempty."""
+    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
 
 
 def cover_witness(g: SetFn, x: int) -> tuple[int, int]:
@@ -63,12 +71,16 @@ def sample_partial_transversal(parts, rng: random.Random) -> int:
     return mask
 
 
+def degrees(g: BipartiteGraph) -> tuple[Counter, Counter]:
+    """Per s-vertex, then per t-vertex, its number of edges."""
+    return Counter(s for s, _, _ in g.edges), Counter(t for _, t, _ in g.edges)
+
+
 def check_degree_identity(g: BipartiteGraph) -> Report:
     """Per edge st, the encoded per-element bound max{d1(e), d2(e)} must equal
     max{deg(s), deg(t)}."""
     bound = checked(*encode_bipartite(g)).tight_lengths()
-    s_deg = {v: g.degree(v, "s") for v in g.s_vertices}
-    t_deg = {v: g.degree(v, "t") for v in g.t_vertices}
+    s_deg, t_deg = degrees(g)
     violations = []
     for s, t, eid in g.edges:
         got = bound[eid]
@@ -89,3 +101,14 @@ def coloring_is_proper(g: BipartiteGraph, phi) -> bool:
             if len(set(colors)) != len(colors):
                 return False
     return True
+
+
+def random_lists(
+    g1: SetFn, g2: SetFn, sigma_size: int, rng: random.Random
+) -> dict[str, tuple[int, ...]]:
+    """Per-element lists of the tight length max{d1(u), d2(u)}, drawn in
+    ground order from the pool {1..sigma_size}, which must hold the longest,
+    each by gen.sorted_sample, as oracle.list_trials draws a trial's lists."""
+    colors = range(1, sigma_size + 1)
+    lengths = checked(g1, g2).tight_lengths()
+    return {name: sorted_sample(rng.getrandbits, colors, need) for name, need in lengths.items()}

@@ -21,7 +21,10 @@ from lemmas import (
     check_degree_identity,
     coloring_is_proper,
     cover_witness,
+    degrees,
+    is_intersecting,
     part_of,
+    random_lists,
     sample_partial_transversal,
 )
 
@@ -121,7 +124,7 @@ def criterion_3():
         rng = random.Random(cfg.seed ^ 0xC3)
         sigma = sc.delta(g1, g2) + 2
         for _ in range(5):
-            lists = sc.random_lists(g1, g2, sigma, rng)
+            lists = random_lists(g1, g2, sigma, rng)
             coloring = sc.find_list_coloring(g1, g2, lists)
             trials += 1
             if coloring is None:
@@ -197,8 +200,9 @@ def criterion_5():
             if proper != dominating:
                 equivalence_failures += 1
         lists = {}
+        s_deg, t_deg = degrees(graph)
         for s, t, eid in graph.edges:
-            need = max(graph.degree(s, "s"), graph.degree(t, "t"))
+            need = max(s_deg[s], t_deg[t])
             lists[eid] = tuple(sorted(rng.sample(range(1, max_deg + 3), need)))
         if sc.find_list_coloring(g1, g2, lists, caps) is None:
             list_failures += 1
@@ -286,7 +290,7 @@ def criterion_6():
 
             for x in eff:
                 for y in eff:
-                    if x < y and sc.is_intersecting(x, y):
+                    if x < y and is_intersecting(x, y):
                         u = x | y
                         ok = u in eff_masks and values[u] > max(values[x], values[y])
                         tally("effective_union", ok)
@@ -320,7 +324,7 @@ def criterion_6():
 
             for kmask in (k_any,):
                 for a, b in _mask_pairs(g):
-                    va, vb = g.value_of_mask(a), g.value_of_mask(b)
+                    va, vb = values[a], values[b]
                     if a & ~b == 0 and va >= vb:
                         tally("marked_value_monotone", hat(a, va, kmask) >= hat(b, vb, kmask))
                     if b & ~a == 0 and vb >= va:

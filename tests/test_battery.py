@@ -44,9 +44,9 @@ TINY = SearchCaps(k_search_elements=2, list_budget=1)
 def work(monkeypatch):
     """Counts of the work done after each gen_instance returned: pair walks,
     capacity scans, effective_entries calls on a function's own entries
-    (those in work.own), and constraint lists built for a search (one per
-    constraint index).  work.counts holds one Counter per instance, after
-    one for the work before the first."""
+    (those in work.own), and constraint indexes built for a search.
+    work.counts holds one Counter per instance, after one for the work
+    before the first."""
     work = SimpleNamespace(counts=[Counter()], own=[])
 
     def count(name, key, module, which=lambda *args: True):
@@ -66,7 +66,7 @@ def work(monkeypatch):
     # a hit part's entries are a list, a function's own entries a tuple
     count("effective_entries", "whole-family derivations", bunch,
           lambda entries: entries in work.own)
-    count("_constraints", "index builds", oracle)
+    count("constraint_index", "index builds", oracle)
     real_gen = gen.gen_instance
 
     def generating(cfg):

@@ -21,7 +21,6 @@ from supercolor import (
     encode_bipartite,
     gen_instance,
     instance_payload,
-    is_intersecting,
     mixed_configs,
     parse_instance,
     random_multigraph,
@@ -29,6 +28,7 @@ from supercolor import (
 )
 from supercolor import cli, core
 from supercolor.core import Report, Violation, bit_indices, require_capacity, require_valid
+from lemmas import is_intersecting
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -140,15 +140,16 @@ def _ref_check_supermodular(g: SetFn) -> Report:
             f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
         )
     masks = [m for m, _ in g.entries]
+    value = dict(g.entries)
     violations: list[Violation] = []
     for i, a in enumerate(masks):
-        va = g.value_of_mask(a)
+        va = value[a]
         for b in masks[i + 1 :]:
             if not is_intersecting(a, b):
                 continue
-            vb = g.value_of_mask(b)
+            vb = value[b]
             lhs = va + vb
-            rhs = g.value_of_mask(a | b) + g.value_of_mask(a & b)
+            rhs = value[a | b] + value[a & b]
             if lhs > rhs:
                 violations.append(
                     Violation(

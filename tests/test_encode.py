@@ -104,11 +104,3 @@ def test_encode_rejects_empty_and_takes_65_parallel_edges():
     g1, g2 = encode_bipartite(BipartiteGraph.from_pairs(("s",), ("t",), [("s", "t")] * 65))
     assert g1.ground.size == 65
     assert [v for _, v in g1.entries] == [v for _, v in g2.entries] == [65]
-
-
-def test_degree_takes_only_the_two_sides():
-    g = BipartiteGraph.from_pairs(("s1", "s2"), ("t1",), [("s1", "t1"), ("s2", "t1")])
-    assert (g.degree("s1", "s"), g.degree("t1", "t")) == (1, 2)
-    for side in ("S", "x", ""):
-        with pytest.raises(InputError, match="side must be"):
-            g.degree("s1", side)

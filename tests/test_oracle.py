@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -19,16 +20,17 @@ from supercolor import (
     find_k_coloring,
     find_list_coloring,
     gen_instance,
+    load_instance,
     min_k,
     mixed_configs,
-    random_lists,
     random_multigraph,
     verify_main_theorem,
 )
 from supercolor import oracle
 from supercolor.bunch import checked
+from supercolor.cli import run
 from supercolor.core import Report, Violation, bit_indices, require_capacity
-from supercolor.oracle import _constraints
+from lemmas import random_lists
 
 
 def test_empty_families_one_color(abc_ground):
@@ -157,6 +159,35 @@ def test_k_search_below_delta_is_refused_before_searching(monkeypatch):
             assert find_k_coloring(g1, g2, k) is None, (cfg, k)
             below += 1
     assert searches == [] and below >= 30
+
+
+@pytest.mark.parametrize("entries, width", [
+    ('{"set": ["a", "b"], "value": 3}', 3),  # a bound above its set's size
+    ('{"set": [], "value": 1}', 3),  # bound 1 on the empty set
+    ('{"set": ["a", "b", "c"], "value": 3}', 2),  # the lists' union is short
+], ids=["above_size", "empty_set", "short_union"])
+def test_list_search_is_refused_before_searching(monkeypatch, capsys, tmp_path, entries, width):
+    # every element's list is 1..width; the one pigeonhole rule refuses the
+    # list searches, and k = 2, before any element is assigned
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"elements": ["a", "b", "c"], "g1": [{entries}], "g2": []}}')
+    lists = {u: list(range(1, width + 1)) for u in "abc"}
+    lists_file = tmp_path / "lists.json"
+    lists_file.write_text(json.dumps(lists))
+    g1, g2 = load_instance(str(inst))
+    searches = []
+    real = oracle._search
+    monkeypatch.setattr(
+        oracle, "_search", lambda *args, **kwargs: searches.append(1) or real(*args, **kwargs)
+    )
+    assert find_list_coloring(g1, g2, lists) is None
+    index = oracle.constraint_index(g1, g2)
+    report = oracle.list_trials(index, dict.fromkeys("abc", width), 3, width, seed=0)
+    assert [v.kind for v in report.violations] == ["list_coloring_missing"] * 3
+    for flags in (["--k", "2"], ["--lists", str(lists_file)]):
+        assert run(["color", str(inst), *flags]) == 1
+        assert json.loads(capsys.readouterr().out)["found"] is False
+    assert searches == []
 
 
 def test_list_coloring_singleton_lists(abc_ground):
@@ -392,6 +423,16 @@ def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
     assert oracle.list_trials(index, lengths, 0, 0, 0, caps).ok
 
 
+def ref_constraints(g1, g2):
+    """The (mask, bound) pairs that one color cannot meet, or None when some
+    bound exceeds its set's size (the empty set's too): ref_search's input,
+    built from the entries without the oracle's index."""
+    pairs = [(mask, bound) for g in (g1, g2) for mask, bound in g.entries if bound > 0]
+    if any(bound > mask.bit_count() for mask, bound in pairs):
+        return None
+    return [(mask, bound) for mask, bound in pairs if bound >= 2]
+
+
 def ref_search(names, domains, constraints):
     """oracle._search before first-use symmetry breaking, kept verbatim."""
     n = len(names)
@@ -459,7 +500,7 @@ def test_k_coloring_matches_full_domain_search():
         n = g1.ground.size
         for k in range(1, delta(g1, g2) + 2):
             colors = tuple(range(1, min(k, n) + 1))
-            want = ref_search(g1.ground.names, [colors] * n, _constraints(g1, g2))
+            want = ref_search(g1.ground.names, [colors] * n, ref_constraints(g1, g2))
             assert find_k_coloring(g1, g2, k) == want, (cfg, k)
             found[want is None] += 1
     assert found[False] >= 500 and found[True] >= 500, found
@@ -475,7 +516,7 @@ def _matches_ref_on_lists(g1, g2, lists, caps=SearchCaps()):
     returns whether a coloring exists."""
     names = g1.ground.names
     domains = [_canonical_list(lists[name]) for name in names]
-    want = ref_search(names, domains, _constraints(g1, g2))
+    want = ref_search(names, domains, ref_constraints(g1, g2))
     got = find_list_coloring(g1, g2, lists, caps)
     assert got == want, (lists, got, want)
     if want is not None:
