@@ -103,8 +103,11 @@ def sorted_sample(getrandbits, population: range, k: int) -> tuple[int, ...]:
     """tuple(sorted(rng.sample(population, k))) for 0 <= k <= len(population),
     given rng.getrandbits, leaving rng in the same state.  It takes sample's
     branch: up to sample's set size, a pool whose last live element fills
-    each pick's place; above it, set selection, which redraws repeats."""
+    each pick's place; above it, set selection, which redraws repeats.  Any
+    other k is refused with sample's message, before any draw."""
     n = len(population)
+    if not 0 <= k <= n:
+        raise InputError("Sample larger than population or is negative")
     setsize = 21
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
@@ -134,9 +137,7 @@ def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
     order = _shuffled(getrandbits, n)
     out: set[int] = set()
 
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo < 1:
-            return
+    def rec(lo: int, hi: int) -> None:  # hi > lo: n >= 1 and every cut splits
         if rng.random() < include_p:
             mask = 0
             for i in order[lo:hi]:

@@ -28,16 +28,16 @@ Every list search, find_list_coloring's and each drawn trial's, numbers the
 distinct colors (by equality, so 1 and 1.0 are one) in order of first
 appearance, so a mask is as wide as the colors in play, not as the largest
 color value (a trial's colors come from a pool 1..sigma_size of any size).
-list_coloring checks its lists (one nonempty list per element and none for
-another name) and the list budget, and maps the coloring back to the
+find_list_coloring checks its lists (one nonempty list per element and none
+for another name) and the list budget, and maps the coloring back to the
 objects of each element's own list.  list_trials checks its lengths, the
 pool and the budget once per call, then per trial draws the lists with
 gen.sorted_sample and only asks whether a coloring exists.
 
-k_coloring, least_k, list_coloring and list_trials search on the index, which
-needs no validity, so cli.batch_verify builds it once per instance for all
-of its searches.  The functions on (g1, g2) check what they rely on, then
-call them: min_k capacity, verify_main_theorem validity (bunch.checked) and
+k_coloring and list_trials search on the index, which needs no validity, so
+cli.batch_verify builds it once per instance for both of its searches.  The
+functions on (g1, g2) check what they rely on, then search: min_k capacity
+(it alone steps k upward), verify_main_theorem validity (bunch.checked) and
 capacity, and find_k_coloring and find_list_coloring only a shared ground set
 and their k or lists.
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .core import (
     InputError,
@@ -137,7 +137,7 @@ def _search(
     """First dominating assignment in canonical order, or None.  A color is
     an int c >= 0, held in masks as the bit 1 << c, so colors must be small:
     k-searches use 1..min(k, n), and list searches number theirs (see
-    list_coloring).  With first_use, for k-colorings whose domains are 1..k,
+    _list_search).  With first_use, for k-colorings whose domains are 1..k,
     element i tries only colors up to 1 + the largest color used before it
     (see k_coloring).  Callers run _refused first: no check here sees a
     constraint on the empty set."""
@@ -214,25 +214,20 @@ def find_k_coloring(
     return k_coloring(constraint_index(g1, g2), k, caps)
 
 
-def least_k(index: ConstraintIndex, start: int, caps: SearchCaps = DEFAULT_CAPS) -> int:
-    """Smallest k >= start admitting a dominating k-coloring, on the index
-    of a capacity-valid instance."""
-    k = start
+def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
+    """Smallest k admitting a dominating k-coloring, by increasing search
+    from k = delta(g1, g2): a set of value delta must see delta distinct
+    colors, so every smaller k is infeasible by pigeonhole."""
+    index = constraint_index(g1, g2)  # a ground-set mismatch before capacity
+    require_capacity(g1)
+    require_capacity(g2)
+    k = delta(g1, g2)
     while k_coloring(index, k, caps) is None:
         if k >= len(index.names):
             # an injective coloring with n colors dominates any capacity-valid pair
             raise RuntimeError("no coloring up to |U| colors (internal bug)")
         k += 1
     return k
-
-
-def min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = DEFAULT_CAPS) -> int:
-    """Smallest k admitting a dominating k-coloring, by increasing search
-    from k = delta(g1, g2): a set of value delta must see delta distinct
-    colors, so every smaller k is infeasible by pigeonhole."""
-    require_capacity(g1)
-    require_capacity(g2)
-    return least_k(constraint_index(g1, g2), delta(g1, g2), caps)
 
 
 def _require_budget(names: Sequence[str], sizes: Sequence[int], caps: SearchCaps) -> None:
@@ -258,7 +253,7 @@ def _require_known(names: Sequence[str], per_element: Mapping) -> None:
 def _list_search(
     index: ConstraintIndex, domains: Sequence[Sequence]
 ) -> tuple[list[tuple[int, ...]], Coloring | None]:
-    """The list search of list_coloring and list_trials: each element's
+    """The list search of find_list_coloring and list_trials: each element's
     list as color numbers, and the first assignment of those numbers, or
     None.  Each distinct color (by equality) becomes a bit, numbered in
     order of first appearance."""
@@ -275,31 +270,6 @@ def _list_search(
     return bits, _search(bits, index)
 
 
-def list_coloring(
-    index: ConstraintIndex, lists: Mapping[str, Sequence], caps: SearchCaps = DEFAULT_CAPS
-) -> Coloring | None:
-    """find_list_coloring on the instance's index, for lists of distinct
-    colors, each in its element's visiting order.  Every element needs a
-    nonempty list and no other name may have one, then the list budget must
-    admit them; all are checked before the search.  The coloring maps each
-    element's color number back to the object in its own list.  The search
-    compares colors only for equality, so the numbering changes neither the
-    coloring found nor whether one exists."""
-    names = index.names
-    for name in names:
-        if name not in lists:
-            raise InputError(f"no color list for element {name!r}")
-        if not lists[name]:
-            raise InputError(f"empty color list for element {name!r}")
-    _require_known(names, lists)
-    domains = [lists[name] for name in names]
-    _require_budget(names, [len(dom) for dom in domains], caps)
-    bits, found = _list_search(index, domains)
-    if found is None:
-        return None
-    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
-
-
 def find_list_coloring(
     g1: SetFn,
     g2: SetFn,
@@ -307,27 +277,32 @@ def find_list_coloring(
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> Coloring | None:
     """Dominating coloring drawing each element's color from its own list,
-    or None when the exhaustive search proves there is none.  Each list is
-    made distinct and sorted, then list_coloring checks them: every element
-    needs a nonempty list, and a list for an element outside the ground set
-    is bad input; both are checked before the list budget.
+    or None when the exhaustive search proves there is none.  Lists are
+    checked before the search, after the shared ground set: every element
+    needs a nonempty list and no other name may have one, then the list
+    budget must admit them.  Each list is made distinct and sorted, which
+    fixes the element's visiting order.
 
     Colors equal as values are one color (1 and 1.0); each element's color
-    is the object in its own list."""
-    require_same_ground(g1, g2)
-    domains = {
-        name: sorted(set(colors), key=lambda c: (type(c).__name__, c))
-        for name, colors in lists.items()
-    }
-    return list_coloring(constraint_index(g1, g2), domains, caps)
-
-
-def _require_pool(needs: Iterable[int], sigma_size: int) -> None:
-    for need in needs:
-        if sigma_size < need:
-            raise InputError(
-                f"color pool of {sigma_size} too small for list length {need}"
-            )
+    is the object in its own list.  The search numbers the colors and
+    compares them only for equality, so the numbering changes neither the
+    coloring found nor whether one exists."""
+    index = constraint_index(g1, g2)
+    names = index.names
+    domains = []
+    for name in names:
+        if name not in lists:
+            raise InputError(f"no color list for element {name!r}")
+        dom = sorted(set(lists[name]), key=lambda c: (type(c).__name__, c))
+        if not dom:
+            raise InputError(f"empty color list for element {name!r}")
+        domains.append(dom)
+    _require_known(names, lists)
+    _require_budget(names, [len(dom) for dom in domains], caps)
+    bits, found = _list_search(index, domains)
+    if found is None:
+        return None
+    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
 
 
 def verify_main_theorem(
@@ -380,7 +355,9 @@ def list_trials(
     _require_known(names, lengths)
     if trials == 0:
         return Report(())
-    _require_pool(lengths.values(), sigma_size)
+    for need in lengths.values():
+        if sigma_size < need:
+            raise InputError(f"color pool of {sigma_size} too small for list length {need}")
     _require_budget(names, [lengths[name] for name in names], caps)
     getrandbits = random.Random(seed).getrandbits
     colors = range(1, sigma_size + 1)

@@ -21,11 +21,12 @@ mask, so its value is final once it is peeled.  The alternative schrijver_pi
 splits one dominating coloring into complementary halves; it meets (i) only
 against the global color count, not the pointwise bound.
 
-build and condition_report take a checked pair, a bunch.Instance, and read
-its effective entries and d-lists; build also requires capacity.
-construct_pi and verify_conditions check the pair with bunch.checked and
-call them.  core.require_valid and require_capacity record a pass on the
-function, so verify_conditions after construct_pi walks nothing.
+build, condition_report and schrijver_pi take a checked pair, a
+bunch.Instance; the first two read its effective entries and d-lists, and
+build and schrijver_pi also require capacity.  construct_pi and
+verify_conditions check the pair with bunch.checked and call them.
+core.require_valid and require_capacity record a pass on the function, so
+verify_conditions after construct_pi walks nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     Violation,
     delta,
     require_capacity,
-    require_valid,
 )
 from .bunch import Instance, checked, effective_entries, part_masks, reduce_entries
 from .matching import transversal_mask
@@ -268,14 +268,12 @@ def condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
     )
 
 
-def schrijver_pi(
-    g1: SetFn, g2: SetFn, caps: oracle.SearchCaps = oracle.DEFAULT_CAPS
-) -> PiPair:
+def schrijver_pi(inst: Instance, caps: oracle.SearchCaps = oracle.DEFAULT_CAPS) -> PiPair:
     """Split one dominating coloring with k = delta(g1, g2) colors into the
-    pair (pi, k+1-pi).  Satisfies (i) with the constant bound k and (ii), but
-    not the pointwise bound (iii) in general."""
-    for g in (g1, g2):  # either side's invalidity before any capacity error
-        require_valid(g)
+    pair (pi, k+1-pi), once both functions pass require_capacity.  Satisfies
+    (i) with the constant bound k and (ii), but not the pointwise bound
+    (iii) in general."""
+    g1, g2 = inst.g1, inst.g2
     for g in (g1, g2):
         require_capacity(g)
     k = delta(g1, g2)

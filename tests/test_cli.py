@@ -12,6 +12,8 @@ import pytest
 from supercolor import (
     GenConfig,
     InputError,
+    SearchCaps,
+    bunch,
     cli,
     dump_json,
     gen_instance,
@@ -275,7 +277,7 @@ def test_tightness_probe_stdout_pinned(capsys, monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     lambda path: pi.construct_pi(*load_instance(path)),
-    lambda path: pi.schrijver_pi(*load_instance(path)),
+    lambda path: pi.schrijver_pi(bunch.checked(*load_instance(path))),
     lambda path: oracle.verify_main_theorem(*load_instance(path), trials=1),
     lambda path: run(["verify", str(path)]),
     lambda path: run(["pi", str(path)]),
@@ -581,6 +583,9 @@ def test_tightness_probe_script_bad_input_is_exit_2(capsys):
         (["tightness-probe", "--count", "-1"], "count must be nonnegative"),
         (["tightness-probe", "--draws", "-2"], "draws must be nonnegative"),
         (["batch-verify", "--count", "0", "--trials", "-1"], "trials must be nonnegative"),
+        # verify hands its trials to oracle.list_trials unchecked
+        (["verify", str(ROOT / "tests" / "data" / "example1.json"), "--trials", "-1"],
+         "trials must be nonnegative"),
     ],
 )
 def test_bulk_negative_counts_are_exit_2(capsys, argv, message):
@@ -765,6 +770,15 @@ def test_caps_env_rejects_non_ascii_digits(monkeypatch, capsys, example_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad SUPERCOLOR_CAPS entry 'k_search=²'\n"
+
+
+def test_caps_env_skips_empty_entries(monkeypatch, capsys, example_path):
+    assert caps_from_env({"SUPERCOLOR_CAPS": "k_search=4,, ,list_budget=7,"}) == SearchCaps(4, 7)
+    monkeypatch.setenv("SUPERCOLOR_CAPS", "k_search=4,,")
+    assert run(["color", str(example_path), "--k", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k-coloring search capped at 4 elements, got 10\n"
 
 
 def test_gen_unwritable_out_is_exit_2(capsys, tmp_path):

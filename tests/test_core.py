@@ -11,22 +11,29 @@ from hypothesis import given, strategies as st
 from supercolor import (
     GroundSet,
     InputError,
+    PiPair,
     SetFn,
     check_capacity,
     check_intersecting_family,
     check_supermodular,
+    common_transversal,
     construct_pi,
+    construct_pi_traced,
     delta,
     dump_json,
     encode_bipartite,
+    find_k_coloring,
+    find_list_coloring,
     gen_instance,
     instance_payload,
+    min_k,
     mixed_configs,
     parse_instance,
     random_multigraph,
     verify_conditions,
+    verify_main_theorem,
 )
-from supercolor import cli, core
+from supercolor import bunch, cli, core
 from supercolor.core import Report, Violation, bit_indices, require_capacity, require_valid
 from lemmas import is_intersecting
 
@@ -413,6 +420,42 @@ def test_delta_floor_and_values():
 def test_set_fn_rejects_duplicate_sets(abc_ground):
     with pytest.raises(InputError, match="duplicate"):
         SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "a"], 2)])
+
+
+@pytest.mark.parametrize("mask, message", [
+    (0b1000, "set mask 0x8 outside the ground set"),
+    (-1, "set mask -0x1 outside the ground set"),
+])
+def test_set_fn_rejects_a_mask_outside_its_ground_set(abc_ground, mask, message):
+    with pytest.raises(InputError) as e:
+        SetFn(abc_ground, ((mask, 1),))
+    assert str(e.value) == message
+
+
+_PAIR_ENTRIES = {
+    "construct_pi": construct_pi,
+    "construct_pi_traced": construct_pi_traced,
+    "verify_conditions": lambda g1, g2: verify_conditions(
+        g1, g2, PiPair(*[dict.fromkeys("abc", 1)] * 2)
+    ),
+    "checked": bunch.checked,
+    "verify_main_theorem": lambda g1, g2: verify_main_theorem(g1, g2, trials=1),
+    "min_k": min_k,
+    "find_k_coloring": lambda g1, g2: find_k_coloring(g1, g2, 2),
+    "find_list_coloring": lambda g1, g2: find_list_coloring(g1, g2, dict.fromkeys("abc", [1])),
+    "common_transversal": common_transversal,
+}
+
+
+@pytest.mark.parametrize("entry", _PAIR_ENTRIES.values(), ids=_PAIR_ENTRIES)
+def test_every_pair_entry_reports_a_ground_set_mismatch_first(abc_ground, entry):
+    # g1 is not intersecting-closed and over capacity, and g2 lives on
+    # another ground set
+    g1 = SetFn.from_names(abc_ground, [(["a", "b"], 1), (["b", "c"], 1), (["a"], 2)])
+    g2 = SetFn(GroundSet(("a", "b")), ())
+    with pytest.raises(InputError) as e:
+        entry(g1, g2)
+    assert str(e.value) == "functions live on different ground sets"
 
 
 def test_parse_round_trip(example_instance):

@@ -246,3 +246,15 @@ def test_draws_equal_the_stdlib_calls():
 def test_random_multigraph_refuses_no_edges(n_edges):
     with pytest.raises(InputError, match="n_edges"):
         random_multigraph(random.Random(1), n_edges)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (0, 1), (10**12, 10**12 + 1), (5, -1), (0, -1)])
+def test_sorted_sample_refuses_k_outside_the_population(n, k):
+    def getrandbits(width):
+        raise AssertionError("drew before refusing")
+
+    with pytest.raises(ValueError) as want:
+        random.Random(0).sample(range(n), k)
+    with pytest.raises(InputError) as got:
+        gen.sorted_sample(getrandbits, range(n), k)
+    assert str(got.value) == str(want.value)

@@ -5,6 +5,7 @@ import pytest
 
 from supercolor import (
     BipartiteGraph,
+    GroundSet,
     InputError,
     ResourceLimitError,
     SetFn,
@@ -249,3 +250,16 @@ def test_256_element_encodings_complete(copies, a, b):
     g1, g2 = encode_bipartite(disjoint_bicliques(copies, a, b))
     assert g1.ground.size == 256
     assert _pi_checks(g1, g2)
+
+
+def test_common_transversal_refuses_an_empty_ground_set():
+    empty = SetFn(GroundSet(()), ())
+    with pytest.raises(InputError) as e:
+        common_transversal(empty, empty)
+    assert str(e.value) == "common transversal needs a nonempty ground set"
+
+
+def test_bipartite_graph_refuses_a_duplicate_edge_id():
+    with pytest.raises(InputError) as e:
+        BipartiteGraph(("s",), ("t",), [("s", "t", "e"), ("s", "t", "e")])
+    assert str(e.value) == "duplicate edge id 'e'"

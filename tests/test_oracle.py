@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pathlib
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from supercolor import (
     BipartiteGraph,
+    GenConfig,
     GroundSet,
     InputError,
     ResourceLimitError,
@@ -382,17 +384,13 @@ def test_list_trials_rejects_bad_lengths(example_instance, change, message):
     ({"j": ()}, "empty color list for element 'j'"),
 ], ids=["missing", "unknown", "empty"])
 def test_list_coloring_rejects_bad_lists(example_instance, change, message):
-    """list_coloring checks its lists as find_list_coloring does, with the
-    same messages."""
     g1, g2 = example_instance
     tight = checked(g1, g2).tight_lengths()
     lists = {u: tuple(range(1, b + 1)) for u, b in tight.items()} | change
     lists = {u: dom for u, dom in lists.items() if dom is not None}
-    index = oracle.constraint_index(g1, g2)
-    for search in (lambda: oracle.list_coloring(index, lists), lambda: find_list_coloring(g1, g2, lists)):
-        with pytest.raises(InputError) as e:
-            search()
-        assert str(e.value) == message
+    with pytest.raises(InputError) as e:
+        find_list_coloring(g1, g2, lists)
+    assert str(e.value) == message
 
 
 def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
@@ -400,9 +398,9 @@ def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
     lengths = checked(g1, g2).tight_lengths()
     index = oracle.constraint_index(g1, g2)
     caps = SearchCaps(list_budget=5)
-    # the message list_coloring gives on lists of these lengths
+    # the message find_list_coloring gives on lists of these lengths
     with pytest.raises(ResourceLimitError) as e:
-        oracle.list_coloring(index, {u: range(b) for u, b in lengths.items()}, caps)
+        find_list_coloring(g1, g2, {u: range(b) for u, b in lengths.items()}, caps)
     over_budget = str(e.value)
     assert over_budget.startswith("list search budget 5 exceeded: product ")
 
@@ -578,3 +576,65 @@ def test_k_coloring_at_delta_on_a_hard_encoding():
     coloring = find_k_coloring(g1, g2, k, SearchCaps(k_search_elements=16))
     assert coloring is not None and set(coloring.values()) <= set(range(1, k + 1))
     assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
+
+
+def _recorded_search(monkeypatch):
+    """Wrap oracle._search; the list returned collects what each call gives."""
+    results = []
+    real = oracle._search
+
+    def search(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "_search", search)
+    return results
+
+
+def _first_dominating(g1, g2, domains):
+    """Brute force: the first assignment in product order that dominates both."""
+    for colors in itertools.product(*domains):
+        coloring = dict(zip(g1.ground.names, colors))
+        if dominates(coloring, g1).ok and dominates(coloring, g2).ok:
+            return coloring
+    return None
+
+
+def test_the_search_itself_answers_no(monkeypatch):
+    # three pairs that each need two colors: within capacity, and no bound
+    # exceeds its set's size or two colors, so the pigeonhole rule passes
+    # k = 2 and only the exhausted search can say no
+    g1, g2 = load_instance(pathlib.Path(__file__).parent / "data" / "triangle.json")
+    searches = _recorded_search(monkeypatch)
+    assert find_k_coloring(g1, g2, 2) is None
+    assert searches == [None]
+    assert _first_dominating(g1, g2, [(1, 2)] * 3) is None
+    want = _first_dominating(g1, g2, [(1, 2, 3)] * 3)
+    assert find_k_coloring(g1, g2, 3) == want == {"a": 1, "b": 2, "c": 3}
+    assert delta(g1, g2) == 2 and min_k(g1, g2) == 3
+    searches.clear()
+    assert find_list_coloring(g1, g2, dict.fromkeys("abc", [1, 2])) is None
+    assert searches == [None]
+
+
+@pytest.mark.parametrize("seed, n, trial", [(1835767930, 8, 0), (237549135, 5, 2)])
+def test_probe_trials_that_only_the_search_refuses(monkeypatch, seed, n, trial):
+    # of the trials of tightness-probe --count 200 --seed 7 --n-max 8
+    # --draws 3, the two whose search enters and runs out
+    cfg = GenConfig(seed=seed, n_elements=n, strategy="bipartite")
+    assert cfg in mixed_configs(seed=7, count=200, n_max=8)
+    g1, g2 = gen_instance(cfg)
+    lengths = shortened(g1, g2)
+    sigma = delta(g1, g2) + 2
+    searches = _recorded_search(monkeypatch)
+    index = oracle.constraint_index(g1, g2)
+    report = oracle.list_trials(index, lengths, 3, sigma, seed ^ 0x7717)
+    assert [v.values for v in report.violations] == [(trial,)]
+    assert [found is None for found in searches] == [t == trial for t in range(3)]
+    # the same lists against ref_search, drawn as list_trials draws them
+    getrandbits = random.Random(seed ^ 0x7717).getrandbits
+    colors = range(1, sigma + 1)
+    for t in range(3):
+        lists = {u: oracle.sorted_sample(getrandbits, colors, b) for u, b in lengths.items()}
+        assert _matches_ref_on_lists(g1, g2, lists) == (t != trial), t
+

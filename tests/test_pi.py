@@ -25,6 +25,7 @@ from supercolor import (
     verify_conditions,
 )
 from supercolor import core
+from supercolor.bunch import checked
 
 
 def test_dominates_injective_always_ok(example_g):
@@ -186,7 +187,7 @@ def test_strictness_witness():
 
 def test_schrijver_empty(abc_ground):
     empty = SetFn(abc_ground, ())
-    pair = schrijver_pi(empty, empty)
+    pair = schrijver_pi(checked(empty, empty))
     assert set(pair.pi1.values()) == {1} and set(pair.pi2.values()) == {1}
 
 
@@ -195,7 +196,7 @@ def test_schrijver_two_edge_path():
     ground = GroundSet(("e1", "e2"))
     g1 = SetFn.from_names(ground, [(["e1", "e2"], 2)])
     g2 = SetFn.from_names(ground, [(["e1"], 1), (["e2"], 1)])
-    pair = schrijver_pi(g1, g2)
+    pair = schrijver_pi(checked(g1, g2))
     k = delta(g1, g2)
     assert k == 2
     assert pair.pi1["e1"] != pair.pi1["e2"]
@@ -204,7 +205,7 @@ def test_schrijver_two_edge_path():
 
 def test_schrijver_worked_example(example_instance):
     g1, g2 = example_instance
-    pair = schrijver_pi(g1, g2)
+    pair = schrijver_pi(checked(g1, g2))
     k = delta(g1, g2)
     assert k == 4
     assert dominates(pair.pi1, g1).ok and dominates(pair.pi2, g2).ok
@@ -214,3 +215,13 @@ def test_schrijver_worked_example(example_instance):
 def test_pi_pair_rejects_nonpositive():
     with pytest.raises(InputError):
         PiPair({"a": 0}, {"a": 1})
+
+
+def test_a_pair_missing_an_element_is_refused(example_instance):
+    g1, g2 = example_instance
+    names = g1.ground.names
+    full, short = dict.fromkeys(names, 1), dict.fromkeys(names[:-1], 1)
+    for pair in (PiPair(short, full), PiPair(full, short)):
+        with pytest.raises(InputError) as e:
+            verify_conditions(g1, g2, pair)
+        assert str(e.value) == f"pair missing element {names[-1]!r}"
