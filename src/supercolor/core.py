@@ -11,8 +11,9 @@ witnesses instead of raising.
 
 Validation happens once per function, at the boundary: require_valid and
 require_capacity record a pass in a private attribute of the frozen SetFn,
-outside ==, hash and repr, so later calls on it return at once.  A failed
-check records nothing, and the check_* reporters walk on every call.
+outside ==, hash and repr, so later calls on it return at once.  That record
+is all a SetFn holds beside its ground set and entries.  A failed check
+records nothing, and the check_* reporters walk on every call.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class SetFn:
                 )
             seen.add(mask)
         object.__setattr__(self, "entries", canon)
-        object.__setattr__(self, "_values", dict(canon))
 
     @classmethod
     def from_names(
@@ -167,7 +167,7 @@ def check_pairs(g: SetFn) -> tuple[Report, Report]:
     and the supermodular violations g(X)+g(Y) > g(X∪Y)+g(X∩Y) among the pairs
     whose union and intersection are both present.
     """
-    value = g._values.get  # type: ignore[attr-defined]
+    value = dict(g.entries).get
     names = g.ground.names_of
     entries = g.entries
     missing: list[Violation] = []

@@ -1,20 +1,23 @@
 """Brute-force ground truth: k-colorings, list colorings, the minimum color
 count, and randomized whole-theorem verification at desk scale.
 
-The search assigns elements in ground order and cuts a branch as soon as some
-constrained set can no longer reach its required number of distinct colors,
-even if every remaining element contributed a fresh one.  The bound is exact
-on fully assigned sets, so a completed assignment needs no final recheck; the
-pruning never discards a satisfiable branch, hence the first assignment found
-is the canonically smallest one.  A k-coloring search also skips colorings
-whose colors are not numbered in order of first use; the canonically
-smallest one is never among them.  One pigeonhole rule refuses a search
-before any element is assigned: some constraint's bound exceeds
-min(|X|, the distinct colors its elements can take), where those colors are
-the ones tried in a k-search and the union of the elements' lists in a list
-search.
+There is one search, _search(domains, index), on one domain of colors per
+element.  A k-coloring is the list coloring whose lists all equal {1..k}, so
+k_coloring gives every element the colors 1..min(k, n), and a list search
+gives each element its own list.  The search decides the rest for itself.
+One pigeonhole rule refuses it before any element is placed: some
+constraint's bound exceeds min(|X|, the distinct colors its elements'
+domains hold).  It assigns elements in ground order and cuts a branch as
+soon as some constrained set can no longer reach its required number of
+distinct colors, even if every remaining element contributed a fresh one.
+The bound is exact on fully assigned sets, so a completed assignment needs
+no final recheck; the pruning never discards a satisfiable branch, hence the
+first assignment found is the canonically smallest one.  When every element
+has the same domain, the search also skips colorings whose colors are not
+numbered in order of first use; the canonically smallest one is never among
+them.
 
-Inside the search a color is an int and a set of colors is an int mask.  Its
+Inside the search a color c >= 1 is the bit 1 << c of a color mask.  Its
 state is one color mask per constraint: the colors of the members placed so
 far.  Since elements are placed in ground order, the members still to come
 after element i are fixed, so the test at i is static: the constraint index
@@ -23,16 +26,11 @@ constraint's need, bound minus the members after i, and the element's color
 passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
-changes nothing.  A k-search colors with 1..min(k, n), already small bits.
-Every list search, find_list_coloring's and each drawn trial's, numbers the
-distinct colors (by equality, so 1 and 1.0 are one) in order of first
-appearance, so a mask is as wide as the colors in play, not as the largest
-color value (a trial's colors come from a pool 1..sigma_size of any size).
-find_list_coloring checks its lists (one nonempty list per element and none
-for another name) and the list budget, and maps the coloring back to the
-objects of each element's own list.  list_trials checks its lengths, the
-pool and the budget once per call, then per trial draws the lists with
-gen.sorted_sample and only asks whether a coloring exists.
+changes nothing.  Every list search, find_list_coloring's and each drawn
+trial's, numbers the distinct colors (by equality, so 1 and 1.0 are one) from
+1 in order of first appearance, so equal lists read 1..L as a k-search's do,
+and a mask is as wide as the colors in play, not as the largest color value
+(a trial's colors come from a pool 1..sigma_size of any size).
 
 k_coloring and list_trials search on the index, which needs no validity, so
 cli.batch_verify builds it once per instance for both of its searches.  The
@@ -116,10 +114,10 @@ def constraint_index(g1: SetFn, g2: SetFn) -> ConstraintIndex:
 
 
 def _refused(index: ConstraintIndex, reach: Sequence[int]) -> bool:
-    """The pigeonhole test, the only one before a search: True when some
-    constraint's bound exceeds min(|X|, the colors its elements can take),
-    reach holding per element the mask of its colors.  No assignment meets
-    such a bound."""
+    """The pigeonhole test, _search's only one before it places an element:
+    True when some constraint's bound exceeds min(|X|, the colors its
+    elements can take), reach holding per element the mask of its colors.
+    No assignment meets such a bound."""
     for elems, bound in zip(index.members, index.bounds):
         if bound > len(elems):
             return True
@@ -131,18 +129,30 @@ def _refused(index: ConstraintIndex, reach: Sequence[int]) -> bool:
     return False
 
 
-def _search(
-    domains: Sequence[Sequence[int]], index: ConstraintIndex, first_use: bool = False
-) -> Coloring | None:
-    """First dominating assignment in canonical order, or None.  A color is
-    an int c >= 0, held in masks as the bit 1 << c, so colors must be small:
-    k-searches use 1..min(k, n), and list searches number theirs (see
-    _list_search).  With first_use, for k-colorings whose domains are 1..k,
-    element i tries only colors up to 1 + the largest color used before it
-    (see k_coloring).  Callers run _refused first: no check here sees a
-    constraint on the empty set."""
+def _search(domains: Sequence[Sequence[int]], index: ConstraintIndex) -> Coloring | None:
+    """First dominating assignment in canonical order, or None.  Element i
+    tries the colors of domains[i] in order, distinct ints c >= 1 held as
+    the bit 1 << c, so colors must be small (_list_search numbers them).
+
+    First it refuses by the pigeonhole rule, _refused, on each element's
+    reach, the mask of its domain.  When every element has the same domain,
+    which then reads 1..L, element i tries only colors up to 1 + the largest
+    used before it.  The canonical first coloring survives: a bijection on
+    the shared colors keeps a coloring dominating, since each set sees as
+    many distinct colors as before, and renumbering the colors in order of
+    first use only lowers a coloring in canonical order, so the first
+    dominating coloring already numbers its colors in order of first use."""
     names, _, bounds, checks, feeds = index
     n = len(names)
+    reach = []  # per element, the mask of its domain
+    for dom in domains:
+        m = 0
+        for color in dom:
+            m |= 1 << color
+        reach.append(m)
+    if _refused(index, reach):
+        return None
+    first_use = all(dom == domains[0] for dom in domains)
     masks = [0] * len(bounds)  # per constraint, the colors of its placed members
     saved: list = [None] * n  # per placed element, the masks it feeds as they were before it
     assignment: list = [None] * n
@@ -185,8 +195,8 @@ def _search(
 def k_coloring(
     index: ConstraintIndex, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
-    """find_k_coloring on the instance's index.  Every element takes the
-    colors 1..min(k, n)."""
+    """find_k_coloring on the instance's index: the search with every
+    element's domain 1..min(k, n)."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     n = len(index.names)
@@ -194,23 +204,18 @@ def k_coloring(
         raise ResourceLimitError(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
-    colors = tuple(range(1, min(k, max(1, n)) + 1))
-    if _refused(index, [(2 << colors[-1]) - 2] * n):
-        return None
-    return _search([colors] * n, index, first_use=True)
+    return _search([tuple(range(1, min(k, n) + 1))] * n, index)
 
 
 def find_k_coloring(
     g1: SetFn, g2: SetFn, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
     """First assignment U -> {1..k} (in canonical order) dominating both
-    functions, or None after exhausting the search space.
-
-    Only colors up to max(1, |U|) are tried: renumbering colors in order of
-    first use keeps a coloring dominating and never makes it larger, so the
-    canonically smallest one never uses a color above |U|.  For the same
-    reason it already numbers its colors in order of first use, so the search
-    gives element i only colors up to 1 + the largest used before it."""
+    functions, or None after exhausting the search space: the list coloring
+    whose lists all equal {1..k}, which the one search refuses by pigeonhole
+    and whose color symmetry it breaks.  Only colors up to |U| are tried,
+    since renumbering colors in order of first use keeps a coloring
+    dominating and never makes it larger (see _search)."""
     return k_coloring(constraint_index(g1, g2), k, caps)
 
 
@@ -255,18 +260,10 @@ def _list_search(
 ) -> tuple[list[tuple[int, ...]], Coloring | None]:
     """The list search of find_list_coloring and list_trials: each element's
     list as color numbers, and the first assignment of those numbers, or
-    None.  Each distinct color (by equality) becomes a bit, numbered in
-    order of first appearance."""
+    None.  Each distinct color (by equality) is numbered from 1 in order of
+    first appearance."""
     bit_of: dict = {}
-    bits = [tuple([bit_of.setdefault(c, len(bit_of)) for c in dom]) for dom in domains]
-    reach = []  # per element, the mask of its list
-    for b in bits:
-        m = 0
-        for color in b:
-            m |= 1 << color
-        reach.append(m)
-    if _refused(index, reach):
-        return bits, None
+    bits = [tuple([bit_of.setdefault(c, len(bit_of) + 1) for c in dom]) for dom in domains]
     return bits, _search(bits, index)
 
 

@@ -217,12 +217,7 @@ def test_battery_raises_what_the_public_functions_raise():
 
 def test_battery_failure_payloads_match(monkeypatch):
     # a list search that never colors makes every trial a failure
-    real = oracle._search
-    monkeypatch.setattr(
-        oracle, "_search",
-        lambda domains, index, first_use=False:
-            real(domains, index, first_use) if first_use else None,
-    )
+    monkeypatch.setattr(oracle, "_list_search", lambda index, domains: (None, None))
     for cfg in CONFIGS[:20]:
         got = battery(cfg, 2, BIG_LISTS)
         assert got["failures"] and got == ref_battery(cfg, 2, BIG_LISTS), cfg

@@ -100,6 +100,15 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+def test_help_is_exit_0_and_a_missing_or_unknown_command_exit_2(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: supercolor")
+    assert run([]) == 2
+    assert run(["nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("usage: supercolor") == 2
+
+
 def test_reduce_emits_replayable_instance(capsys, example_path, tmp_path):
     code, payload = run_cli(capsys, "reduce", str(example_path), "--k", "f,j")
     assert code == 0
@@ -475,6 +484,7 @@ MALFORMED = {
         "not_utf8": b"\xff\xfe{}",
         "digits": f'{{"elements": ["a"], "g1": [{{"set": ["a"], "value": {DIGITS}}}], "g2": []}}',
         "deep": "[" * 100000,
+        "set_string": '{"elements": ["a"], "g1": [{"set": "a", "value": 1}], "g2": []}',
     },
     "graph": {
         "not_utf8": b"\xff\xfe{}",

@@ -481,6 +481,12 @@ def test_parse_errors(text):
         parse_instance(text)
 
 
+def test_parse_refuses_a_set_given_as_a_string():
+    with pytest.raises(InputError) as e:
+        parse_instance('{"elements": ["a"], "g1": [{"set": "a", "value": 1}], "g2": []}')
+    assert str(e.value) == '"set" must be a list of element names in g1'
+
+
 @given(st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 6)), max_size=12))
 def test_delta_bounds_every_value(pairs):
     g = GroundSet(tuple("abcdef"))

@@ -7,6 +7,7 @@ import pytest
 
 from supercolor import (
     GenConfig,
+    GenerationError,
     InputError,
     bunch_partition,
     check_capacity,
@@ -258,3 +259,15 @@ def test_sorted_sample_refuses_k_outside_the_population(n, k):
     with pytest.raises(InputError) as got:
         gen.sorted_sample(getrandbits, range(n), k)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("closure", "closure generation exhausted 1 attempts"),
+    ("rank_complement", "family sampling exhausted 1 attempts"),
+])
+def test_generation_refuses_once_its_attempts_run_out(strategy, message):
+    # with no room for a family every attempt's closure is refused
+    cfg = GenConfig(seed=1, n_elements=5, strategy=strategy, family_cap=0, max_attempts=1)
+    with pytest.raises(GenerationError) as e:
+        gen_instance(cfg)
+    assert str(e.value) == message

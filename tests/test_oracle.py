@@ -148,19 +148,31 @@ def test_min_k_matches_delta_at_ten_elements():
         assert min_k(g1, g2) == delta(g1, g2), cfg
 
 
+def _recorded(monkeypatch, name):
+    """Wrap oracle's function name; the list returned collects what each call gives."""
+    results = []
+    real = getattr(oracle, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, name, recording)
+    return results
+
+
 def test_k_search_below_delta_is_refused_before_searching(monkeypatch):
     # every element has the same k colors, so a bound above k is a pigeonhole
     # refusal; no element is assigned
-    searches = []
-    real = oracle._search
-    monkeypatch.setattr(oracle, "_search", lambda *args: searches.append(1) or real(*args))
+    refusals = _recorded(monkeypatch, "_refused")
+    searches = _recorded(monkeypatch, "_search")
     below = 0
     for cfg in mixed_configs(seed=2718, count=30, n_min=10, n_max=10):
         g1, g2 = gen_instance(cfg)
         for k in range(1, delta(g1, g2)):
             assert find_k_coloring(g1, g2, k) is None, (cfg, k)
             below += 1
-    assert searches == [] and below >= 30
+    assert refusals == [True] * below and searches == [None] * below and below >= 30
 
 
 @pytest.mark.parametrize("entries, width", [
@@ -177,11 +189,8 @@ def test_list_search_is_refused_before_searching(monkeypatch, capsys, tmp_path, 
     lists_file = tmp_path / "lists.json"
     lists_file.write_text(json.dumps(lists))
     g1, g2 = load_instance(str(inst))
-    searches = []
-    real = oracle._search
-    monkeypatch.setattr(
-        oracle, "_search", lambda *args, **kwargs: searches.append(1) or real(*args, **kwargs)
-    )
+    refusals = _recorded(monkeypatch, "_refused")
+    searches = _recorded(monkeypatch, "_search")
     assert find_list_coloring(g1, g2, lists) is None
     index = oracle.constraint_index(g1, g2)
     report = oracle.list_trials(index, dict.fromkeys("abc", width), 3, width, seed=0)
@@ -189,7 +198,7 @@ def test_list_search_is_refused_before_searching(monkeypatch, capsys, tmp_path, 
     for flags in (["--k", "2"], ["--lists", str(lists_file)]):
         assert run(["color", str(inst), *flags]) == 1
         assert json.loads(capsys.readouterr().out)["found"] is False
-    assert searches == []
+    assert refusals == [True] * 6 and searches == [None] * 6
 
 
 def test_list_coloring_singleton_lists(abc_ground):
@@ -504,6 +513,22 @@ def test_k_coloring_matches_full_domain_search():
     assert found[False] >= 500 and found[True] >= 500, found
 
 
+def test_equal_lists_give_the_k_search():
+    # a k-coloring is the list coloring whose lists all equal {1..k}; no color
+    # above n is ever needed, so the lists stop at min(k, n)
+    caps = SearchCaps(list_budget=10**12)
+    found = Counter()
+    for cfg in mixed_configs(seed=2028, count=300, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        n = g1.ground.size
+        for k in range(1, delta(g1, g2) + 2):
+            lists = dict.fromkeys(g1.ground.names, list(range(1, min(k, n) + 1)))
+            want = find_k_coloring(g1, g2, k, caps)
+            assert find_list_coloring(g1, g2, lists, caps) == want, (cfg, k)
+            found[want is None] += 1
+    assert found[False] >= 300 and found[True] >= 300, found
+
+
 def _canonical_list(pool):
     """A list as find_list_coloring orders it: distinct, sorted within each type."""
     return tuple(sorted(set(pool), key=lambda c: (type(c).__name__, c)))
@@ -578,19 +603,6 @@ def test_k_coloring_at_delta_on_a_hard_encoding():
     assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
 
 
-def _recorded_search(monkeypatch):
-    """Wrap oracle._search; the list returned collects what each call gives."""
-    results = []
-    real = oracle._search
-
-    def search(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(oracle, "_search", search)
-    return results
-
-
 def _first_dominating(g1, g2, domains):
     """Brute force: the first assignment in product order that dominates both."""
     for colors in itertools.product(*domains):
@@ -605,16 +617,18 @@ def test_the_search_itself_answers_no(monkeypatch):
     # exceeds its set's size or two colors, so the pigeonhole rule passes
     # k = 2 and only the exhausted search can say no
     g1, g2 = load_instance(pathlib.Path(__file__).parent / "data" / "triangle.json")
-    searches = _recorded_search(monkeypatch)
+    refusals = _recorded(monkeypatch, "_refused")
+    searches = _recorded(monkeypatch, "_search")
     assert find_k_coloring(g1, g2, 2) is None
-    assert searches == [None]
+    assert refusals == [False] and searches == [None]
     assert _first_dominating(g1, g2, [(1, 2)] * 3) is None
     want = _first_dominating(g1, g2, [(1, 2, 3)] * 3)
     assert find_k_coloring(g1, g2, 3) == want == {"a": 1, "b": 2, "c": 3}
     assert delta(g1, g2) == 2 and min_k(g1, g2) == 3
+    refusals.clear()
     searches.clear()
     assert find_list_coloring(g1, g2, dict.fromkeys("abc", [1, 2])) is None
-    assert searches == [None]
+    assert refusals == [False] and searches == [None]
 
 
 @pytest.mark.parametrize("seed, n, trial", [(1835767930, 8, 0), (237549135, 5, 2)])
@@ -626,10 +640,12 @@ def test_probe_trials_that_only_the_search_refuses(monkeypatch, seed, n, trial):
     g1, g2 = gen_instance(cfg)
     lengths = shortened(g1, g2)
     sigma = delta(g1, g2) + 2
-    searches = _recorded_search(monkeypatch)
+    refusals = _recorded(monkeypatch, "_refused")
+    searches = _recorded(monkeypatch, "_search")
     index = oracle.constraint_index(g1, g2)
     report = oracle.list_trials(index, lengths, 3, sigma, seed ^ 0x7717)
     assert [v.values for v in report.violations] == [(trial,)]
+    assert refusals == [False] * 3
     assert [found is None for found in searches] == [t == trial for t in range(3)]
     # the same lists against ref_search, drawn as list_trials draws them
     getrandbits = random.Random(seed ^ 0x7717).getrandbits
