@@ -1,23 +1,23 @@
 """Brute-force ground truth: k-colorings, list colorings, the minimum color
 count, and randomized whole-theorem verification at desk scale.
 
-There is one search, _search(domains, index), on one domain of colors per
-element.  A k-coloring is the list coloring whose lists all equal {1..k}, so
-k_coloring gives every element the colors 1..min(k, n), and a list search
-gives each element its own list.  The search decides the rest for itself.
-One pigeonhole rule refuses it before any element is placed: some
-constraint's bound exceeds min(|X|, the distinct colors its elements'
-domains hold).  It assigns elements in ground order and cuts a branch as
-soon as some constrained set can no longer reach its required number of
-distinct colors, even if every remaining element contributed a fresh one.
-The bound is exact on fully assigned sets, so a completed assignment needs
-no final recheck; the pruning never discards a satisfiable branch, hence the
-first assignment found is the canonically smallest one.  When every element
-has the same domain, the search also skips colorings whose colors are not
-numbered in order of first use; the canonically smallest one is never among
-them.
+There is one search, _search(domains, index), on one domain per element, the
+mask of the colors it may take.  A k-coloring is the list coloring whose
+lists all equal {1..k}, so k_coloring gives every element the mask of
+1..min(k, n), and a list search the mask of its own list.  The search decides
+the rest for itself.  One pigeonhole rule refuses it before any element is
+placed: some constraint's bound exceeds min(|X|, the distinct colors its
+elements' domains hold).  It assigns elements in ground order and cuts a
+branch as soon as some constrained set can no longer reach its required
+number of distinct colors, even if every remaining element contributed a
+fresh one.  The bound is exact on fully assigned sets, so a completed
+assignment needs no final recheck; the pruning never discards a satisfiable
+branch, hence the first assignment found is the canonically smallest one.
+When every element has the same domain, the search also skips colorings whose
+colors are not numbered in order of first use; the canonically smallest one
+is never among them.
 
-Inside the search a color c >= 1 is the bit 1 << c of a color mask.  Its
+In every color mask a color c >= 1 is the bit 1 << c.  The search's
 state is one color mask per constraint: the colors of the members placed so
 far.  Since elements are placed in ground order, the members still to come
 after element i are fixed, so the test at i is static: the constraint index
@@ -28,9 +28,10 @@ needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
 changes nothing.  Every list search, find_list_coloring's and each drawn
 trial's, numbers the distinct colors (by equality, so 1 and 1.0 are one) from
-1 in order of first appearance, so equal lists read 1..L as a k-search's do,
-and a mask is as wide as the colors in play, not as the largest color value
-(a trial's colors come from a pool 1..sigma_size of any size).
+1 in sorted order, so every element tries its colors in one order, equal
+lists read 1..L as a k-search's do, and a mask is as wide as the colors in
+play, not as the largest color value (a trial's colors come from a pool
+1..sigma_size of any size).
 
 k_coloring and list_trials search on the index, which needs no validity, so
 cli.batch_verify builds it once per instance for both of its searches.  The
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     InputError,
@@ -113,75 +115,72 @@ def constraint_index(g1: SetFn, g2: SetFn) -> ConstraintIndex:
     return ConstraintIndex(names, members, bounds, checks, feeds)
 
 
-def _refused(index: ConstraintIndex, reach: Sequence[int]) -> bool:
+def _refused(index: ConstraintIndex, domains: Sequence[int]) -> bool:
     """The pigeonhole test, _search's only one before it places an element:
     True when some constraint's bound exceeds min(|X|, the colors its
-    elements can take), reach holding per element the mask of its colors.
-    No assignment meets such a bound."""
+    elements' domains hold).  No assignment meets such a bound."""
     for elems, bound in zip(index.members, index.bounds):
         if bound > len(elems):
             return True
         m = 0
         for i in elems:
-            m |= reach[i]
+            m |= domains[i]
         if m.bit_count() < bound:
             return True
     return False
 
 
-def _search(domains: Sequence[Sequence[int]], index: ConstraintIndex) -> Coloring | None:
-    """First dominating assignment in canonical order, or None.  Element i
-    tries the colors of domains[i] in order, distinct ints c >= 1 held as
-    the bit 1 << c, so colors must be small (_list_search numbers them).
+def _search(domains: Sequence[int], index: ConstraintIndex) -> Coloring | None:
+    """First dominating assignment in canonical order, or None.  domains[i]
+    is element i's color mask, the color c >= 1 being the bit 1 << c (list
+    colors are numbered by _list_search), and element i tries its untried
+    colors lowest first.
 
-    First it refuses by the pigeonhole rule, _refused, on each element's
-    reach, the mask of its domain.  When every element has the same domain,
-    which then reads 1..L, element i tries only colors up to 1 + the largest
-    used before it.  The canonical first coloring survives: a bijection on
-    the shared colors keeps a coloring dominating, since each set sees as
-    many distinct colors as before, and renumbering the colors in order of
-    first use only lowers a coloring in canonical order, so the first
-    dominating coloring already numbers its colors in order of first use."""
+    First it refuses by the pigeonhole rule, _refused, on the domains.  When
+    every element has the same domain, which then reads 1..L, element i
+    tries only colors up to 1 + the largest used before it.  The canonical
+    first coloring survives: a bijection on the shared colors keeps a
+    coloring dominating, since each set sees as many distinct colors as
+    before, and renumbering the colors in order of first use only lowers a
+    coloring in canonical order, so the first dominating coloring already
+    numbers its colors in order of first use."""
     names, _, bounds, checks, feeds = index
     n = len(names)
-    reach = []  # per element, the mask of its domain
-    for dom in domains:
-        m = 0
-        for color in dom:
-            m |= 1 << color
-        reach.append(m)
-    if _refused(index, reach):
+    if _refused(index, domains):
         return None
-    first_use = all(dom == domains[0] for dom in domains)
     masks = [0] * len(bounds)  # per constraint, the colors of its placed members
     saved: list = [None] * n  # per placed element, the masks it feeds as they were before it
-    assignment: list = [None] * n
+    assignment = [0] * n  # per placed element, its color bit
 
     # depth-first on an explicit stack, so any number of elements fits:
-    # options[i] holds element i's untried colors, tops[i] the largest color
-    # used before it (first_use only)
-    options: list = [None] * n
-    tops = [0] * (n + 1)
+    # untried[i] holds element i's untried colors, allowed[i] the colors it
+    # may take: up to one above the largest used before it when every domain
+    # is the same, else all
+    untried = [0] * n
+    allowed = [0] * (n + 1)
+    allowed[0] = 0b11 if all(dom == domains[0] for dom in domains) else -1
     i, descending = 0, True
     while i >= 0:
         if descending:
             if i == n:
-                return {name: assignment[j] for j, name in enumerate(names)}
-            options[i] = iter(domains[i][: tops[i] + 1] if first_use else domains[i])
+                return {name: bit.bit_length() - 1 for name, bit in zip(names, assignment)}
+            untried[i] = domains[i] & allowed[i]
             descending = False
-        for color in options[i]:
-            bit = 1 << color
+        options = untried[i]
+        while options:
+            bit = options & -options
+            options ^= bit
             for ci, need in checks[i]:
                 if (masks[ci] | bit).bit_count() < need:
                     break
             else:
-                assignment[i] = color
+                untried[i] = options
+                assignment[i] = bit
                 fed = feeds[i]
                 saved[i] = [masks[ci] for ci in fed]
                 for ci in fed:
                     masks[ci] |= bit
-                if first_use:
-                    tops[i + 1] = tops[i] + (color > tops[i])
+                allowed[i + 1] = allowed[i] | ((bit << 2) - 1)
                 i, descending = i + 1, True
                 break
         else:
@@ -196,7 +195,7 @@ def k_coloring(
     index: ConstraintIndex, k: int, caps: SearchCaps = DEFAULT_CAPS
 ) -> Coloring | None:
     """find_k_coloring on the instance's index: the search with every
-    element's domain 1..min(k, n)."""
+    element's domain the mask of 1..min(k, n)."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     n = len(index.names)
@@ -204,7 +203,7 @@ def k_coloring(
         raise ResourceLimitError(
             f"k-coloring search capped at {caps.k_search_elements} elements, got {n}"
         )
-    return _search([tuple(range(1, min(k, n) + 1))] * n, index)
+    return _search([(2 << min(k, n)) - 2] * n, index)
 
 
 def find_k_coloring(
@@ -256,15 +255,18 @@ def _require_known(names: Sequence[str], per_element: Mapping) -> None:
 
 
 def _list_search(
-    index: ConstraintIndex, domains: Sequence[Sequence]
-) -> tuple[list[tuple[int, ...]], Coloring | None]:
-    """The list search of find_list_coloring and list_trials: each element's
-    list as color numbers, and the first assignment of those numbers, or
-    None.  Each distinct color (by equality) is numbered from 1 in order of
-    first appearance."""
-    bit_of: dict = {}
-    bits = [tuple([bit_of.setdefault(c, len(bit_of) + 1) for c in dom]) for dom in domains]
-    return bits, _search(bits, index)
+    index: ConstraintIndex, lists: Sequence[Iterable]
+) -> tuple[dict, Coloring | None]:
+    """The list search of find_list_coloring and list_trials on lists of
+    distinct colors: the bit of each color, and the first assignment of
+    color numbers, or None.  The colors of all lists (by equality, so 1 and
+    1.0 are one) are sorted once, each by (type name, value) of its first
+    appearance in ground order, and numbered from 1, the color c being the
+    bit 1 << c.  So every element tries its colors in one order, and equal
+    lists read 1..L as a k-search's domains do."""
+    order = sorted(dict.fromkeys(chain.from_iterable(lists)), key=lambda c: (type(c).__name__, c))
+    bit = {c: 2 << at for at, c in enumerate(order)}
+    return bit, _search([sum(map(bit.__getitem__, dom)) for dom in lists], index)
 
 
 def find_list_coloring(
@@ -277,29 +279,25 @@ def find_list_coloring(
     or None when the exhaustive search proves there is none.  Lists are
     checked before the search, after the shared ground set: every element
     needs a nonempty list and no other name may have one, then the list
-    budget must admit them.  Each list is made distinct and sorted, which
-    fixes the element's visiting order.
+    budget must admit their distinct colors.
 
-    Colors equal as values are one color (1 and 1.0); each element's color
-    is the object in its own list.  The search numbers the colors and
-    compares them only for equality, so the numbering changes neither the
-    coloring found nor whether one exists."""
+    Colors equal as values are one color (1 and 1.0), which sorts where the
+    first of them in ground order sorts (see _list_search); each element's
+    color is the first object of that color in its own list."""
     index = constraint_index(g1, g2)
     names = index.names
-    domains = []
     for name in names:
         if name not in lists:
             raise InputError(f"no color list for element {name!r}")
-        dom = sorted(set(lists[name]), key=lambda c: (type(c).__name__, c))
-        if not dom:
+        if not lists[name]:
             raise InputError(f"empty color list for element {name!r}")
-        domains.append(dom)
     _require_known(names, lists)
+    domains = [set(lists[name]) for name in names]
     _require_budget(names, [len(dom) for dom in domains], caps)
-    bits, found = _list_search(index, domains)
+    bit, found = _list_search(index, domains)
     if found is None:
         return None
-    return {name: dom[b.index(found[name])] for name, dom, b in zip(names, domains, bits)}
+    return {name: next(c for c in lists[name] if bit[c] == 1 << found[name]) for name in names}
 
 
 def verify_main_theorem(

@@ -23,6 +23,7 @@ from supercolor import (
     oracle,
     pi,
 )
+from supercolor.bunch import checked
 from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
 
@@ -643,6 +644,45 @@ def test_internal_error_is_exit_4(capsys, example_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: RuntimeError: boom")
+
+
+def _crossing_set_raised(entries, kmask, reduce_entries=bunch.reduce_entries):
+    """bunch.reduce_entries with the first set that crosses another raised by
+    100, which breaks the supermodular inequality on the two."""
+    best = reduce_entries(entries, kmask)
+    for p in best:
+        if any(p & q and p & ~q and q & ~p for q in best):
+            best[p] += 100
+            break
+    return best
+
+
+@pytest.mark.parametrize("module, name, fake, call, argv, raised", [
+    (
+        bunch, "reduce_entries", _crossing_set_raised,
+        lambda g1, g2: bunch.reduce(g1, g1.ground.mask_of(["f", "j"])),
+        ["reduce", "--k", "f,j"], "reduction lost validity (internal bug)",
+    ),
+    (
+        oracle, "find_k_coloring", lambda *args: None,
+        lambda g1, g2: pi.schrijver_pi(checked(g1, g2)),
+        ["pi", "--method", "schrijver"],
+        "no dominating 4-coloring found for a valid instance (internal bug)",
+    ),
+], ids=["reduce", "schrijver_pi"])
+def test_internal_bug_guards_are_exit_4(
+    capsys, example_path, example_instance, monkeypatch, module, name, fake, call, argv, raised
+):
+    # a guard that no valid input reaches, forced by a broken step before it
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(RuntimeError) as e:
+        call(*example_instance)
+    assert str(e.value).startswith(raised)
+    command, *flags = argv
+    assert run([command, str(example_path), *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: RuntimeError: {raised}")
 
 
 def test_batch_verify_script_internal_error_is_exit_4(capsys, monkeypatch):

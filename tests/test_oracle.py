@@ -79,6 +79,28 @@ def test_k_coloring_clamps_huge_k(example_instance):
     assert find_k_coloring(empty, empty, 10**11) == {}
 
 
+class _CountedChecks(list):
+    """An element's checks that count the colors the search tries on it."""
+
+    tries = 0
+
+    def __iter__(self):
+        self.tries += 1
+        return super().__iter__()
+
+
+def test_k_search_tries_only_colorings_in_order_of_first_use():
+    # five elements with colors 1..5; the last one's need can never be met,
+    # so the search tries every coloring it does not skip, and its bound 1
+    # passes the pigeonhole rule.  The colorings numbered in order of first
+    # use are the restricted growth strings: Bell(5) = 52 of the 5^5
+    last = _CountedChecks([(0, 6)])
+    checks = [[], [], [], [], last]
+    index = oracle.ConstraintIndex(tuple("abcde"), [[4]], [1], checks, [[] for _ in range(5)])
+    assert oracle.k_coloring(index, 5) is None
+    assert last.tries == 52
+
+
 def brute_force_coloring(g1, g2, domains):
     """First dominating assignment of a plain product over the domains, taken
     in ground order: the reference for the pruned search."""
@@ -146,6 +168,12 @@ def test_min_k_matches_delta_at_ten_elements():
     for cfg in mixed_configs(seed=4242, count=15, n_min=10, n_max=10):
         g1, g2 = gen_instance(cfg)
         assert min_k(g1, g2) == delta(g1, g2), cfg
+
+
+def test_min_k_without_a_coloring_up_to_n_is_an_internal_bug(monkeypatch, example_instance):
+    monkeypatch.setattr(oracle, "k_coloring", lambda index, k, caps: None)
+    with pytest.raises(RuntimeError, match=r"no coloring up to \|U\| colors \(internal bug\)"):
+        min_k(*example_instance)
 
 
 def _recorded(monkeypatch, name):
@@ -227,14 +255,54 @@ def test_list_coloring_returns_each_lists_own_color_objects():
 
 
 def test_list_coloring_string_colors_keep_their_own_order(abc_ground):
-    # each list is tried in its own sorted order, whatever order the colors
-    # first appear in across the lists
+    # every list is tried in the one sorted order of all colors, whatever
+    # order the colors first appear in across the lists
     g = SetFn.from_names(abc_ground, [(["a", "b", "c"], 3)])
     lists = {"a": ["q", "p"], "b": ["r", "p", "q"], "c": ["r", "p"]}
     assert find_list_coloring(g, g, lists) == {"a": "p", "b": "q", "c": "r"}
     empty = SetFn(abc_ground, ())
     lists = {"a": ["x", 2], "b": ["y", "x"], "c": [None, "x"]}
     assert find_list_coloring(empty, empty, lists) == {"a": 2, "b": "x", "c": None}
+
+
+def test_equal_colors_of_two_types_sort_where_the_first_seen_sorts():
+    # 1 and 1.0 are one color, which sorts by the first of them in ground
+    # order: as ("int", 1) it comes after ("float", 1.5), as ("float", 1.0)
+    # before it, and every element tries the colors in that one order
+    ground = GroundSet(("a", "b"))
+    empty = SetFn(ground, ())
+    lists = {"a": [1, 1.5], "b": [1.0, 1.5]}
+    assert find_list_coloring(empty, empty, lists) == {"a": 1.5, "b": 1.5}
+    coloring = find_list_coloring(empty, empty, {"a": [1.0, 1.5], "b": [1, 1.5]})
+    assert coloring == {"a": 1.0, "b": 1} and type(coloring["b"]) is int
+    pair = SetFn.from_names(ground, [(["a", "b"], 2)])
+    coloring = find_list_coloring(pair, pair, lists)
+    assert coloring == {"a": 1.5, "b": 1.0} and type(coloring["b"]) is float
+
+
+def test_list_coloring_ignores_the_order_of_lists_and_colors():
+    # the visiting order comes from the sorted distinct colors, so shuffling
+    # each list, repeating a color and reordering the mapping change nothing
+    rng = random.Random(29)
+    pool = [1, 2, 3, 4, 5, "a", "b", None, 2.5]
+    caps = SearchCaps(list_budget=10**12)
+    found = Counter()
+    for cfg in mixed_configs(seed=2029, count=150, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        tight = checked(g1, g2).tight_lengths()
+        # tight or up to two shorter, so that some lists do not color
+        lengths = {u: max(1, min(need, len(pool)) - rng.randrange(3)) for u, need in tight.items()}
+        lists = {u: rng.sample(pool, length) for u, length in lengths.items()}
+        want = find_list_coloring(g1, g2, lists, caps)
+        shuffled = {}
+        for u in rng.sample(list(lists), len(lists)):
+            shuffled[u] = rng.sample(lists[u], len(lists[u])) + lists[u][:1]
+        got = find_list_coloring(g1, g2, shuffled, caps)
+        assert got == want, (cfg, lists, shuffled)
+        if want is not None:
+            assert [type(got[u]) for u in tight] == [type(want[u]) for u in tight]
+        found[want is None] += 1
+    assert found[False] > 0 and found[True] > 0, found
 
 
 def test_list_coloring_validates_lists(abc_ground):

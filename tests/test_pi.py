@@ -24,7 +24,7 @@ from supercolor import (
     schrijver_pi,
     verify_conditions,
 )
-from supercolor import core
+from supercolor import core, pi as pi_mod
 from supercolor.bunch import checked
 
 
@@ -225,3 +225,11 @@ def test_a_pair_missing_an_element_is_refused(example_instance):
         with pytest.raises(InputError) as e:
             verify_conditions(g1, g2, pair)
         assert str(e.value) == f"pair missing element {names[-1]!r}"
+
+
+def test_construct_pi_refuses_a_pair_that_fails_its_conditions(monkeypatch, example_instance):
+    # the final check is an internal-bug guard: build's pair always passes
+    failed = pi_mod.ConditionReport(True, False, True, ())
+    monkeypatch.setattr(pi_mod, "condition_report", lambda inst, pair: failed)
+    with pytest.raises(RuntimeError, match=r"violates its contract \(internal bug\)"):
+        construct_pi(*example_instance)
