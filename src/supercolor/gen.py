@@ -13,14 +13,14 @@ Every generator re-checks its output and the same config always reproduces
 the same instance byte for byte.
 
 The draws of gen_instance and random_multigraph, and the list draws of
-sorted_sample, call only rng.getrandbits (and rng.random, for the laminar
+sample, call only rng.getrandbits (and rng.random, for the laminar
 strategy): each site makes, draw for draw, the draws of the Random method it
 stands for (randint, shuffle, sample, choice), so for random.Random and
 SystemRandom it gives what those methods give and leaves the generator in
-the same state, without their per-call cost.  sorted_sample is the one
-replay of Random.sample: gen's base sets and oracle's tight lists both draw
-through it.  The replays follow CPython's Random internals (_randbelow and
-sample's set size), and the tests pin them against the running
+the same state, without their per-call cost.  sample is the one replay of
+Random.sample, pick for pick: gen's base sets and oracle's tight lists both
+draw through it.  The replays follow CPython's Random internals (_randbelow
+and sample's set size), and the tests pin them against the running
 interpreter's Random.  mixed_configs calls Random's own methods (choices,
 randint, randrange): it is not timed, and its stream fixes every config.
 """
@@ -99,35 +99,39 @@ def _shuffled(getrandbits, n: int) -> list[int]:
     return order
 
 
-def sorted_sample(getrandbits, population: range, k: int) -> tuple[int, ...]:
-    """tuple(sorted(rng.sample(population, k))) for 0 <= k <= len(population),
-    given rng.getrandbits, leaving rng in the same state.  It takes sample's
-    branch: up to sample's set size, a pool whose last live element fills
-    each pick's place; above it, set selection, which redraws repeats.  Any
-    other k is refused with sample's message, before any draw."""
+def sample(getrandbits, population: range, k: int) -> list[int]:
+    """rng.sample(population, k) for 0 <= k <= len(population), given
+    rng.getrandbits: the same picks in the same order, leaving rng in the
+    same state.  It takes sample's branch: up to sample's set size, a pool
+    whose last live element fills each pick's place; above it, set
+    selection, which redraws repeats.  Each pick inlines _below.  Any other
+    k is refused with sample's message, before any draw."""
     n = len(population)
     if not 0 <= k <= n:
         raise InputError("Sample larger than population or is negative")
     setsize = 21
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
+    picked = []
     if n <= setsize:
         pool = list(population)
-        picked = []
         for live in range(n, n - k, -1):
-            j = _below(getrandbits, live)
+            width = live.bit_length()
+            j = getrandbits(width)
+            while j >= live:
+                j = getrandbits(width)
             picked.append(pool[j])
             pool[j] = pool[live - 1]
     else:
+        width = n.bit_length()
         selected: set[int] = set()
         for _ in range(k):
-            j = _below(getrandbits, n)
-            while j in selected:
-                j = _below(getrandbits, n)
+            j = getrandbits(width)
+            while j >= n or j in selected:
+                j = getrandbits(width)
             selected.add(j)
-        picked = [population[j] for j in selected]
-    picked.sort()
-    return tuple(picked)
+            picked.append(population[j])
+    return picked
 
 
 # -- laminar ----------------------------------------------------------------
@@ -187,7 +191,7 @@ def _closure_masks(rng: random.Random, n: int, cfg: GenConfig) -> list[int] | No
     for _ in range(cfg.base_sets):
         size = 1 + _below(getrandbits, n)
         mask = 0
-        for i in sorted_sample(getrandbits, range(n), size):
+        for i in sample(getrandbits, range(n), size):
             mask |= 1 << i
         base.add(mask)
     return close_family(base, cfg.family_cap)

@@ -26,12 +26,14 @@ constraint's need, bound minus the members after i, and the element's color
 passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
-changes nothing.  Every list search, find_list_coloring's and each drawn
-trial's, numbers the distinct colors (by equality, so 1 and 1.0 are one) from
-1 in sorted order, so every element tries its colors in one order, equal
-lists read 1..L as a k-search's do, and a mask is as wide as the colors in
-play, not as the largest color value (a trial's colors come from a pool
-1..sigma_size of any size).
+changes nothing.  Both list searches number the distinct colors from 1, so
+equal lists read 1..L as a k-search's do, and a mask is as wide as the
+colors in play, not as the largest color value (a trial's colors come from
+a pool 1..sigma_size of any size).  find_list_coloring sorts them (by
+equality, so 1 and 1.0 are one), so every element tries its colors in one
+order and the coloring found is canonical.  list_trials numbers them in
+order of first draw, as it draws: a trial asks only whether a coloring
+exists, which no numbering changes.
 
 k_coloring and list_trials search on the index, which needs no validity, so
 cli.batch_verify builds it once per instance for both of its searches.  The
@@ -46,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .core import (
     InputError,
@@ -60,7 +62,7 @@ from .core import (
     require_same_ground,
 )
 from .bunch import checked
-from .gen import sorted_sample
+from .gen import sample
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ def _refused(index: ConstraintIndex, domains: Sequence[int]) -> bool:
 def _search(domains: Sequence[int], index: ConstraintIndex) -> Coloring | None:
     """First dominating assignment in canonical order, or None.  domains[i]
     is element i's color mask, the color c >= 1 being the bit 1 << c (list
-    colors are numbered by _list_search), and element i tries its untried
-    colors lowest first.
+    colors are numbered by find_list_coloring and list_trials), and element
+    i tries its untried colors lowest first.
 
     First it refuses by the pigeonhole rule, _refused, on the domains.  When
     every element has the same domain, which then reads 1..L, element i
@@ -254,21 +256,6 @@ def _require_known(names: Sequence[str], per_element: Mapping) -> None:
         raise InputError(f"unknown element {unknown!r}")
 
 
-def _list_search(
-    index: ConstraintIndex, lists: Sequence[Iterable]
-) -> tuple[dict, Coloring | None]:
-    """The list search of find_list_coloring and list_trials on lists of
-    distinct colors: the bit of each color, and the first assignment of
-    color numbers, or None.  The colors of all lists (by equality, so 1 and
-    1.0 are one) are sorted once, each by (type name, value) of its first
-    appearance in ground order, and numbered from 1, the color c being the
-    bit 1 << c.  So every element tries its colors in one order, and equal
-    lists read 1..L as a k-search's domains do."""
-    order = sorted(dict.fromkeys(chain.from_iterable(lists)), key=lambda c: (type(c).__name__, c))
-    bit = {c: 2 << at for at, c in enumerate(order)}
-    return bit, _search([sum(map(bit.__getitem__, dom)) for dom in lists], index)
-
-
 def find_list_coloring(
     g1: SetFn,
     g2: SetFn,
@@ -281,9 +268,11 @@ def find_list_coloring(
     needs a nonempty list and no other name may have one, then the list
     budget must admit their distinct colors.
 
-    Colors equal as values are one color (1 and 1.0), which sorts where the
-    first of them in ground order sorts (see _list_search); each element's
-    color is the first object of that color in its own list."""
+    The colors of all lists, equal values being one color (1 and 1.0), are
+    sorted once, each by (type name, value) of its first appearance in
+    ground order, and numbered from 1, so every element tries its colors in
+    one order.  Each element's color is the first object of that color in
+    its own list."""
     index = constraint_index(g1, g2)
     names = index.names
     for name in names:
@@ -294,7 +283,9 @@ def find_list_coloring(
     _require_known(names, lists)
     domains = [set(lists[name]) for name in names]
     _require_budget(names, [len(dom) for dom in domains], caps)
-    bit, found = _list_search(index, domains)
+    order = sorted(dict.fromkeys(chain.from_iterable(domains)), key=lambda c: (type(c).__name__, c))
+    bit = {c: 2 << at for at, c in enumerate(order)}
+    found = _search([sum(map(bit.__getitem__, dom)) for dom in domains], index)
     if found is None:
         return None
     return {name: next(c for c in lists[name] if bit[c] == 1 << found[name]) for name in names}
@@ -334,8 +325,9 @@ def list_trials(
     lengths holds an int >= 1 for each element of the index and for nothing
     else.  With trials > 0, a pool smaller than some length, then lists over
     the list budget, are refused once, before any draw.  Each trial draws
-    the lists in the order of lengths, each by gen.sorted_sample, and only
-    asks whether a coloring exists."""
+    the lists in the order of lengths, each by gen.sample, and numbers
+    their colors from 1 in order of first draw; it only asks whether a
+    coloring exists."""
     if trials < 0:
         raise InputError("trials must be nonnegative")
     names = index.names
@@ -358,9 +350,16 @@ def list_trials(
     colors = range(1, sigma_size + 1)
     violations = []
     for trial in range(trials):
-        lists = {name: sorted_sample(getrandbits, colors, need) for name, need in lengths.items()}
-        domains = [lists[name] for name in names]
-        if _list_search(index, domains)[1] is None:
-            subjects = tuple((name, *map(str, dom)) for name, dom in zip(names, domains))
+        bit: dict[int, int] = {}  # per color drawn, its bit
+        lists = {}
+        masks = {}
+        for name, need in lengths.items():
+            lists[name] = picks = sample(getrandbits, colors, need)
+            mask = 0
+            for c in picks:
+                mask |= bit.setdefault(c, 2 << len(bit))
+            masks[name] = mask
+        if _search([masks[name] for name in names], index) is None:
+            subjects = tuple((name, *map(str, sorted(lists[name]))) for name in names)
             violations.append(Violation("list_coloring_missing", subjects, (trial,)))
     return Report(tuple(violations))

@@ -14,7 +14,7 @@ from supercolor import BipartiteGraph, InputError, Report, SetFn, Violation, bun
 from supercolor.bunch import checked
 from supercolor.core import bit_indices
 from supercolor.encode import encode_bipartite
-from supercolor.gen import sorted_sample
+from supercolor.gen import sample
 
 KEEP_PART_P = 0.5  # chance that sample_partial_transversal hits a part
 
@@ -108,7 +108,11 @@ def random_lists(
 ) -> dict[str, tuple[int, ...]]:
     """Per-element lists of the tight length max{d1(u), d2(u)}, drawn in
     ground order from the pool {1..sigma_size}, which must hold the longest,
-    each by gen.sorted_sample, as oracle.list_trials draws a trial's lists."""
+    each by gen.sample, as oracle.list_trials draws a trial's lists, and
+    sorted."""
     colors = range(1, sigma_size + 1)
     lengths = checked(g1, g2).tight_lengths()
-    return {name: sorted_sample(rng.getrandbits, colors, need) for name, need in lengths.items()}
+    return {
+        name: tuple(sorted(sample(rng.getrandbits, colors, need)))
+        for name, need in lengths.items()
+    }

@@ -14,6 +14,7 @@ k, with every coloring found checked by dominates.
 import importlib
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -216,8 +217,16 @@ def test_battery_raises_what_the_public_functions_raise():
 
 
 def test_battery_failure_payloads_match(monkeypatch):
-    # a list search that never colors makes every trial a failure
-    monkeypatch.setattr(oracle, "_list_search", lambda index, domains: (None, None))
+    # a search that colors nothing unless k_coloring calls it: every list
+    # trial, list_trials' and find_list_coloring's, fails, and min_k holds
+    search = oracle._search
+
+    def k_search_only(domains, index):
+        if sys._getframe(1).f_code is oracle.k_coloring.__code__:
+            return search(domains, index)
+        return None
+
+    monkeypatch.setattr(oracle, "_search", k_search_only)
     for cfg in CONFIGS[:20]:
         got = battery(cfg, 2, BIG_LISTS)
         assert got["failures"] and got == ref_battery(cfg, 2, BIG_LISTS), cfg

@@ -257,6 +257,8 @@ def test_color_lists_stdout_pinned(capsys):
     [
         (("pi", "--method", "schrijver"), "pi_schrijver"),
         (("verify", "--trials", "5"), "verify"),
+        # a pool far larger than the lists: the draws take the set-selection branch
+        (("verify", "--trials", "3", "--sigma", "1000000000000"), "verify_wide"),
     ],
 )
 def test_worked_example_stdout_pinned(capsys, argv, name):

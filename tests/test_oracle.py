@@ -391,8 +391,9 @@ def test_search_determinism(example_instance):
 
 
 def test_draws_equal_the_stdlib_sample():
-    """The oracle's list draw, sorted_sample over the color pool {1..sigma},
-    against Random.sample on that pool, on both of sample's branches."""
+    """The oracle's list draw, sample over the color pool {1..sigma},
+    against Random.sample on that pool, pick for pick, on both of sample's
+    branches."""
     branches = Counter()
     for sigma in [*range(1, 121), 10**3, 10**12]:
         colors = range(1, sigma + 1)
@@ -402,8 +403,8 @@ def test_draws_equal_the_stdlib_sample():
             for seed in range(4):
                 mine, stdlib = random.Random(seed), random.Random(seed)
                 for _ in range(3):
-                    want = tuple(sorted(stdlib.sample(colors, need)))
-                    got = oracle.sorted_sample(mine.getrandbits, colors, need)
+                    want = stdlib.sample(colors, need)
+                    got = oracle.sample(mine.getrandbits, colors, need)
                     assert got == want, (sigma, need, seed)
                 assert mine.getstate() == stdlib.getstate(), (sigma, need, seed)
     assert branches["pool"] > 1000 and branches["set"] > 1000, branches
@@ -434,6 +435,40 @@ def test_list_trials_draw_in_the_order_of_lengths():
         assert got == Report(tuple(want)), cfg
         missing += len(want)
     assert missing > 0
+
+
+def test_equal_lists_that_are_not_one_to_l_color(abc_ground, monkeypatch):
+    """Every element draws [3, 2] on a path that two colors color.  The first
+    list drawn takes the numbers 1..L, so the search's symmetry break, which
+    reads equal domains as 1..L, keeps the coloring."""
+    g1 = SetFn.from_names(abc_ground, [(["a", "b"], 2)])
+    g2 = SetFn.from_names(abc_ground, [(["b", "c"], 2)])
+    monkeypatch.setattr(oracle, "sample", lambda getrandbits, colors, k: [3, 2])
+    index = oracle.constraint_index(g1, g2)
+    assert oracle.list_trials(index, dict.fromkeys("abc", 2), 3, 5, seed=0).ok
+    assert find_list_coloring(g1, g2, dict.fromkeys("abc", [3, 2])) is not None
+
+
+def test_trial_masks_are_as_wide_as_the_colors_drawn(monkeypatch):
+    """From a pool of 10**12 colors, each color drawn takes the next free
+    number, so no mask that reaches the search holds a color above
+    sum(lengths)."""
+    domains = []
+    search = oracle._search
+
+    def recording(doms, index):
+        domains.append(doms)
+        return search(doms, index)
+
+    monkeypatch.setattr(oracle, "_search", recording)
+    for cfg in mixed_configs(seed=5, count=20, n_min=4, n_max=7):
+        g1, g2 = gen_instance(cfg)
+        lengths = checked(g1, g2).tight_lengths()
+        domains.clear()
+        assert oracle.list_trials(oracle.constraint_index(g1, g2), lengths, 3, 10**12, cfg.seed).ok
+        assert len(domains) == 3, cfg
+        top = sum(lengths.values())
+        assert all(mask.bit_length() <= top + 1 for doms in domains for mask in doms), cfg
 
 
 @pytest.mark.parametrize("change, message", [
@@ -485,7 +520,7 @@ def test_list_trials_refuse_once_before_any_draw(example_instance, monkeypatch):
         raise AssertionError("entered")
 
     monkeypatch.setattr(oracle, "_search", entered)
-    monkeypatch.setattr(oracle, "sorted_sample", entered)
+    monkeypatch.setattr(oracle, "sample", entered)
     for trials in (1, 50):
         with pytest.raises(ResourceLimitError) as e:
             oracle.list_trials(index, lengths, trials, 10, 0, caps)
@@ -719,6 +754,6 @@ def test_probe_trials_that_only_the_search_refuses(monkeypatch, seed, n, trial):
     getrandbits = random.Random(seed ^ 0x7717).getrandbits
     colors = range(1, sigma + 1)
     for t in range(3):
-        lists = {u: oracle.sorted_sample(getrandbits, colors, b) for u, b in lengths.items()}
+        lists = {u: sorted(oracle.sample(getrandbits, colors, b)) for u, b in lengths.items()}
         assert _matches_ref_on_lists(g1, g2, lists) == (t != trial), t
 
