@@ -13,9 +13,8 @@ number of distinct colors, even if every remaining element contributed a
 fresh one.  The bound is exact on fully assigned sets, so a completed
 assignment needs no final recheck; the pruning never discards a satisfiable
 branch, hence the first assignment found is the canonically smallest one.
-When every element has the same domain, the search also skips colorings whose
-colors are not numbered in order of first use; the canonically smallest one
-is never among them.
+The search also skips colorings that take a color every domain holds before
+a lower such color is used; the canonically smallest one is never among them.
 
 In every color mask a color c >= 1 is the bit 1 << c.  The search's
 state is one color mask per constraint: the colors of the members placed so
@@ -27,13 +26,12 @@ passes when every such mask, with its bit added, has at least need bits.  Only
 needs above 1 are kept, since one color always meets them.  A placed element
 saves the masks it feeds and backtracking restores them; a rejected color
 changes nothing.  Both list searches number the distinct colors from 1, so
-equal lists read 1..L as a k-search's do, and a mask is as wide as the
-colors in play, not as the largest color value (a trial's colors come from
-a pool 1..sigma_size of any size).  find_list_coloring sorts them (by
-equality, so 1 and 1.0 are one), so every element tries its colors in one
-order and the coloring found is canonical.  list_trials numbers them in
-order of first draw, as it draws: a trial asks only whether a coloring
-exists, which no numbering changes.
+a mask is as wide as the colors in play, not as the largest color value (a
+trial's colors come from a pool 1..sigma_size of any size).
+find_list_coloring sorts them (by equality, so 1 and 1.0 are one), so every
+element tries its colors in one order and the coloring found is canonical.
+list_trials numbers them in order of first draw, as it draws: a trial asks
+only whether a coloring exists, which no numbering changes.
 
 k_coloring and list_trials search on the index, which needs no validity, so
 cli.batch_verify builds it once per instance for both of its searches.  The
@@ -138,14 +136,14 @@ def _search(domains: Sequence[int], index: ConstraintIndex) -> Coloring | None:
     colors are numbered by find_list_coloring and list_trials), and element
     i tries its untried colors lowest first.
 
-    First it refuses by the pigeonhole rule, _refused, on the domains.  When
-    every element has the same domain, which then reads 1..L, element i
-    tries only colors up to 1 + the largest used before it.  The canonical
-    first coloring survives: a bijection on the shared colors keeps a
-    coloring dominating, since each set sees as many distinct colors as
-    before, and renumbering the colors in order of first use only lowers a
-    coloring in canonical order, so the first dominating coloring already
-    numbers its colors in order of first use."""
+    First it refuses by the pigeonhole rule, _refused, on the domains.  The
+    colors every domain holds are interchangeable: of them, element i tries
+    only those used before it and the lowest one not yet used; it tries its
+    other colors freely.  The canonical first coloring survives: were its
+    first element to break the rule given color c while a lower common
+    color a is unused, swapping a and c everywhere would keep every element
+    in its domain and every set's count of distinct colors, and would
+    lower the coloring, the elements before it being unchanged."""
     names, _, bounds, checks, feeds = index
     n = len(names)
     if _refused(index, domains):
@@ -156,11 +154,14 @@ def _search(domains: Sequence[int], index: ConstraintIndex) -> Coloring | None:
 
     # depth-first on an explicit stack, so any number of elements fits:
     # untried[i] holds element i's untried colors, allowed[i] the colors it
-    # may take: up to one above the largest used before it when every domain
-    # is the same, else all
+    # may take: every color outside common, the colors all domains hold, and
+    # of common those used before it and the next one
+    common = -1
+    for dom in domains:
+        common &= dom
     untried = [0] * n
     allowed = [0] * (n + 1)
-    allowed[0] = 0b11 if all(dom == domains[0] for dom in domains) else -1
+    allowed[0] = ~common | (common & -common)
     i, descending = 0, True
     while i >= 0:
         if descending:
@@ -182,7 +183,9 @@ def _search(domains: Sequence[int], index: ConstraintIndex) -> Coloring | None:
                 saved[i] = [masks[ci] for ci in fed]
                 for ci in fed:
                     masks[ci] |= bit
-                allowed[i + 1] = allowed[i] | ((bit << 2) - 1)
+                # a common color unlocks the next common color above it
+                above = common & -((bit & common) << 1)
+                allowed[i + 1] = allowed[i] | (above & -above)
                 i, descending = i + 1, True
                 break
         else:

@@ -252,6 +252,14 @@ def test_color_lists_stdout_pinned(capsys):
     assert capsys.readouterr().out == (data / "example1.color_lists.out").read_text()
 
 
+def test_color_lists_that_differ_but_share_colors_stdout_pinned(capsys):
+    """The triangle on lists that share {2, 3} and differ in one color each."""
+    data = ROOT / "tests" / "data"
+    code = run(["color", str(data / "triangle.json"), "--lists", str(data / "triangle.lists.json")])
+    assert code == 0
+    assert capsys.readouterr().out == (data / "triangle.color_lists.out").read_text()
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -284,6 +292,13 @@ def test_tightness_probe_stdout_pinned(capsys, monkeypatch):
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
     assert run(["tightness-probe", "--count", "20"]) == 0
     expected = (ROOT / "tests" / "data" / "tightness_probe.count20.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_batch_verify_count20_stdout_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
+    assert run(["batch-verify", "--count", "20"]) == 0
+    expected = (ROOT / "tests" / "data" / "batch_verify.count20.out").read_text()
     assert capsys.readouterr().out == expected
 
 

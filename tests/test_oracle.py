@@ -89,16 +89,76 @@ class _CountedChecks(list):
         return super().__iter__()
 
 
-def test_k_search_tries_only_colorings_in_order_of_first_use():
-    # five elements with colors 1..5; the last one's need can never be met,
-    # so the search tries every coloring it does not skip, and its bound 1
-    # passes the pigeonhole rule.  The colorings numbered in order of first
-    # use are the restricted growth strings: Bell(5) = 52 of the 5^5
+def _unmet_last():
+    """Five elements whose last one's need can never be met, so the search
+    tries every coloring it does not skip, and its bound 1 passes the
+    pigeonhole rule: the index and the last element's counted checks."""
     last = _CountedChecks([(0, 6)])
     checks = [[], [], [], [], last]
-    index = oracle.ConstraintIndex(tuple("abcde"), [[4]], [1], checks, [[] for _ in range(5)])
+    return oracle.ConstraintIndex(tuple("abcde"), [[4]], [1], checks, [[] for _ in range(5)]), last
+
+
+def test_k_search_tries_only_colorings_in_order_of_first_use():
+    # five elements with colors 1..5.  The colorings numbered in order of
+    # first use are the restricted growth strings: Bell(5) = 52 of the 5^5
+    index, last = _unmet_last()
     assert oracle.k_coloring(index, 5) is None
     assert last.tries == 52
+
+
+def _tries_on_last(domains):
+    """The colors _search tries on the last element of _unmet_last, each
+    element i taking the colors domains[i]."""
+    index, last = _unmet_last()
+    assert oracle._search([sum(1 << c for c in dom) for dom in domains], index) is None
+    return last.tries
+
+
+@pytest.mark.parametrize(
+    "domains, tries",
+    [
+        # the rule needs no domain to read 1..L: five shared even colors
+        # give the Bell(5) = 52 of 1..5
+        ([{2, 4, 6, 8, 10}] * 5, 52),
+        # a private color per element is tried freely: sum over j of
+        # C(5, j) Bell(5 - j) = Bell(6) = 203, j elements taking theirs,
+        # against 6^5 = 7776 with no rule
+        ([{1, 2, 3, 4, 5, 10 + i} for i in range(5)], 203),
+        # a color some but not all domains hold unlocks nothing (5^5 = 3125
+        # with no rule, 424 were such a color to unlock the next common one)
+        ([{2, 4, 6, 8, c} for c in (3, 5, 7, 3, 5)], 202),
+    ],
+    ids=["shared-even", "private", "partly-shared"],
+)
+def test_search_takes_the_colors_every_domain_holds_in_order_of_first_use(domains, tries):
+    assert _tries_on_last(domains) == tries
+
+
+def test_search_on_one_shared_domain_that_is_not_one_to_l():
+    ab = GroundSet(("a", "b"))
+    index = oracle.constraint_index(SetFn.from_names(ab, [(["a", "b"], 2)]), SetFn(ab, ()))
+    assert oracle._search([0b1100, 0b1100], index) == {"a": 2, "b": 3}
+
+
+def test_search_on_shifted_shared_domains_is_the_k_search_relabeled():
+    # every k-search at k up to delta + 1, against the same search on
+    # min(k, n) colors drawn from 1..39: the k-search's coloring, its
+    # colors 1, 2, ... mapped in order onto the drawn ones
+    rng = random.Random(7)
+    found = Counter()
+    for cfg in mixed_configs(seed=31, count=400, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        n = g1.ground.size
+        index = oracle.constraint_index(g1, g2)
+        for k in range(1, delta(g1, g2) + 2):
+            colors = sorted(rng.sample(range(1, 40), min(k, n)))
+            want = oracle.k_coloring(index, k)
+            if want is not None:
+                want = {u: colors[c - 1] for u, c in want.items()}
+            got = oracle._search([sum(1 << c for c in colors)] * n, index)
+            assert got == want, (cfg, k, colors)
+            found[want is None] += 1
+    assert found == {False: 800, True: 876}, found  # 1,676 searches
 
 
 def brute_force_coloring(g1, g2, domains):
@@ -438,9 +498,9 @@ def test_list_trials_draw_in_the_order_of_lengths():
 
 
 def test_equal_lists_that_are_not_one_to_l_color(abc_ground, monkeypatch):
-    """Every element draws [3, 2] on a path that two colors color.  The first
-    list drawn takes the numbers 1..L, so the search's symmetry break, which
-    reads equal domains as 1..L, keeps the coloring."""
+    """Every element draws [3, 2] on a path that two colors color, in a
+    trial and as find_list_coloring's lists: equal lists color whatever
+    numbers their colors take."""
     g1 = SetFn.from_names(abc_ground, [(["a", "b"], 2)])
     g2 = SetFn.from_names(abc_ground, [(["b", "c"], 2)])
     monkeypatch.setattr(oracle, "sample", lambda getrandbits, colors, k: [3, 2])
@@ -656,6 +716,7 @@ def test_list_search_matches_ref_search_on_tight_uniform_and_shorter_lists():
     rng = random.Random(8)
     caps = SearchCaps(list_budget=10**8)  # uniform lists on 8 elements
     outcomes = Counter()
+    shared = 0
     for cfg in mixed_configs(seed=2113, count=250, n_max=8):
         g1, g2 = gen_instance(cfg)
         span = delta(g1, g2)
@@ -668,9 +729,14 @@ def test_list_search_matches_ref_search_on_tight_uniform_and_shorter_lists():
         }
         for kind, lists in cases.items():
             outcomes[kind, _matches_ref_on_lists(g1, g2, lists, caps)] += 1
+            # lists that differ but share a color: the search's symmetry rule
+            # prunes those shared colors
+            sets = [set(lists[u]) for u in tight]
+            shared += any(dom != sets[0] for dom in sets) and bool(set.intersection(*sets))
     assert outcomes["tight", False] == 0  # the paper's statement
     for key in [("tight", True), ("uniform", True), ("shorter", True), ("shorter", False)]:
         assert outcomes[key] > 0, outcomes
+    assert shared >= 100, shared  # 133 of the 750
 
 
 @st.composite
