@@ -260,15 +260,14 @@ def _cmd_color(args, caps) -> tuple[int, dict]:
 
 def _cmd_verify(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    report = oracle.verify_main_theorem(
-        g1, g2, trials=args.trials, sigma_size=args.sigma, seed=args.seed, caps=caps
-    )
+    sigma = args.sigma if args.sigma is not None else delta(g1, g2) + 2
+    report = oracle.verify_main_theorem(g1, g2, args.trials, sigma, args.seed, caps)
     payload = {
         "command": "verify",
         "digest": instance_digest(g1, g2),
         "seed": args.seed,
         "trials": args.trials,
-        "sigma": args.sigma if args.sigma is not None else delta(g1, g2) + 2,
+        "sigma": sigma,
         "ok": report.ok,
         "violations": [v.to_dict() for v in report.violations],
     }

@@ -4,11 +4,13 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import console_pins
 from supercolor import (
     GenConfig,
     InputError,
@@ -28,16 +30,17 @@ from supercolor.cli import batch_verify, caps_from_env, instance_digest, run
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYTHONPATH = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+PINS = console_pins.pins()
 
 
 def run_python(*argv, **env):
     """Run a fresh interpreter on the package from this checkout."""
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH, **env),
     )
 
 
@@ -63,17 +66,6 @@ def test_check_flags_violations(capsys, tmp_path):
     code, payload = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert payload["results"]["g1"]["capacity"]["ok"] is False
-
-
-@pytest.mark.parametrize("name", ["not_closed", "not_supermodular"])
-def test_check_stdout_pinned(capsys, name):
-    """Every violation's kind, subjects, values and order, byte for byte:
-    not_closed has both missing kinds and a skipped supermodular check;
-    not_supermodular is closed with three inequality violations."""
-    data = ROOT / "tests" / "data"
-    code = run(["check", str(data / f"{name}.json")])
-    assert code == 1
-    assert capsys.readouterr().out == (data / f"{name}.check.out").read_text()
 
 
 def test_analyze_worked_example(capsys, example_path):
@@ -244,62 +236,44 @@ def test_color_lists_print_each_lists_own_color_objects(capsys, tmp_path):
     assert '"a": 1,' in out and '"b": 1.0' in out
 
 
-def test_color_lists_stdout_pinned(capsys):
-    """The worked example on lists that mix ints, a float and strings."""
-    data = ROOT / "tests" / "data"
-    code = run(["color", str(data / "example1.json"), "--lists", str(data / "example1.lists.json")])
-    assert code == 0
-    assert capsys.readouterr().out == (data / "example1.color_lists.out").read_text()
-
-
-def test_color_lists_that_differ_but_share_colors_stdout_pinned(capsys):
-    """The triangle on lists that share {2, 3} and differ in one color each."""
-    data = ROOT / "tests" / "data"
-    code = run(["color", str(data / "triangle.json"), "--lists", str(data / "triangle.lists.json")])
-    assert code == 0
-    assert capsys.readouterr().out == (data / "triangle.color_lists.out").read_text()
-
-
-@pytest.mark.parametrize(
-    "argv, name",
-    [
-        (("pi", "--method", "schrijver"), "pi_schrijver"),
-        (("verify", "--trials", "5"), "verify"),
-        # a pool far larger than the lists: the draws take the set-selection branch
-        (("verify", "--trials", "3", "--sigma", "1000000000000"), "verify_wide"),
-    ],
-)
-def test_worked_example_stdout_pinned(capsys, argv, name):
-    data = ROOT / "tests" / "data"
-    assert run([argv[0], str(data / "example1.json"), *argv[1:]]) == 0
-    assert capsys.readouterr().out == (data / f"example1.{name}.out").read_text()
-
-
-@pytest.mark.parametrize("strategy", ["laminar", "closure", "rank_complement", "bipartite"])
-def test_gen_stdout_pinned(capsys, strategy):
-    assert run(["gen", "--strategy", strategy, "--n", "7", "--seed", "42"]) == 0
-    expected = (ROOT / "tests" / "data" / f"gen.{strategy}.out").read_text()
-    assert capsys.readouterr().out == expected
-
-
 def test_verify_with_no_trials_skips_the_pool_check(capsys, example_path):
     assert run(["verify", str(example_path), "--trials", "0", "--sigma", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_tightness_probe_stdout_pinned(capsys, monkeypatch):
-    """Its counts depend on every list drawn: 8 of 85 trials are uncolorable."""
+@pytest.mark.parametrize("pin", PINS, ids=[pin[0] for pin in PINS])
+def test_console_pin(capsys, monkeypatch, pin):
+    """A line of tests/data/console.txt, in process: its exit code, and its
+    stdout byte for byte."""
+    _, code, stdout, argv = pin
     monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
-    assert run(["tightness-probe", "--count", "20"]) == 0
-    expected = (ROOT / "tests" / "data" / "tightness_probe.count20.out").read_text()
-    assert capsys.readouterr().out == expected
+    assert run(argv) == code
+    if stdout is not None:
+        assert capsys.readouterr().out.encode() == stdout.read_bytes()
 
 
-def test_batch_verify_count20_stdout_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
-    assert run(["batch-verify", "--count", "20"]) == 0
-    expected = (ROOT / "tests" / "data" / "batch_verify.count20.out").read_text()
-    assert capsys.readouterr().out == expected
+def test_every_pinned_stdout_is_a_manifest_line_and_every_named_file_exists():
+    assert {stdout for _, _, stdout, _ in PINS if stdout} == set(console_pins.DATA.glob("*.out"))
+    inputs = [a for *_, argv in PINS for a in argv if a.startswith(str(console_pins.DATA))]
+    assert inputs and all(pathlib.Path(a).is_file() for a in inputs)
+
+
+def test_console_pins_runner_from_outside_the_checkout(capsys, monkeypatch, tmp_path):
+    """The runner as CI calls it: a fresh interpreter per line, from another
+    directory, with SUPERCOLOR_CAPS removed."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", PYTHONPATH)
+    monkeypatch.setenv("SUPERCOLOR_CAPS", "garbage")
+    command = [sys.executable, "-m", "supercolor"]
+    exit_only = "1 - color @triangle.json --k 2"
+    assert console_pins.main(command, ["1 not_closed.check.out check @not_closed.json", exit_only]) == 0
+    changed = shutil.copy(console_pins.DATA / "not_closed.check.out", tmp_path)
+    with open(changed, "r+b") as fh:
+        fh.seek(-2, os.SEEK_END)
+        fh.write(b"x")  # its closing brace
+    line = f"1 {changed} check @not_closed.json"
+    assert console_pins.main(command, [line, exit_only]) == 1
+    assert capsys.readouterr().err == f"stdout differs: {line}\n"
 
 
 @pytest.mark.parametrize("entry", [
