@@ -11,7 +11,9 @@ off a common partial transversal K of the two bunch partitions, reduce both
 effective families by K, and repeat on the smaller instance.  Every effective
 set lies inside one bunch part and K meets a part in at most one element, so
 the reduction acts on each part alone: a level re-derives only the parts that
-K hits and carries every other part over unchanged.  Most levels find K by
+K hits and carries every other part over unchanged.  A hit part whose one
+effective set is the part itself, as every part of a bipartite encoding is,
+is reduced in place, with no call of the bunch helpers.  Most levels find K by
 the singleton step, one lookup per lead part in the follow side's
 element-to-part index; only the others build a part graph.  Values start at
 1 and only grow: on the side whose matched parts drove the matching, the
@@ -127,7 +129,10 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
     their own entries.  That is exact: every effective set lies in one part, a
     part meets K at most once, and capacity keeps every projection nonempty,
     so no merge in reduce_entries or subset test in effective_entries crosses
-    two parts.
+    two parts.  A hit part whose only entry is (part, v) skips that chain
+    (_shrink): as a maximal effective set it holds nothing else, so the
+    reduction leaves the one set (part - K, v - 1), a part of its own while
+    v - 1 >= 2 and otherwise singletons.
 
     Singleton step: both sides partition live and no part is empty, so
     closed_pairs' first tight set is V = {s} for the first lead part s inside
@@ -174,7 +179,10 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
                         if m & low and v > bound:
                             bound = v
                     pis[follow][i] += bound - 1
-                if left := part & ~k:
+                left = part & ~k
+                if len(eff) == 1 and eff[0][0] == part:  # the part is its one set
+                    _shrink(left, eff[0][1] - 1, parts, inside, owner)
+                elif left:
                     reduced = reduce_entries(eff, k).items()
                     _split(effective_entries(reduced), left, parts, inside, owner)
         live &= ~k
@@ -207,6 +215,23 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
             rest ^= low
     for e in eff:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
+
+
+def _shrink(left: int, v: int, parts: list, inside: dict, owner: list) -> None:
+    """File left, a hit part without its K-element whose one effective set was
+    the part itself, as _split does the reduced set (left, v): one part with
+    that set while v >= 2, else singletons with no entries, and owner changes
+    only when that splits left.  Capacity keeps left nonempty."""
+    if v >= 2 or not left & (left - 1):
+        insort(parts, left)
+        inside[left] = [(left, v)] if v >= 2 else []
+        return
+    while left:
+        low = left & -left
+        left ^= low
+        insort(parts, low)
+        inside[low] = []
+        owner[low.bit_length() - 1] = low
 
 
 def construct_pi(g1: SetFn, g2: SetFn, check: bool = True) -> PiPair:

@@ -24,6 +24,8 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 from supercolor import (
     InputError,
     construct_pi,
@@ -571,34 +573,51 @@ def ref_traced(g1, g2):
     return pair.pi1, pair.pi2, log
 
 
+def hit_part_splits(g1, g2, log) -> int:
+    """Hit parts, on either side, that a level's K leaves in two or more
+    parts of the next level's partition, both partitions rebuilt from the
+    whole families as ref_build does, so that build's path is moot."""
+    effs = [effective_entries(g.entries) for g in (g1, g2)]
+    live = g1.ground.full_mask
+    parts = [part_masks(eff, live) for eff in effs]
+    splits = 0
+    for level in log:
+        k = g1.ground.mask_of(level["k"])
+        live &= ~k
+        effs = [effective_entries(reduce_entries(eff, k).items()) for eff in effs]
+        after = [part_masks(eff, live) for eff in effs]
+        for before, now in zip(parts, after):
+            splits += sum(1 for part in before if part & k and part & ~k and part & ~k not in now)
+        parts = after
+    return splits
+
+
 def test_construct_pi_matches_ref_build(monkeypatch):
-    splits = []  # per construction, how many parts each part_masks call returns
-    real = pi.part_masks
+    paths = Counter()  # hit parts reduced by build's one-set step and by _split
+    for name in ("_shrink", "_split"):
+        def counting(*args, fn=getattr(pi, name), name=name):
+            paths[name] += 1
+            return fn(*args)
 
-    def counting(eff, live):
-        parts = real(eff, live)
-        splits[-1].append(len(parts))
-        return parts
-
-    monkeypatch.setattr(pi, "part_masks", counting)
+        monkeypatch.setattr(pi, name, counting)
     instances = [gen_instance(cfg) for cfg in mixed_configs(seed=15, count=300, n_min=1, n_max=10)]
     for edges in (32, 48, 64):
         instances += [encode_bipartite(random_multigraph(random.Random(s), edges)) for s in range(20)]
     levels = Counter()
     for g1, g2 in instances:
-        splits.append([])
+        paths["_split"] -= 2  # the first two calls split the whole ground set, one per side
         kind, result = same(traced, ref_traced, g1, g2)
         assert kind == "ok", result
         log = result[2]
         levels["level"] += len(log)
         levels["|K| >= 2"] += sum(len(level["k"]) >= 2 for level in log)
         levels["case b"] += sum(level["case"] == "b" for level in log)
-        # the first two calls split the whole ground set, one per side
-        levels["hit part splits"] += sum(n >= 2 for n in splits[-1][2:])
+        levels["hit part splits"] += hit_part_splits(g1, g2, log)
     assert levels["level"] >= 3000, levels
     assert levels["|K| >= 2"] >= 100, levels
     assert levels["case b"] >= 1000, levels
     assert levels["hit part splits"] >= 100, levels
+    assert paths["_shrink"] >= 1000 and paths["_split"] >= 300, paths
 
 
 def test_owner_lookup_matches_the_part_graph(monkeypatch):
@@ -633,39 +652,98 @@ def test_owner_lookup_matches_the_part_graph(monkeypatch):
     assert levels == {"owner lookup": 3421, "part graph": 208}, levels
 
 
-def entries_passed(monkeypatch, module, build) -> int:
+def entries_passed(module, build, instances) -> int:
     """Entries that build passes to module's effective_entries and
-    reduce_entries on 20 seeded 32-edge encodings, past the entry step's two
-    calls of effective_entries on the functions' own entries.  The entry step
-    may derive through bunch.checked, so bunch's bindings count too."""
+    reduce_entries on the instances, past the entry step's two calls of
+    effective_entries on the functions' own entries.  The entry step may
+    derive through bunch.checked, so bunch's bindings count too."""
     sizes = []
-    for name in ("effective_entries", "reduce_entries"):
-        real = getattr(module, name)
-
-        def counting(entries, *rest, fn=real):
-            sizes.append(len(entries))
-            return fn(entries, *rest)
-
-        for mod in (module, bunch):
-            if getattr(mod, name) is real:
-                monkeypatch.setattr(mod, name, counting)
     total = 0
-    for seed in range(20):
-        g1, g2 = encode_bipartite(random_multigraph(random.Random(seed), 32))
-        sizes.clear()
-        build(g1, g2, False)
-        assert sizes[:2] == [len(g1.entries), len(g2.entries)]
-        total += sum(sizes[2:])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("effective_entries", "reduce_entries"):
+            real = getattr(module, name)
+
+            def counting(entries, *rest, fn=real):
+                sizes.append(len(entries))
+                return fn(entries, *rest)
+
+            for mod in (module, bunch):
+                if getattr(mod, name) is real:
+                    monkeypatch.setattr(mod, name, counting)
+        for g1, g2 in instances:
+            sizes.clear()
+            build(g1, g2, False)
+            assert sizes[:2] == [len(g1.entries), len(g2.entries)]
+            total += sum(sizes[2:])
     return total
 
 
 def test_levels_rederive_only_the_hit_parts(monkeypatch):
     # whole-family rebuilds pass every live entry at every level; the counts
-    # are deterministic, so they are pinned
-    new = entries_passed(monkeypatch, pi, pi.construct_pi)
-    ref = entries_passed(monkeypatch, sys.modules[__name__], ref_build)
-    assert (new, ref) == (1484, 10448)
+    # are deterministic, so they are pinned.  A hit part whose one effective
+    # set is the part itself, as every part of an encoding is, is reduced in
+    # place by build's one-set step (pi._shrink), so no entry of those 20
+    # encodings reaches the helpers; parts with more sets still do.
+    encodings = [encode_bipartite(random_multigraph(random.Random(s), 32)) for s in range(20)]
+    mixed = [gen_instance(cfg) for cfg in mixed_configs(seed=11, count=100, n_min=1, n_max=10)]
+    new = entries_passed(pi, pi.construct_pi, encodings)
+    ref = entries_passed(sys.modules[__name__], ref_build, encodings)
+    assert (new, ref) == (0, 10448)
     assert new * 5 <= ref
+    new = entries_passed(pi, pi.construct_pi, mixed)
+    ref = entries_passed(sys.modules[__name__], ref_build, mixed)
+    assert (new, ref) == (1109, 2159)
+    kept = Counter()  # one-set steps on the encodings, by whether left stays one part
+    real = pi._shrink
+
+    def counting(left, v, *rest):
+        kept[v >= 2] += 1
+        return real(left, v, *rest)
+
+    monkeypatch.setattr(pi, "_shrink", counting)
+    for g1, g2 in encodings:
+        pi.construct_pi(g1, g2, False)
+    # 742 steps, one for each pair of entries the helpers were handed before
+    assert kept == {True: 431, False: 311}, kept
+
+
+def test_one_set_step_matches_the_generic_chain():
+    """build's in-place step for a hit part whose one effective set is the
+    part itself leaves the side's parts, entries and owner index exactly as
+    the generic chain, _split of the effective entries of the reduction,
+    does, on random sides around the part."""
+    rng = random.Random(3301)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        gone = rng.getrandbits(n) & rng.getrandbits(n)  # peeled earlier: stale owner bits
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n // 3)))
+        blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        blocks = [sum(1 << i for i in block if not gone >> i & 1) for block in blocks]
+        blocks = [block for block in blocks if block]
+        big = [block for block in blocks if block & (block - 1)]
+        if not big:
+            continue
+        hit = rng.choice(big)
+        parts, inside, owner = [], {}, [0] * n
+        for block in sorted(blocks):
+            if block != hit:
+                parts.append(block)
+                size = block.bit_count()
+                inside[block] = [(block, rng.randint(2, size))] if size >= 2 and rng.random() < 0.5 else []
+            for i in bit_indices(block):
+                owner[i] = block | (gone & rng.getrandbits(n))
+        v = rng.choice([2, rng.randint(2, hit.bit_count())])  # 2: left loses its set
+        k = 1 << rng.choice(list(bit_indices(hit)))
+        states = [(list(parts), dict(inside), list(owner)) for _ in range(2)]
+        pi._shrink(hit & ~k, v - 1, *states[0])
+        pi._split(effective_entries(reduce_entries([(hit, v)], k).items()), hit & ~k, *states[1])
+        assert states[0] == states[1], (parts, inside, owner, hit, v, k)
+        left = hit & ~k
+        seen["one part" if v > 2 else "one element" if not left & (left - 1) else "singletons"] += 1
+    assert min(seen.values()) >= 300 and len(seen) == 3, seen
 
 
 # -- condition report ---------------------------------------------------------
