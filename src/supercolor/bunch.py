@@ -12,17 +12,15 @@ boundary for a pair: it validates both functions on their shared ground set
 and derives their effective entries and d-lists into an Instance, which
 pi, oracle and the CLI take from there.  The helpers run at every
 level of construct_pi, on one hit part's entries, so they are plain loops
-over (mask, value) pairs that return at once on the zero or one set a hit
-part often holds: at that size the cost is per-call overhead, not the
-asymptotics.  part_masks takes the maximal sets greedily by descending size
-and checks that every other set lies strictly inside the part holding its
-lowest bit, which is how an overlap surfaces.  reduce_entries keeps only the
-merged values; reduce finds the least set attaining each in one more pass.
+over (mask, value) pairs.  part_masks takes the maximal sets greedily by
+descending size and checks that every other set lies strictly inside the
+part holding its lowest bit, which is how an overlap surfaces.
+reduce_entries keeps only the merged values; reduce finds the least set
+attaining each in one more pass.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .core import GroundSet, InputError, SetFn, require_same_ground, require_valid
@@ -35,8 +33,6 @@ def effective_entries(entries) -> list[tuple[int, int]]:
     for m, v in entries:
         if v >= 2:
             big.append((m, v))
-    if len(big) < 2:  # nothing else to dominate the one set
-        return big
     eff = []
     for m, v in big:
         outside = ~m
@@ -61,22 +57,7 @@ def part_masks(eff, live: int) -> list[int]:
     exactly when the maximal sets are distinct and pairwise disjoint, which
     is always so for a valid input; otherwise, or when a part is empty or
     leaves the live mask, an upstream validity bug surfaces as a hard error.
-    One set or none needs no sort: the singletons come out ascending, and the
-    set is inserted among them.
     """
-    if len(eff) < 2:
-        m = eff[0][0] if eff else 0
-        if eff and (not m or m & ~live):
-            raise RuntimeError(_NOT_A_PARTITION)
-        parts = []
-        rest = live & ~m
-        while rest:
-            low = rest & -rest
-            parts.append(low)
-            rest ^= low
-        if m:
-            insort(parts, m)
-        return parts
     parts = []
     covered = 0
     for m in sorted([m for m, _ in eff], key=int.bit_count, reverse=True):

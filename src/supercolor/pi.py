@@ -158,6 +158,8 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
                 break
         else:
             k, _, hit = transversal_mask(sides[0][0], sides[1][0])
+        if not k:  # an empty part: live would never shrink
+            raise RuntimeError("level peeled no element (internal bug)")
         rest = hit & ~k
         while rest:
             low = rest & -rest

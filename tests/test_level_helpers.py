@@ -426,8 +426,9 @@ def test_helpers_match_references_on_small_random_inputs():
     assert seen["part_masks", RuntimeError] >= 1000, seen
     assert seen["transversal_mask", InputError] >= 100, seen
     assert seen["transversal_mask", RuntimeError] >= 10, seen
-    # and the early returns: effective_entries with fewer than two values
-    # >= 2, part_masks with no set or one set, kept or refused
+    # and the small inputs, which take the same single path: effective_entries
+    # with fewer than two values >= 2, part_masks with no set or one set,
+    # kept or refused
     assert min(seen["effective_entries", n] for n in (0, 1)) >= 1000, seen
     assert min(seen["part_masks", n, "ok"] for n in (0, 1)) >= 500, seen
     assert seen["part_masks", 1, RuntimeError] >= 100, seen

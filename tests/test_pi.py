@@ -1,4 +1,5 @@
 import random
+from bisect import insort
 
 import pytest
 
@@ -233,3 +234,17 @@ def test_construct_pi_refuses_a_pair_that_fails_its_conditions(monkeypatch, exam
     monkeypatch.setattr(pi_mod, "condition_report", lambda inst, pair: failed)
     with pytest.raises(RuntimeError, match=r"violates its contract \(internal bug\)"):
         construct_pi(*example_instance)
+
+
+def test_construct_pi_refuses_a_level_that_peels_nothing(monkeypatch):
+    # an empty part gives the singleton step K = 0, and live would never
+    # shrink; only an internal bug files one, so a wrapped _shrink does
+    shrink = pi_mod._shrink
+
+    def shrink_and_file_an_empty_part(left, v, parts, inside, owner):
+        shrink(left, v, parts, inside, owner)
+        insort(parts, 0)
+
+    monkeypatch.setattr(pi_mod, "_shrink", shrink_and_file_an_empty_part)
+    with pytest.raises(RuntimeError, match=r"peeled no element \(internal bug\)"):
+        construct_pi(*encode_bipartite(random_multigraph(random.Random(0), 32)))
