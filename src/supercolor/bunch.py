@@ -10,11 +10,13 @@ The public functions validate, then call the mask-level helpers
 (effective_entries, part_masks, d_list, reduce_entries).  checked is the one
 boundary for a pair: it validates both functions on their shared ground set
 and derives their effective entries and d-lists into an Instance, which
-pi, oracle and the CLI take from there.  The helpers run at every
-level of construct_pi, on one hit part's entries, so they are plain loops
-over (mask, value) pairs.  part_masks takes the maximal sets greedily by
-descending size and checks that every other set lies strictly inside the
-part holding its lowest bit, which is how an overlap surfaces.
+pi, oracle and the CLI take from there.  construct_pi calls the helpers
+on the entries of each hit part that holds more than one set (a one-set
+part it reduces in place, so a bipartite encoding never reaches them), so
+they are plain loops over (mask, value) pairs.  part_masks takes the
+maximal sets greedily by descending size and checks that every other set
+lies strictly inside the part holding its lowest bit, which is how an
+overlap surfaces.
 reduce_entries keeps only the merged values; reduce finds the least set
 attaining each in one more pass.
 """

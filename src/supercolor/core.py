@@ -120,9 +120,6 @@ class SetFn:
     ) -> "SetFn":
         return cls(ground, tuple((ground.mask_of(ns), v) for ns, v in pairs))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -8,10 +8,11 @@ A pair of functions pi1, pi2: U -> N certifies list-colorability when
 
 construct_pi builds such a pair in one forward loop over the ground set: peel
 off a common partial transversal K of the two bunch partitions, reduce both
-effective families by K, and repeat on the smaller instance.  Every effective
-set lies inside one bunch part and K meets a part in at most one element, so
-the reduction acts on each part alone: a level re-derives only the parts that
-K hits and carries every other part over unchanged.  A hit part whose one
+effective families by K, and repeat on the smaller instance.  Each side keeps
+its effective entries in a dict keyed by bunch part.  Every effective set
+lies inside one part and K meets a part in at most one element, so the
+reduction acts on each part alone: a level re-derives only the parts that K
+hits and carries every other key over unchanged.  A hit part whose one
 effective set is the part itself, as every part of a bipartite encoding is,
 is reduced in place, with no call of the bunch helpers.  Most levels find K by
 the singleton step, one lookup per lead part in the follow side's
@@ -33,7 +34,6 @@ verify_conditions after construct_pi walks nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .core import (
@@ -124,40 +124,43 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
     One record per level: (live, K, case, hit), hit the K-hit lead parts;
     with check, the pair must also meet (i)-(iii).
 
-    Each side keeps its sorted bunch parts, each part's effective entries and
-    each element's part, and a level re-derives only the parts K hits, from
-    their own entries.  That is exact: every effective set lies in one part, a
-    part meets K at most once, and capacity keeps every projection nonempty,
-    so no merge in reduce_entries or subset test in effective_entries crosses
-    two parts.  A hit part whose only entry is (part, v) skips that chain
-    (_shrink): as a maximal effective set it holds nothing else, so the
-    reduction leaves the one set (part - K, v - 1), a part of its own while
-    v - 1 >= 2 and otherwise singletons.
+    Each side keeps (inside, owner): inside maps each live bunch part to its
+    effective entries, so its keys are the parts, and owner[i] & live is
+    element i's part.  A level pops the parts K hits from inside and files
+    what is left of each, re-derived from its own entries.  That is exact:
+    every effective set lies in one part, a part meets K at most once, and
+    capacity keeps every projection nonempty, so no merge in reduce_entries
+    or subset test in effective_entries crosses two parts.  A hit part whose
+    only entry is (part, v) skips that chain (_shrink): as a maximal
+    effective set it holds nothing else, so the reduction leaves the one set
+    (part - K, v - 1), a part of its own while v - 1 >= 2 and otherwise
+    singletons.
 
     Singleton step: both sides partition live and no part is empty, so
-    closed_pairs' first tight set is V = {s} for the first lead part s inside
+    closed_pairs' first tight set is V = {s} for the least lead part s inside
     the follow part holding its lowest bit, found through the follow side's
     index; K is that bit and the hit mask is the part.  Only when no lead
-    part qualifies does the level build the part graph (transversal_mask)."""
+    part qualifies does the level build the part graph (transversal_mask,
+    on both sides' sorted parts)."""
     for g in (inst.g1, inst.g2):
         require_capacity(g)
     ground = inst.ground
     pis = ([1] * ground.size, [1] * ground.size)
-    # per side: sorted parts, entries by part, owner masks by element (see _split)
-    sides = [([], {}, [ground.full_mask] * ground.size) for _ in inst.effs]
+    # per side: (inside, owner), as above; every element starts in the one part
+    sides = [({}, [ground.full_mask] * ground.size) for _ in inst.effs]
     for eff, state in zip(inst.effs, sides):
         _split(eff, ground.full_mask, *state)
     live, levels = ground.full_mask, []
     while live & (live - 1):  # at most one element left: its value is final
         case = "a" if len(sides[0][0]) >= len(sides[1][0]) else "b"
         lead, follow = (0, 1) if case == "a" else (1, 0)
-        follow_owner = sides[follow][2]  # a part lies in live: stale bits are moot
-        for hit in sides[lead][0]:
+        follow_owner = sides[follow][1]  # a part lies in live: stale bits are moot
+        for hit in sorted(sides[lead][0]):
             k = hit & -hit
             if not hit & ~follow_owner[k.bit_length() - 1]:
                 break
         else:
-            k, _, hit = transversal_mask(sides[0][0], sides[1][0])
+            k, _, hit = transversal_mask(sorted(sides[0][0]), sorted(sides[1][0]))
         if not k:  # an empty part: live would never shrink
             raise RuntimeError("level peeled no element (internal bug)")
         rest = hit & ~k
@@ -166,14 +169,13 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
             pis[lead][low.bit_length() - 1] += 1
             rest ^= low
         levels.append((live, k, case, hit))
-        for side, (parts, inside, owner) in enumerate(sides):
+        for side, (inside, owner) in enumerate(sides):
             rest = k
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
                 part = owner[i] & live
-                del parts[bisect_left(parts, part)]
                 eff = inside.pop(part)
                 if side == follow:  # i's bound: the largest value of a set holding it
                     bound = 1
@@ -183,10 +185,10 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
                     pis[follow][i] += bound - 1
                 left = part & ~k
                 if len(eff) == 1 and eff[0][0] == part:  # the part is its one set
-                    _shrink(left, eff[0][1] - 1, parts, inside, owner)
+                    _shrink(left, eff[0][1] - 1, inside, owner)
                 elif left:
                     reduced = reduce_entries(eff, k).items()
-                    _split(effective_entries(reduced), left, parts, inside, owner)
+                    _split(effective_entries(reduced), left, inside, owner)
         live &= ~k
     pair = PiPair(*(dict(zip(ground.names, pi)) for pi in pis))
     if check:
@@ -198,17 +200,15 @@ def build(inst: Instance, check: bool = True) -> tuple[PiPair, list[tuple]]:
     return pair, levels
 
 
-def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
-    """Insort the bunch parts of live into parts and file each effective
-    entry in inside under its part.  owner[i] & live is i's part: a part only
-    loses K-elements until it splits, so owner changes only on a split."""
+def _split(eff, live: int, inside: dict, owner: list) -> None:
+    """File each effective entry in inside under its bunch part of live, a
+    new key per part.  owner[i] & live is i's part: a part only loses
+    K-elements until it splits, so owner changes only on a split."""
     new = part_masks(eff, live)
     if len(new) == 1:  # one part holds every entry
-        insort(parts, live)
         inside[live] = eff
         return
     for part in new:
-        insort(parts, part)
         inside[part] = []
         rest = part
         while rest:
@@ -219,19 +219,17 @@ def _split(eff, live: int, parts: list, inside: dict, owner: list) -> None:
         inside[owner[(e[0] & -e[0]).bit_length() - 1] & live].append(e)
 
 
-def _shrink(left: int, v: int, parts: list, inside: dict, owner: list) -> None:
+def _shrink(left: int, v: int, inside: dict, owner: list) -> None:
     """File left, a hit part without its K-element whose one effective set was
     the part itself, as _split does the reduced set (left, v): one part with
     that set while v >= 2, else singletons with no entries, and owner changes
     only when that splits left.  Capacity keeps left nonempty."""
     if v >= 2 or not left & (left - 1):
-        insort(parts, left)
         inside[left] = [(left, v)] if v >= 2 else []
         return
     while left:
         low = left & -left
         left ^= low
-        insort(parts, low)
         inside[low] = []
         owner[low.bit_length() - 1] = low
 

@@ -626,12 +626,14 @@ def test_owner_lookup_matches_the_part_graph(monkeypatch):
     that build's singleton step settles (through the follow side's owner
     index, without calling transversal_mask) gets the (K, case, hit) that
     transversal_mask's part graph gives on that level's partitions, rebuilt
-    from the whole families as ref_build does."""
-    graph_levels = set()  # the live mask of each level that built the part graph
+    from the whole families as ref_build does.  Every level that builds the
+    part graph hands it exactly those partitions, so the keys of build's
+    per-side dicts are the bunch parts themselves."""
+    graph_levels = {}  # the live mask of each level that built the part graph: its parts
     real = pi.transversal_mask
 
     def recording(parts1, parts2):
-        graph_levels.add(sum(parts1))
+        graph_levels[sum(parts1)] = [parts1, parts2]
         return real(parts1, parts2)
 
     monkeypatch.setattr(pi, "transversal_mask", recording)
@@ -643,10 +645,11 @@ def test_owner_lookup_matches_the_part_graph(monkeypatch):
         graph_levels.clear()
         effs = [effective_entries(g.entries) for g in (g1, g2)]
         for live, k, case, hit in pi.build(checked(g1, g2), check=False)[1]:
+            parts = [part_masks(eff, live) for eff in effs]
             if live in graph_levels:
+                assert graph_levels[live] == parts, (g1, g2, live)
                 levels["part graph"] += 1
             else:
-                parts = [part_masks(eff, live) for eff in effs]
                 assert (k, case, hit) == real(*parts), (g1, g2, live)
                 levels["owner lookup"] += 1
             effs = [effective_entries(reduce_entries(eff, k).items()) for eff in effs]
@@ -710,9 +713,10 @@ def test_levels_rederive_only_the_hit_parts(monkeypatch):
 
 def test_one_set_step_matches_the_generic_chain():
     """build's in-place step for a hit part whose one effective set is the
-    part itself leaves the side's parts, entries and owner index exactly as
-    the generic chain, _split of the effective entries of the reduction,
-    does, on random sides around the part."""
+    part itself leaves the side's parts (the keys of inside), their entries
+    and the owner index exactly as the generic chain, _split of the
+    effective entries of the reduction, does, on random sides around the
+    part."""
     rng = random.Random(3301)
     seen = Counter()
     for _ in range(3000):
@@ -728,20 +732,19 @@ def test_one_set_step_matches_the_generic_chain():
         if not big:
             continue
         hit = rng.choice(big)
-        parts, inside, owner = [], {}, [0] * n
+        inside, owner = {}, [0] * n
         for block in sorted(blocks):
             if block != hit:
-                parts.append(block)
                 size = block.bit_count()
                 inside[block] = [(block, rng.randint(2, size))] if size >= 2 and rng.random() < 0.5 else []
             for i in bit_indices(block):
                 owner[i] = block | (gone & rng.getrandbits(n))
         v = rng.choice([2, rng.randint(2, hit.bit_count())])  # 2: left loses its set
         k = 1 << rng.choice(list(bit_indices(hit)))
-        states = [(list(parts), dict(inside), list(owner)) for _ in range(2)]
+        states = [(dict(inside), list(owner)) for _ in range(2)]
         pi._shrink(hit & ~k, v - 1, *states[0])
         pi._split(effective_entries(reduce_entries([(hit, v)], k).items()), hit & ~k, *states[1])
-        assert states[0] == states[1], (parts, inside, owner, hit, v, k)
+        assert states[0] == states[1], (inside, owner, hit, v, k)
         left = hit & ~k
         seen["one part" if v > 2 else "one element" if not left & (left - 1) else "singletons"] += 1
     assert min(seen.values()) >= 300 and len(seen) == 3, seen

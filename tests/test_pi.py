@@ -1,5 +1,4 @@
 import random
-from bisect import insort
 
 import pytest
 
@@ -241,9 +240,9 @@ def test_construct_pi_refuses_a_level_that_peels_nothing(monkeypatch):
     # shrink; only an internal bug files one, so a wrapped _shrink does
     shrink = pi_mod._shrink
 
-    def shrink_and_file_an_empty_part(left, v, parts, inside, owner):
-        shrink(left, v, parts, inside, owner)
-        insort(parts, 0)
+    def shrink_and_file_an_empty_part(left, v, inside, owner):
+        shrink(left, v, inside, owner)
+        inside[0] = []
 
     monkeypatch.setattr(pi_mod, "_shrink", shrink_and_file_an_empty_part)
     with pytest.raises(RuntimeError, match=r"peeled no element \(internal bug\)"):
