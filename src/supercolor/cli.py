@@ -18,8 +18,8 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Sequence
 
 from .core import (
     GenerationError,
@@ -64,13 +64,12 @@ def instance_digest(g1: SetFn, g2: SetFn) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_CAP_FIELDS = {"k_search": "k_search_elements", "list_budget": "list_budget"}
+
+
 def caps_from_env(env=os.environ) -> SearchCaps:
-    raw = env.get("SUPERCOLOR_CAPS")
-    if not raw:
-        return DEFAULT_CAPS
-    k_search = DEFAULT_CAPS.k_search_elements
-    list_budget = DEFAULT_CAPS.list_budget
-    for part in raw.split(","):
+    fields = {}
+    for part in env.get("SUPERCOLOR_CAPS", "").split(","):
         part = part.strip()
         if not part:
             continue
@@ -83,13 +82,10 @@ def caps_from_env(env=os.environ) -> SearchCaps:
             value = int(num)  # also raises past int()'s digit limit
         except ValueError:
             raise InputError(f"bad SUPERCOLOR_CAPS entry {part!r}") from None
-        if key == "k_search":
-            k_search = value
-        elif key == "list_budget":
-            list_budget = value
-        else:
+        if key not in _CAP_FIELDS:
             raise InputError(f"unknown SUPERCOLOR_CAPS key {key!r}")
-    return SearchCaps(k_search_elements=k_search, list_budget=list_budget)
+        fields[_CAP_FIELDS[key]] = value
+    return replace(DEFAULT_CAPS, **fields)
 
 
 def _write_json(path, payload) -> None:
@@ -130,15 +126,9 @@ def _cmd_check(args, caps) -> tuple[int, dict]:
     return (0 if all_ok else 1), payload
 
 
-def _pick_side(g1, g2, side: int):
-    if side not in (1, 2):
-        raise InputError(f"--side must be 1 or 2, got {side}")
-    return g1 if side == 1 else g2
-
-
 def _cmd_analyze(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    g = _pick_side(g1, g2, args.side)
+    g = (g1, g2)[args.side - 1]
     names = g.ground.names_of
     eff = bunch.effective_family(g)
     parts = bunch.bunch_partition(g)
@@ -243,8 +233,6 @@ def _load_lists(path) -> dict:
 
 def _cmd_color(args, caps) -> tuple[int, dict]:
     g1, g2 = load_instance(args.file)
-    if (args.lists is None) == (args.k is None):
-        raise InputError("exactly one of --lists or --k is required")
     if args.lists is not None:
         coloring = oracle.find_list_coloring(g1, g2, _load_lists(args.lists), caps)
     else:
@@ -335,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="effective family, partition and d-map")
     p.add_argument("file")
-    p.add_argument("--side", type=int, default=1)
+    p.add_argument("--side", type=int, choices=(1, 2), default=1)
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("reduce", help="reduce both functions by a removal set")
@@ -354,8 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="search for a dominating coloring")
     p.add_argument("file")
-    p.add_argument("--lists", help="JSON file mapping elements to color lists")
-    p.add_argument("--k", type=int, help="search over colors 1..k instead of lists")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--lists", help="JSON file mapping elements to color lists")
+    mode.add_argument("--k", type=int, help="search over colors 1..k instead of lists")
     p.set_defaults(handler=_cmd_color)
 
     p = sub.add_parser("verify", help="random tight-list trials must all color")
@@ -431,7 +420,7 @@ def main() -> None:
 # -- batch verification --------------------------------------------------------
 
 def batch_verify(
-    configs: Sequence[gen.GenConfig],
+    configs: Iterable[gen.GenConfig],
     list_trials: int = 3,
     seed: int | None = None,
     caps: SearchCaps = DEFAULT_CAPS,
@@ -448,7 +437,13 @@ def batch_verify(
         "min_k_equals_delta": {"pass": 0, "fail": 0},
     }
     failures = []
+    instances = 0
+    digest = hashlib.sha256(b"[")  # the bytes of one json.dumps of every config
     for cfg in configs:
+        if instances:
+            digest.update(b",")
+        digest.update(json.dumps(vars(cfg), sort_keys=True, separators=(",", ":")).encode())
+        instances += 1
         g1, g2 = gen.gen_instance(cfg)
         inst = bunch.checked(g1, g2)  # no walk: gen_instance recorded both checks
         pair, _ = pi_mod.build(inst, check=False)
@@ -478,11 +473,11 @@ def batch_verify(
                 }
             )
     failures.sort(key=lambda f: f["digest"])
-    results = {"instances": len(configs), "checks": checks, "failures": failures}
-    blob = json.dumps([vars(c) for c in configs], sort_keys=True, separators=(",", ":"))
+    digest.update(b"]")
+    results = {"instances": instances, "checks": checks, "failures": failures}
     return RunReport(
         command="batch-verify",
-        digest=hashlib.sha256(blob.encode()).hexdigest(),
+        digest=digest.hexdigest(),
         results=results,
         seed=seed,
     )

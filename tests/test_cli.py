@@ -12,6 +12,7 @@ import pytest
 
 import console_pins
 from supercolor import (
+    DEFAULT_CAPS,
     GenConfig,
     InputError,
     SearchCaps,
@@ -534,20 +535,6 @@ def test_module_entry_points(capsys, example_path, module):
 # batch-verify and tightness-probe: the tests named *_script_* keep the ids
 # they had when these two commands were standalone scripts.
 
-DEFAULT_STDOUT_SHA256 = {
-    "batch-verify": "220ea32c05e73ba03d4a16de77e9e213b1ebb492489cc6e8f38efc071dde3686",
-    "tightness-probe": "030774a349a219f5f274cbcad7b2c47806797f9d23457090a541b271be7bb152",
-}
-
-
-@pytest.mark.parametrize("command", sorted(DEFAULT_STDOUT_SHA256))
-def test_bulk_subcommand_default_stdout_pinned(capsys, monkeypatch, command):
-    monkeypatch.delenv("SUPERCOLOR_CAPS", raising=False)
-    assert run([command]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_STDOUT_SHA256[command]
-
-
 def test_batch_verify_script_cap_is_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("SUPERCOLOR_CAPS", "list_budget=1")
     assert run(["batch-verify", "--count", "5", "--seed", "7"]) == 3
@@ -693,8 +680,19 @@ def test_tightness_probe_script_internal_error_is_exit_4(capsys, monkeypatch):
 
 
 def test_color_requires_exactly_one_mode(capsys, example_path):
-    code, _ = run_cli(capsys, "color", str(example_path))
-    assert code == 2
+    for modes in ([], ["--k", "4", "--lists", "lists.json"]):  # neither, both
+        assert run(["color", str(example_path), *modes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: supercolor color" in captured.err
+
+
+@pytest.mark.parametrize("side", ["0", "3"])
+def test_analyze_side_is_1_or_2(capsys, example_path, side):
+    assert run(["analyze", str(example_path), "--side", side]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: supercolor analyze" in captured.err
 
 
 def test_verify(capsys, example_path):
@@ -843,6 +841,21 @@ def test_caps_parsing_defaults():
     assert caps.k_search_elements == 10 and caps.list_budget == 10_000_000
 
 
+@pytest.mark.parametrize("env", [{}, {"SUPERCOLOR_CAPS": ""}, {"SUPERCOLOR_CAPS": " , "}])
+def test_caps_without_entries_are_the_defaults(env):
+    assert caps_from_env(env) == DEFAULT_CAPS
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("foo=abc", "bad SUPERCOLOR_CAPS entry 'foo=abc'"),  # the value is read before the key
+    ("foo=1", "unknown SUPERCOLOR_CAPS key 'foo'"),
+])
+def test_caps_entry_errors(raw, message):
+    with pytest.raises(InputError) as err:
+        caps_from_env({"SUPERCOLOR_CAPS": raw})
+    assert str(err.value) == message
+
+
 def test_instance_digest_stable(example_instance):
     g1, g2 = example_instance
     assert instance_digest(g1, g2) == instance_digest(g1, g2)
@@ -879,6 +892,14 @@ def test_batch_verify_deterministic():
     a = batch_verify(configs, list_trials=2, seed=1)
     b = batch_verify(configs, list_trials=2, seed=1)
     assert dump_json(a.to_payload()) == dump_json(b.to_payload())
+
+
+def test_batch_verify_reads_its_configs_once():
+    configs = mixed_configs(seed=7, count=12, n_max=6)
+    streamed = batch_verify(iter(configs), list_trials=1, seed=7)
+    assert streamed.to_payload() == batch_verify(configs, list_trials=1, seed=7).to_payload()
+    blob = json.dumps([vars(c) for c in configs], sort_keys=True, separators=(",", ":"))
+    assert streamed.digest == hashlib.sha256(blob.encode()).hexdigest()
 
 
 # analyze, reduce, transversal and pi print sets by name: their stdout is

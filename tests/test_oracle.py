@@ -161,6 +161,35 @@ def test_search_on_shifted_shared_domains_is_the_k_search_relabeled():
     assert found == {False: 800, True: 876}, found  # 1,676 searches
 
 
+def test_renaming_colors_leaves_the_search_answer():
+    # colors are labels: an injective renaming of the domains' color bits
+    # into a wider range cannot turn a yes into a no.  Per instance, one
+    # draw gives each element its own list, one shorter than its tight
+    # length or tight, and one gives every element the same domain 1..L
+    rng = random.Random(19)
+    answers = Counter()
+    for cfg in mixed_configs(seed=31, count=300, n_max=8):
+        g1, g2 = gen_instance(cfg)
+        index = oracle.constraint_index(g1, g2)
+        span = delta(g1, g2)
+        sigma = span + 2
+        tight = checked(g1, g2).tight_lengths()
+        own = [
+            rng.sample(range(1, sigma + 1), max(1, tight[u] - rng.randint(0, 1)))
+            for u in g1.ground.names
+        ]
+        shared = [range(1, rng.randint(max(1, span - 1), span + 1) + 1)] * len(own)
+        rename = dict(zip(range(1, sigma + 1), rng.sample(range(1, 8 * sigma), sigma)))
+        for kind, domains in (("own", own), ("shared", shared)):
+            found = oracle._search([sum(1 << c for c in dom) for dom in domains], index)
+            renamed = oracle._search([sum(1 << rename[c] for c in dom) for dom in domains], index)
+            assert (found is None) == (renamed is None), (cfg, kind, domains, rename)
+            answers[kind, found is None] += 1
+    assert answers == {
+        ("own", False): 292, ("own", True): 8, ("shared", False): 236, ("shared", True): 64,
+    }, answers
+
+
 def brute_force_coloring(g1, g2, domains):
     """First dominating assignment of a plain product over the domains, taken
     in ground order: the reference for the pruned search."""
