@@ -18,11 +18,10 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from .core import (
-    GenerationError,
     InputError,
     ResourceLimitError,
     SetFn,
@@ -68,7 +67,7 @@ _CAP_FIELDS = {"k_search": "k_search_elements", "list_budget": "list_budget"}
 
 
 def caps_from_env(env=os.environ) -> SearchCaps:
-    fields = {}
+    given = {}
     for part in env.get("SUPERCOLOR_CAPS", "").split(","):
         part = part.strip()
         if not part:
@@ -84,18 +83,8 @@ def caps_from_env(env=os.environ) -> SearchCaps:
             raise InputError(f"bad SUPERCOLOR_CAPS entry {part!r}") from None
         if key not in _CAP_FIELDS:
             raise InputError(f"unknown SUPERCOLOR_CAPS key {key!r}")
-        fields[_CAP_FIELDS[key]] = value
-    return replace(DEFAULT_CAPS, **fields)
-
-
-def _write_json(path, payload) -> None:
-    """Write payload as canonical JSON; a path that cannot be written is bad
-    input, as an unreadable one is for load_instance."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload))
-    except OSError as e:
-        raise InputError(f"cannot write {path}: {e}") from None
+        given[_CAP_FIELDS[key]] = value
+    return replace(DEFAULT_CAPS, **given)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -270,20 +259,13 @@ def _cmd_encode(args, caps) -> tuple[int, dict]:
 
 def _cmd_gen(args, caps) -> tuple[int, dict]:
     cfg = gen.GenConfig(seed=args.seed, n_elements=args.n, strategy=args.strategy)
-    g1, g2 = gen.gen_instance(cfg)
-    payload = instance_payload(g1, g2)
-    if args.out:
-        _write_json(args.out, payload)
-    return 0, payload
+    return 0, instance_payload(*gen.gen_instance(cfg))
 
 
 def _cmd_batch_verify(args, caps) -> tuple[int, dict]:
     configs = gen.mixed_configs(seed=args.seed, count=args.count, n_max=args.n_max)
     report = batch_verify(configs, list_trials=args.trials, seed=args.seed, caps=caps)
-    payload = report.to_payload()
-    if args.out:
-        _write_json(args.out, payload)
-    return (1 if report.results["failures"] else 0), payload
+    return (1 if report.results["failures"] else 0), report.to_payload()
 
 
 def _cmd_tightness_probe(args, caps) -> tuple[int, dict]:
@@ -362,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=gen.STRATEGIES, default="closure")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("batch-verify", help="run the full battery on random instances")
@@ -370,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--trials", type=int, default=3, help="list trials per instance")
-    p.add_argument("-o", "--out", default=None)
     p.set_defaults(handler=_cmd_batch_verify)
 
     p = sub.add_parser("tightness-probe", help="color random lists one shorter than the bound")
@@ -382,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-EXPECTED_ERRORS = (InputError, ResourceLimitError, GenerationError)
+EXPECTED_ERRORS = (InputError, ResourceLimitError)
 
 
 def error_exit(e: Exception) -> int:
@@ -393,7 +373,7 @@ def error_exit(e: Exception) -> int:
         traceback.print_exception(e)
         return 4
     print(f"error: {e}", file=sys.stderr)
-    return 3 if isinstance(e, (ResourceLimitError, GenerationError)) else 2
+    return 3 if isinstance(e, ResourceLimitError) else 2
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -442,7 +422,9 @@ def batch_verify(
     for cfg in configs:
         if instances:
             digest.update(b",")
-        digest.update(json.dumps(vars(cfg), sort_keys=True, separators=(",", ":")).encode())
+        # from the fields, since vars() would leave a __dict__ on each config (3.11+)
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        digest.update(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
         instances += 1
         g1, g2 = gen.gen_instance(cfg)
         inst = bunch.checked(g1, g2)  # no walk: gen_instance recorded both checks

@@ -29,10 +29,10 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured search cap would be exceeded."""
+    """A configured search cap or sampling budget would be exceeded."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ResourceLimitError):
     """Instance generation exhausted its resampling budget."""
 
 
@@ -66,17 +66,14 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]  # type: ignore[attr-defined]
-        except (KeyError, TypeError):  # TypeError: an unhashable name from a file
-            raise InputError(f"unknown element {name!r}") from None
-
     def mask_of(self, names: Iterable[str]) -> int:
         """Mask of the named elements; the inverse of names_of."""
         mask = 0
         for name in names:
-            bit = 1 << self.index(name)
+            try:
+                bit = 1 << self._index[name]  # type: ignore[attr-defined]
+            except (KeyError, TypeError):  # TypeError: an unhashable name from a file
+                raise InputError(f"unknown element {name!r}") from None
             if mask & bit:
                 raise InputError(f"element {name!r} listed twice in one set")
             mask |= bit

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from supercolor import GroundSet, SetFn, load_instance
+from supercolor import GroundSet, SetFn, load_instance, oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -22,6 +22,33 @@ def example_instance(example_path):
 @pytest.fixture(scope="session")
 def example_g(example_instance) -> SetFn:
     return example_instance[0]
+
+
+@pytest.fixture(autouse=True)
+def certified_search(monkeypatch):
+    """Certify every coloring oracle._search returns, from the index alone:
+    each element's color lies in its domain mask, and each constraint's
+    members take at least its bound of distinct colors.  A test that stubs
+    _search itself replaces this wrapper."""
+    search = oracle._search
+
+    def certify(domains, index):
+        coloring = search(domains, index)
+        if coloring is None:
+            return None
+        if list(coloring) != list(index.names):
+            pytest.fail(f"coloring of {list(coloring)} for elements {list(index.names)}")
+        colors = list(coloring.values())
+        for name, color, domain in zip(index.names, colors, domains):
+            if not domain >> color & 1:
+                pytest.fail(f"color {color} of {name!r} outside its domain {bin(domain)}")
+        for elems, bound in zip(index.members, index.bounds):
+            if len({colors[i] for i in elems}) < bound:
+                names = [index.names[i] for i in elems]
+                pytest.fail(f"short constraint: {names} take fewer than {bound} colors")
+        return coloring
+
+    monkeypatch.setattr(oracle, "_search", certify)
 
 
 @pytest.fixture()
