@@ -13,7 +13,10 @@ Validation happens once per function, at the boundary: require_valid and
 require_capacity record a pass in a private attribute of the frozen SetFn,
 outside ==, hash and repr, so later calls on it return at once.  That record
 is all a SetFn holds beside its ground set and entries.  A failed check
-records nothing, and the check_* reporters walk on every call.
+records nothing, and the check_* reporters walk on every call.  Each check is
+one plain walk, and a check that passes builds nothing: check_pairs and
+check_capacity return one shared empty Report (frozen, so sharing it is safe)
+for a side with no faults, and only a failing side gets a fresh one.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class GroundSet:
 
     An empty ground set is permitted programmatically (it arises when a
     function is reduced by its whole universe); instance files must name at
-    least one element.
+    least one element.  size (the number of elements) and full_mask (the
+    mask of all of them) are plain attributes, set once at construction.
     """
 
     names: tuple[str, ...]
@@ -57,14 +61,8 @@ class GroundSet:
                 raise InputError(f"duplicate element name {name!r}")
             index[name] = i
         object.__setattr__(self, "_index", index)
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        object.__setattr__(self, "size", len(self.names))
+        object.__setattr__(self, "full_mask", (1 << len(self.names)) - 1)
 
     def mask_of(self, names: Iterable[str]) -> int:
         """Mask of the named elements; the inverse of names_of."""
@@ -98,17 +96,19 @@ class SetFn:
         # by mask alone: values of one set listed twice may not compare
         canon = tuple(sorted(self.entries, key=itemgetter(0)))
         full = self.ground.full_mask
-        seen: set[int] = set()
+        last = None  # sorted, so a set listed twice comes right after itself
         for mask, value in canon:
             if not 0 <= mask <= full:
                 raise InputError(f"set mask {mask:#x} outside the ground set")
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int and (  # exact int first: the common case
+                not isinstance(value, int) or isinstance(value, bool)
+            ):
                 raise InputError(f"set values must be integers, got {value!r}")
-            if mask in seen:
+            if mask == last:
                 raise InputError(
                     f"duplicate set {{{','.join(self.ground.names_of(mask))}}} in one function"
                 )
-            seen.add(mask)
+            last = mask
         object.__setattr__(self, "entries", canon)
 
     @classmethod
@@ -154,12 +154,16 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_PASSED = Report()  # what every check returns for a side with no faults
+
+
 def check_pairs(g: SetFn) -> tuple[Report, Report]:
     """One walk over the intersecting pairs of g's family, in entry order.
 
     Returns the missing unions and intersections (union first within a pair)
     and the supermodular violations g(X)+g(Y) > g(X∪Y)+g(X∩Y) among the pairs
-    whose union and intersection are both present.
+    whose union and intersection are both present.  A side with no faults is
+    one shared empty Report.
     """
     value = dict(g.entries).get
     names = g.ground.names_of
@@ -183,12 +187,22 @@ def check_pairs(g: SetFn) -> tuple[Report, Report]:
                 unequal.append(
                     Violation("supermodular", (names(a), names(b)), (va + vb, vu + vi))
                 )
-    return Report(tuple(missing)), Report(tuple(unequal))
+    return (
+        Report(tuple(missing)) if missing else _PASSED,
+        Report(tuple(unequal)) if unequal else _PASSED,
+    )
 
 
 def check_intersecting_family(g: SetFn) -> Report:
     """Check closure under union/intersection of every intersecting pair."""
     return check_pairs(g)[0]
+
+
+def _not_closed(family: Report) -> InputError:
+    return InputError(
+        f"family is not intersecting-closed: {{{','.join(family.violations[0].subjects[2])}}}"
+        " is missing"
+    )
 
 
 def check_supermodular(g: SetFn) -> Report:
@@ -198,31 +212,32 @@ def check_supermodular(g: SetFn) -> Report:
     is not even well defined and an InputError names a missing set.
     """
     family, supermodular = check_pairs(g)
-    if not family.ok:
-        v = family.violations[0]
-        raise InputError(
-            f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
-        )
+    if family.violations:
+        raise _not_closed(family)
     return supermodular
 
 
 def check_capacity(g: SetFn) -> Report:
-    """Check |X| >= g(X) for every entry."""
-    violations = tuple(
-        Violation("capacity", (g.ground.names_of(m),), (m.bit_count(), v))
-        for m, v in g.entries
-        if m.bit_count() < v
-    )
-    return Report(violations)
+    """Check |X| >= g(X) for every entry; no fault gives the shared empty Report."""
+    violations = []
+    for m, v in g.entries:
+        if m.bit_count() < v:
+            violations.append(Violation("capacity", (g.ground.names_of(m),), (m.bit_count(), v)))
+    return Report(tuple(violations)) if violations else _PASSED
 
 
 def require_valid(g: SetFn) -> None:
-    """Raise InputError unless g is an intersecting-supermodular function; a pass is recorded."""
+    """Raise InputError unless g is an intersecting-supermodular function; a pass is recorded.
+
+    A family that is not intersecting-closed is named first, by its first
+    missing set; else the first supermodular violation."""
     if getattr(g, "_valid", False):
         return
-    report = check_supermodular(g)  # raises if the family is not closed
-    if not report.ok:
-        v = report.violations[0]
+    family, supermodular = check_pairs(g)
+    if family.violations:
+        raise _not_closed(family)
+    if supermodular.violations:
+        v = supermodular.violations[0]
         raise InputError(
             "function is not supermodular: "
             f"{{{','.join(v.subjects[0])}}}, {{{','.join(v.subjects[1])}}} "
@@ -235,7 +250,7 @@ def require_capacity(g: SetFn) -> None:
     if getattr(g, "_capacity", False):
         return
     report = check_capacity(g)
-    if not report.ok:
+    if report.violations:
         v = report.violations[0]
         raise InputError(
             f"capacity violated: |{{{','.join(v.subjects[0])}}}| = {v.values[0]} < {v.values[1]}"

@@ -140,8 +140,9 @@ def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
     getrandbits = rng.getrandbits
     order = _shuffled(getrandbits, n)
     out: set[int] = set()
-
-    def rec(lo: int, hi: int) -> None:  # hi > lo: n >= 1 and every cut splits
+    stack = [(0, n)]  # hi > lo: n >= 1 and every cut splits
+    while stack:  # depth first, left half first, as the draws are made
+        lo, hi = stack.pop()
         if rng.random() < include_p:
             mask = 0
             for i in order[lo:hi]:
@@ -149,10 +150,8 @@ def _laminar_masks(rng: random.Random, n: int, include_p: float) -> list[int]:
             out.add(mask)
         if hi - lo >= 2:
             cut = lo + 1 + _below(getrandbits, hi - lo - 1)
-            rec(lo, cut)
-            rec(cut, hi)
-
-    rec(0, n)
+            stack.append((cut, hi))
+            stack.append((lo, cut))
     return sorted(out)
 
 

@@ -57,9 +57,10 @@ class PiPair:
 
     def __post_init__(self) -> None:
         for pi in (self.pi1, self.pi2):
-            for name, v in pi.items():
-                if v < 1:
-                    raise InputError(f"pi({name!r}) = {v} must be >= 1")
+            if min(pi.values(), default=1) < 1:  # name the first bad value only on a fault
+                for name, v in pi.items():
+                    if v < 1:
+                        raise InputError(f"pi({name!r}) = {v} must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,34 +264,40 @@ def verify_conditions(g1: SetFn, g2: SetFn, pair: PiPair) -> ConditionReport:
 
 def condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
     """(i)-(iii) on the instance's d-lists for a pair defined on its whole
-    ground set, on lists indexed by element."""
+    ground set, on lists indexed by element.
+
+    Each pi is read into a list in one lookup pass; a name missing from
+    either dict is bad input, the first in ground order named.  One loop over
+    the elements finds the (i) witnesses and collects the (iii) ones, which
+    come last: (i), then (ii) for side 1 and side 2, then (iii) for side 1
+    and side 2."""
     ground = inst.ground
     names = ground.names
-    for name in names:
-        if name not in pair.pi1 or name not in pair.pi2:
-            raise InputError(f"pair missing element {name!r}")
-    pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
-    (d1, d2), (p1, p2) = inst.ds, pis
+    try:
+        pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
+    except KeyError:
+        missing = next(n for n in names if n not in pair.pi1 or n not in pair.pi2)
+        raise InputError(f"pair missing element {missing!r}") from None
     witnesses = []
-
-    for i, name in enumerate(names):
-        bound = d1[i] if d1[i] > d2[i] else d2[i]
-        if p1[i] + p2[i] - 1 > bound:
-            witnesses.append(Violation("condition_i", ((name,),), (p1[i], p2[i], bound)))
+    iii1: list[Violation] = []
+    iii2: list[Violation] = []
+    for name, a, b, da, db in zip(names, *pis, *inst.ds):
+        bound = da if da > db else db
+        if a + b - 1 > bound:
+            witnesses.append(Violation("condition_i", ((name,),), (a, b, bound)))
+        if a > da:
+            iii1.append(Violation("condition_iii", ((name,),), (1, a, da)))
+        if b > db:
+            iii2.append(Violation("condition_iii", ((name,),), (2, b, db)))
     before_ii = len(witnesses)
 
     for side, (p, g) in enumerate(zip(pis, (inst.g1, inst.g2)), start=1):
         for m, got, bound in _short_sets(p, g.entries):
             witnesses.append(Violation("condition_ii", (ground.names_of(m),), (side, got, bound)))
-    before_iii = len(witnesses)
-
-    for side, (p, d) in enumerate(zip(pis, inst.ds), start=1):
-        for i, name in enumerate(names):
-            if p[i] > d[i]:
-                witnesses.append(Violation("condition_iii", ((name,),), (side, p[i], d[i])))
-    return ConditionReport(
-        before_ii == 0, before_iii == before_ii, len(witnesses) == before_iii, tuple(witnesses)
-    )
+    ii_ok = len(witnesses) == before_ii
+    witnesses += iii1
+    witnesses += iii2
+    return ConditionReport(before_ii == 0, ii_ok, not (iii1 or iii2), tuple(witnesses))
 
 
 def schrijver_pi(inst: Instance, caps: oracle.SearchCaps = oracle.DEFAULT_CAPS) -> PiPair:

@@ -5,13 +5,28 @@ state properties of bunch partitions and reductions; is_intersecting tells
 crossing sets apart; check_degree_identity, degrees and coloring_is_proper
 tie the bipartite encoding to edge coloring; random_lists draws one set of
 tight lists.  No package code calls them, so they live here.
+
+ref_require_valid, ref_require_capacity and ref_condition_report are the
+boundary checks as they stood while every check built its reports: the
+references whose messages and witnesses the checks must keep.
 """
 
 import random
 from collections import Counter
 
-from supercolor import BipartiteGraph, InputError, Report, SetFn, Violation, bunch_partition
-from supercolor.bunch import checked
+from supercolor import (
+    BipartiteGraph,
+    ConditionReport,
+    InputError,
+    PiPair,
+    Report,
+    SetFn,
+    Violation,
+    bunch_partition,
+    check_intersecting_family,
+    dominates,
+)
+from supercolor.bunch import Instance, checked
 from supercolor.core import bit_indices
 from supercolor.encode import encode_bipartite
 from supercolor.gen import sample
@@ -116,3 +131,67 @@ def random_lists(
         name: tuple(sorted(sample(rng.getrandbits, colors, need)))
         for name, need in lengths.items()
     }
+
+
+def ref_require_valid(g: SetFn) -> None:
+    """Raise InputError unless g is an intersecting-supermodular function:
+    the first missing set, else the first supermodular violation.  Records
+    nothing."""
+    family = check_intersecting_family(g)
+    if not family.ok:
+        v = family.violations[0]
+        raise InputError(
+            f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
+        )
+    value = dict(g.entries)
+    for i, (a, va) in enumerate(g.entries):
+        for b, vb in g.entries[i + 1 :]:
+            if is_intersecting(a, b) and va + vb > value[a | b] + value[a & b]:
+                names = g.ground.names_of
+                raise InputError(
+                    "function is not supermodular: "
+                    f"{{{','.join(names(a))}}}, {{{','.join(names(b))}}} "
+                    f"give {va + vb} > {value[a | b] + value[a & b]}"
+                )
+
+
+def ref_require_capacity(g: SetFn) -> None:
+    """Raise InputError naming the first set over capacity.  Records nothing."""
+    violations = tuple(
+        Violation("capacity", (g.ground.names_of(m),), (m.bit_count(), v))
+        for m, v in g.entries
+        if m.bit_count() < v
+    )
+    if violations:
+        v = violations[0]
+        raise InputError(
+            f"capacity violated: |{{{','.join(v.subjects[0])}}}| = {v.values[0]} < {v.values[1]}"
+        )
+
+
+def ref_condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
+    """(i)-(iii) in separate passes: a presence pass, (i) over the elements,
+    (ii) per side through dominates, then (iii) per side."""
+    names = inst.ground.names
+    for name in names:
+        if name not in pair.pi1 or name not in pair.pi2:
+            raise InputError(f"pair missing element {name!r}")
+    pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
+    (d1, d2), (p1, p2) = inst.ds, pis
+    witnesses = []
+    for i, name in enumerate(names):
+        bound = max(d1[i], d2[i])
+        if p1[i] + p2[i] - 1 > bound:
+            witnesses.append(Violation("condition_i", ((name,),), (p1[i], p2[i], bound)))
+    before_ii = len(witnesses)
+    for side, (pi, g) in enumerate(((pair.pi1, inst.g1), (pair.pi2, inst.g2)), start=1):
+        for v in dominates(pi, g).violations:
+            witnesses.append(Violation("condition_ii", v.subjects, (side, *v.values)))
+    before_iii = len(witnesses)
+    for side, (p, d) in enumerate(zip(pis, inst.ds), start=1):
+        for i, name in enumerate(names):
+            if p[i] > d[i]:
+                witnesses.append(Violation("condition_iii", ((name,),), (side, p[i], d[i])))
+    return ConditionReport(
+        before_ii == 0, before_iii == before_ii, len(witnesses) == before_iii, tuple(witnesses)
+    )

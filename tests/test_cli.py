@@ -899,6 +899,20 @@ def test_batch_verify_leaves_its_configs_as_they_were():
     assert [[type(r) for r in gc.get_referents(cfg)] for cfg in configs] == before
 
 
+def test_batch_verify_leaves_no_reference_cycles():
+    # a recursive closure would leave a closure-cell cycle per laminar draw
+    configs = mixed_configs(7, 300, n_max=7)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        batch_verify(configs, list_trials=1, seed=7)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_batch_verify_reads_its_configs_once():
     configs = mixed_configs(seed=7, count=12, n_max=6)
     streamed = batch_verify(iter(configs), list_trials=1, seed=7)

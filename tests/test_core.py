@@ -34,8 +34,15 @@ from supercolor import (
     verify_main_theorem,
 )
 from supercolor import bunch, cli, core
-from supercolor.core import Report, Violation, bit_indices, require_capacity, require_valid
-from lemmas import is_intersecting
+from supercolor.core import (
+    Report,
+    Violation,
+    bit_indices,
+    check_pairs,
+    require_capacity,
+    require_valid,
+)
+from lemmas import is_intersecting, ref_require_capacity, ref_require_valid
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -403,6 +410,101 @@ def test_capacity(example_g, abc_ground):
     assert check_capacity(example_g).ok
     assert not check_capacity(SetFn.from_names(abc_ground, [(["a"], 2)])).ok
     assert check_capacity(SetFn.from_names(abc_ground, [([], 0)])).ok
+
+
+# -- a check that passes builds nothing ---------------------------------------
+
+_ABCD = GroundSet(("a", "b", "c", "d"))
+# b, ab, bc and abc: closed and supermodular, so its first crossing pair passes
+_CORE = [(["b"], 1), (["a", "b"], 2), (["b", "c"], 2), (["a", "b", "c"], 3)]
+_FAULTY = {
+    "missing_union": (
+        [(["a", "b"], 1), (["b", "c"], 1), (["b"], 1)],
+        "family is not intersecting-closed: {a,b,c} is missing",
+    ),
+    "missing_intersection": (
+        [(["a", "b"], 1), (["b", "c"], 1), (["a", "b", "c"], 2)],
+        "family is not intersecting-closed: {b} is missing",
+    ),
+    "supermodular": (
+        [(["a", "b"], 2), (["b", "c"], 2), (["b"], 1), (["a", "b", "c"], 2)],
+        "function is not supermodular: {a,b}, {b,c} give 4 > 3",
+    ),
+    "missing_past_the_first_pair": (
+        _CORE + [(["c", "d"], 2)],
+        "family is not intersecting-closed: {b,c,d} is missing",
+    ),
+    "supermodular_past_the_first_pair": (
+        _CORE + [(["c"], 1), (["c", "d"], 2), (["b", "c", "d"], 2), (["a", "b", "c", "d"], 4)],
+        "function is not supermodular: {b,c}, {c,d} give 4 > 3",
+    ),
+    "over_capacity": (
+        [(["a"], 1), (["b"], 2), (["c", "d"], 3), (["a", "b", "c", "d"], 1)],
+        "capacity violated: |{b}| = 1 < 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("pairs, message", _FAULTY.values(), ids=_FAULTY)
+def test_require_checks_keep_their_messages(pairs, message):
+    g = SetFn.from_names(_ABCD, pairs)
+    got = [_outcome(check, g) for check in (require_valid, require_capacity)]
+    assert got == [_outcome(check, g) for check in (ref_require_valid, ref_require_capacity)]
+    assert message in got
+
+
+def test_passing_checks_share_one_empty_report(example_instance):
+    passed = check_capacity(SetFn(_ABCD, ()))
+    assert passed == Report()
+    instances = [gen_instance(cfg) for cfg in mixed_configs(seed=5, count=20, n_max=8)]
+    for g in [*example_instance, *(g for instance in instances for g in instance)]:
+        reports = (*check_pairs(g), check_capacity(g), check_supermodular(g))
+        assert all(report is passed for report in reports)
+
+
+def test_a_faulty_side_gets_a_fresh_report_with_every_witness():
+    passed = check_capacity(SetFn(_ABCD, ()))
+    for pairs, _ in _FAULTY.values():
+        g = SetFn.from_names(_ABCD, pairs)
+        family, unequal = check_pairs(g)
+        capacity = check_capacity(g)
+        assert family == _ref_check_intersecting_family(g)
+        if family.ok:
+            assert unequal == _ref_check_supermodular(g)
+        for report in (family, unequal, capacity):
+            assert (report is passed) == report.ok
+    late = SetFn.from_names(_ABCD, _FAULTY["missing_past_the_first_pair"][0])
+    assert len(check_pairs(late)[0].violations) == 4  # {b,c,d} and {c}, then {a,b,c,d} and {c}
+    over = SetFn.from_names(_ABCD, _FAULTY["over_capacity"][0])
+    assert check_capacity(over).violations == (
+        Violation("capacity", (("b",),), (1, 2)),
+        Violation("capacity", (("c", "d"),), (2, 3)),
+    )
+
+
+def test_ground_set_size_and_full_mask_are_set_once():
+    for names in ((), ("a",), tuple("abcdefgh")):
+        ground = GroundSet(names)
+        copy = dataclasses.replace(ground)
+        for g in (ground, copy):
+            assert (g.size, g.full_mask) == (len(names), (1 << len(names)) - 1)
+        assert copy == ground and hash(copy) == hash(ground)
+        assert repr(ground) == f"GroundSet(names={names!r})"
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_set_values_must_be_integers(abc_ground, value):
+    with pytest.raises(InputError) as e:
+        SetFn(abc_ground, ((0b1, value),))
+    assert str(e.value) == f"set values must be integers, got {value!r}"
+
+
+def test_set_values_may_be_int_subclasses(abc_ground):
+    assert SetFn(abc_ground, ((0b1, _Count(2)),)).entries == ((0b1, 2),)
 
 
 def test_delta(example_g):

@@ -28,6 +28,7 @@ from supercolor import (
 )
 from supercolor import core, oracle, pi as pi_mod
 from supercolor.bunch import checked
+from lemmas import ref_condition_report
 
 
 def test_dominates_injective_always_ok(example_g):
@@ -227,6 +228,54 @@ def test_a_pair_missing_an_element_is_refused(example_instance):
         with pytest.raises(InputError) as e:
             verify_conditions(g1, g2, pair)
         assert str(e.value) == f"pair missing element {names[-1]!r}"
+
+
+def test_a_pair_missing_elements_is_refused_as_the_reference_refuses(example_instance):
+    """The first name in ground order that either dict lacks is named."""
+    inst = checked(*example_instance)
+    names = inst.ground.names
+
+    def without(*gone):
+        return {name: 1 for i, name in enumerate(names) if i not in gone}
+
+    messages = []
+    for pi1, pi2 in (
+        (without(3), without()), (without(), without(5)),
+        (without(6), without(2)), (without(2), without(6)), (without(4, 7), without(4)),
+    ):
+        for condition_report in (pi_mod.condition_report, ref_condition_report):
+            with pytest.raises(InputError) as e:
+                condition_report(inst, PiPair(pi1, pi2))
+            messages.append(str(e.value))
+    expected = [names[i] for i in (3, 5, 2, 2, 4) for _ in range(2)]
+    assert messages == [f"pair missing element {name!r}" for name in expected]
+
+
+def test_condition_report_keeps_its_witnesses():
+    """build's pair, then at one element: one side raised past (i)'s bound,
+    both sides raised past d_i (iii), and both sides lowered by one, which
+    may break (ii) on either side."""
+    rng = random.Random(11)
+    failed = Counter()
+    for cfg in mixed_configs(11, 300, n_max=8):
+        inst = checked(*gen_instance(cfg))
+        pair, _ = pi_mod.build(inst, check=False)
+        names = inst.ground.names
+        i = rng.randrange(len(names))
+        name, side = names[i], rng.randrange(2)
+        pis, ds = (pair.pi1, pair.pi2), [d[i] for d in inst.ds]
+        past_i = [pi[name] for pi in pis]
+        past_i[side] = max(ds) - past_i[1 - side] + 2
+        changes = (past_i, [d + 1 for d in ds], [max(1, pi[name] - 1) for pi in pis])
+        candidates = [pair]
+        for values in changes:
+            candidates.append(PiPair(*({**pi, name: v} for pi, v in zip(pis, values))))
+        for candidate in candidates:
+            report = pi_mod.condition_report(inst, candidate)
+            assert report.to_dict() == ref_condition_report(inst, candidate).to_dict()
+            failed.update(k for k in ("i_ok", "ii_ok", "iii_ok") if not getattr(report, k))
+        assert pi_mod.condition_report(inst, pair).all_ok
+    assert min(failed[k] for k in ("i_ok", "ii_ok", "iii_ok")) >= 20, failed
 
 
 def test_construct_pi_refuses_a_pair_that_fails_its_conditions(monkeypatch, example_instance):
