@@ -6,9 +6,19 @@ crossing sets apart; check_degree_identity, degrees and coloring_is_proper
 tie the bipartite encoding to edge coloring; random_lists draws one set of
 tight lists.  No package code calls them, so they live here.
 
-ref_require_valid, ref_require_capacity and ref_condition_report are the
-boundary checks as they stood while every check built its reports: the
-references whose messages and witnesses the checks must keep.
+The ref_ functions are the references of checked package functions, one
+per function, and each calls none of the code it checks:
+- ref_require_capacity, for core.require_capacity, scans the entries
+  itself; it must not call core.check_capacity;
+- ref_dominates, for pi.dominates, counts each set's distinct values in
+  full; it must not call pi._short_sets;
+- ref_condition_report, for pi.condition_report, reads d off the
+  instance's effective entries and (ii) through ref_dominates; it must not
+  read the instance's d-lists or call pi.dominates or pi._short_sets;
+- ref_min_k, for oracle.min_k, requires capacity by ref_require_capacity
+  and runs find_k_coloring from k = 1, each coloring checked by
+  ref_dominates; it must not call min_k, core.require_capacity or
+  pi.dominates.
 """
 
 import random
@@ -20,11 +30,11 @@ from supercolor import (
     InputError,
     PiPair,
     Report,
+    SearchCaps,
     SetFn,
     Violation,
     bunch_partition,
-    check_intersecting_family,
-    dominates,
+    find_k_coloring,
 )
 from supercolor.bunch import Instance, checked
 from supercolor.core import bit_indices
@@ -133,28 +143,6 @@ def random_lists(
     }
 
 
-def ref_require_valid(g: SetFn) -> None:
-    """Raise InputError unless g is an intersecting-supermodular function:
-    the first missing set, else the first supermodular violation.  Records
-    nothing."""
-    family = check_intersecting_family(g)
-    if not family.ok:
-        v = family.violations[0]
-        raise InputError(
-            f"family is not intersecting-closed: {{{','.join(v.subjects[2])}}} is missing"
-        )
-    value = dict(g.entries)
-    for i, (a, va) in enumerate(g.entries):
-        for b, vb in g.entries[i + 1 :]:
-            if is_intersecting(a, b) and va + vb > value[a | b] + value[a & b]:
-                names = g.ground.names_of
-                raise InputError(
-                    "function is not supermodular: "
-                    f"{{{','.join(names(a))}}}, {{{','.join(names(b))}}} "
-                    f"give {va + vb} > {value[a | b] + value[a & b]}"
-                )
-
-
 def ref_require_capacity(g: SetFn) -> None:
     """Raise InputError naming the first set over capacity.  Records nothing."""
     violations = tuple(
@@ -169,15 +157,35 @@ def ref_require_capacity(g: SetFn) -> None:
         )
 
 
+def ref_dominates(assignment, g: SetFn) -> Report:
+    """Check that every family set sees at least g(X) distinct values,
+    counted in full per set."""
+    for name in g.ground.names:
+        if name not in assignment:
+            raise InputError(f"assignment missing element {name!r}")
+    colors = [assignment[name] for name in g.ground.names]
+    violations = []
+    for m, bound in g.entries:
+        got = len({colors[i] for i in bit_indices(m)})
+        if got < bound:
+            violations.append(Violation("domination", (g.ground.names_of(m),), (got, bound)))
+    return Report(tuple(violations))
+
+
 def ref_condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
-    """(i)-(iii) in separate passes: a presence pass, (i) over the elements,
-    (ii) per side through dominates, then (iii) per side."""
+    """(i)-(iii) in separate passes: a presence pass, d per element as the
+    largest effective value whose set covers it (1 if none), (i) over the
+    elements, (ii) per side by ref_dominates, then (iii) per side."""
     names = inst.ground.names
     for name in names:
         if name not in pair.pi1 or name not in pair.pi2:
             raise InputError(f"pair missing element {name!r}")
+    ds = [
+        [max((v for m, v in eff if m >> i & 1), default=1) for i in range(len(names))]
+        for eff in inst.effs
+    ]
     pis = [[pi[name] for name in names] for pi in (pair.pi1, pair.pi2)]
-    (d1, d2), (p1, p2) = inst.ds, pis
+    (d1, d2), (p1, p2) = ds, pis
     witnesses = []
     for i, name in enumerate(names):
         bound = max(d1[i], d2[i])
@@ -185,13 +193,28 @@ def ref_condition_report(inst: Instance, pair: PiPair) -> ConditionReport:
             witnesses.append(Violation("condition_i", ((name,),), (p1[i], p2[i], bound)))
     before_ii = len(witnesses)
     for side, (pi, g) in enumerate(((pair.pi1, inst.g1), (pair.pi2, inst.g2)), start=1):
-        for v in dominates(pi, g).violations:
+        for v in ref_dominates(pi, g).violations:
             witnesses.append(Violation("condition_ii", v.subjects, (side, *v.values)))
     before_iii = len(witnesses)
-    for side, (p, d) in enumerate(zip(pis, inst.ds), start=1):
+    for side, (p, d) in enumerate(zip(pis, ds), start=1):
         for i, name in enumerate(names):
             if p[i] > d[i]:
                 witnesses.append(Violation("condition_iii", ((name,),), (side, p[i], d[i])))
     return ConditionReport(
         before_ii == 0, before_iii == before_ii, len(witnesses) == before_iii, tuple(witnesses)
     )
+
+
+def ref_min_k(g1: SetFn, g2: SetFn, caps: SearchCaps = SearchCaps()) -> int:
+    """min_k as a search from k = 1: ref_require_capacity on both sides, then
+    find_k_coloring per k, each coloring found checked by ref_dominates."""
+    ref_require_capacity(g1)
+    ref_require_capacity(g2)
+    for k in range(1, max(1, g1.ground.size) + 1):
+        coloring = find_k_coloring(g1, g2, k, caps)
+        if coloring is not None:
+            if not (ref_dominates(coloring, g1).ok and ref_dominates(coloring, g2).ok):
+                raise AssertionError(f"{k}-coloring {coloring} does not dominate")
+            return k
+    # an injective coloring with n colors dominates any capacity-valid pair
+    raise AssertionError("no coloring up to |U| colors")

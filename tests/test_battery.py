@@ -8,7 +8,7 @@ list trials and every k of its minimum color count.  The pin counts that
 work by wrapping the functions that do it.  The differential tests rebuild
 the battery from construct_pi, verify_conditions, verify_main_theorem and
 min_k, and those from find_list_coloring per trial and find_k_coloring per
-k, with every coloring found checked by dominates.
+k, with every coloring found checked by lemmas' ref_dominates.
 """
 
 import importlib
@@ -27,12 +27,12 @@ from supercolor.core import Report, ResourceLimitError, Violation, delta, instan
 from supercolor.gen import gen_instance, mixed_configs
 from supercolor.oracle import (
     SearchCaps,
-    find_k_coloring,
     find_list_coloring,
     min_k,
     verify_main_theorem,
 )
-from supercolor.pi import construct_pi, dominates, verify_conditions
+from supercolor.pi import construct_pi, verify_conditions
+from lemmas import ref_dominates, ref_min_k
 
 MODULES = [importlib.import_module(f"supercolor{m}") for m in (
     "", ".core", ".bunch", ".matching", ".pi", ".oracle", ".encode", ".gen", ".cli"
@@ -138,18 +138,8 @@ def ref_theorem(g1, g2, trials, seed, caps) -> Report:
             violations.append(Violation("list_coloring_missing", subjects, (trial,)))
         else:
             assert all(coloring[name] in lists[name] for name in g1.ground.names)
-            assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
+            assert ref_dominates(coloring, g1).ok and ref_dominates(coloring, g2).ok
     return Report(tuple(violations))
-
-
-def ref_min_k(g1, g2, caps) -> int:
-    """min_k from find_k_coloring per k, from k = 1."""
-    for k in range(1, max(1, g1.ground.size) + 1):
-        coloring = find_k_coloring(g1, g2, k, caps)
-        if coloring is not None:
-            assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
-            return k
-    raise AssertionError("no coloring up to |U| colors")
 
 
 def ref_battery(cfg, trials, caps) -> dict:

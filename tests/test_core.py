@@ -42,7 +42,7 @@ from supercolor.core import (
     require_capacity,
     require_valid,
 )
-from lemmas import is_intersecting, ref_require_capacity, ref_require_valid
+from lemmas import is_intersecting, ref_require_capacity
 
 
 def test_ground_set_rejects_duplicates_and_bad_names():
@@ -449,7 +449,7 @@ _FAULTY = {
 def test_require_checks_keep_their_messages(pairs, message):
     g = SetFn.from_names(_ABCD, pairs)
     got = [_outcome(check, g) for check in (require_valid, require_capacity)]
-    assert got == [_outcome(check, g) for check in (ref_require_valid, ref_require_capacity)]
+    assert got == [_outcome(check, g) for check in (_ref_require_valid, ref_require_capacity)]
     assert message in got
 
 

@@ -15,8 +15,9 @@ compared with ref_build, the loop it replaced, which rebuilt both whole
 families at every level; a work count keeps it from drifting back.
 
 The condition report and dominates, which run on element-indexed lists and
-value-class masks, are compared with the name-keyed versions they replaced,
-on built pairs and on pairs corrupted so that every condition fails often.
+value-class masks, are compared with lemmas' references, which count each
+set's values in full, on built pairs and on pairs corrupted so that every
+condition fails often.
 """
 
 import functools
@@ -40,7 +41,6 @@ from supercolor import bunch, matching, pi
 from supercolor.bunch import checked, d_list, effective_entries, part_masks, reduce_entries
 from supercolor.core import (
     GroundSet,
-    Report,
     ResourceLimitError,
     SetFn,
     Violation,
@@ -49,7 +49,8 @@ from supercolor.core import (
     require_valid,
 )
 from supercolor.matching import closed_pairs, transversal_mask
-from supercolor.pi import ConditionReport, PiPair, condition_report, dominates, verify_conditions
+from supercolor.pi import PiPair, condition_report, dominates, verify_conditions
+from lemmas import ref_condition_report, ref_dominates
 
 
 # -- references ---------------------------------------------------------------
@@ -229,55 +230,6 @@ def ref_build(g1: SetFn, g2: SetFn, check: bool) -> tuple[PiPair, list[tuple]]:
                 f"constructed pair violates its contract (internal bug): {report.to_dict()}"
             )
     return pair, levels
-
-
-def ref_dominates(assignment, g: SetFn) -> Report:
-    """Check that every family set sees at least g(X) distinct values."""
-    for name in g.ground.names:
-        if name not in assignment:
-            raise InputError(f"assignment missing element {name!r}")
-    colors = [assignment[name] for name in g.ground.names]
-    violations = []
-    for m, bound in g.entries:
-        got = len({colors[i] for i in bit_indices(m)})
-        if got < bound:
-            violations.append(Violation("domination", (g.ground.names_of(m),), (got, bound)))
-    return Report(tuple(violations))
-
-
-def ref_condition_report(g1: SetFn, g2: SetFn, pair: PiPair, effs: list) -> ConditionReport:
-    """(i)-(iii) for valid functions with effective entries effs and a pair
-    defined on their whole ground set."""
-    ground = g1.ground
-    d1, d2 = (ref_d_values(eff, ground.full_mask) for eff in effs)
-    witnesses = []
-
-    i_ok = True
-    for i, name in enumerate(ground.names):
-        bound = max(d1[i], d2[i])
-        if pair.pi1[name] + pair.pi2[name] - 1 > bound:
-            i_ok = False
-            witnesses.append(
-                Violation("condition_i", ((name,),), (pair.pi1[name], pair.pi2[name], bound))
-            )
-
-    ii_ok = True
-    for side, (pi, g) in enumerate(((pair.pi1, g1), (pair.pi2, g2)), start=1):
-        rep = ref_dominates(pi, g)
-        if not rep.ok:
-            ii_ok = False
-            for v in rep.violations:
-                witnesses.append(Violation("condition_ii", v.subjects, (side, *v.values)))
-
-    iii_ok = True
-    for side, (pi, d) in enumerate(((pair.pi1, d1), (pair.pi2, d2)), start=1):
-        for i, name in enumerate(ground.names):
-            if pi[name] > d[i]:
-                iii_ok = False
-                witnesses.append(
-                    Violation("condition_iii", ((name,),), (side, pi[name], d[i]))
-                )
-    return ConditionReport(i_ok, ii_ok, iii_ok, tuple(witnesses))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -768,9 +720,9 @@ def _transplanted(pair: PiPair, other: PiPair) -> PiPair:
 
 
 def same_report(g1, g2, pair) -> dict:
-    effs = [effective_entries(g.entries) for g in (g1, g2)]
-    got = condition_report(checked(g1, g2), pair).to_dict()
-    want = ref_condition_report(g1, g2, pair, effs).to_dict()
+    inst = checked(g1, g2)
+    got = condition_report(inst, pair).to_dict()
+    want = ref_condition_report(inst, pair).to_dict()
     assert list(got.items()) == list(want.items()), (pair, g1, g2)
     return want
 
@@ -803,9 +755,8 @@ def test_condition_report_flags_the_empty_set():
     g1 = SetFn(ground, ((0, 1), (0b011, 2), (0b111, 3)))
     g2 = SetFn(ground, ((0b110, 2),))
     pair = PiPair({"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 2, "c": 1})
-    effs = [effective_entries(g.entries) for g in (g1, g2)]
     report = verify_conditions(g1, g2, pair)
-    assert report.to_dict() == ref_condition_report(g1, g2, pair, effs).to_dict()
+    assert report.to_dict() == ref_condition_report(checked(g1, g2), pair).to_dict()
     assert report.witnesses == (Violation("condition_ii", ((),), (1, 0, 1)),)
     assert dominates(pair.pi1, g1) == ref_dominates(pair.pi1, g1)
     assert not dominates(pair.pi1, g1).ok

@@ -31,8 +31,8 @@ from supercolor import (
 from supercolor import oracle
 from supercolor.bunch import checked
 from supercolor.cli import run
-from supercolor.core import Report, Violation, bit_indices, require_capacity
-from lemmas import random_lists
+from supercolor.core import Report, Violation, bit_indices
+from lemmas import random_lists, ref_min_k
 
 
 def test_empty_families_one_color(abc_ground):
@@ -228,18 +228,6 @@ def test_search_matches_brute_force():
             assert find_list_coloring(g1, g2, lists) == expected, (cfg, lists)
             outcomes.add(("list", expected is not None))
     assert outcomes == {("k", True), ("k", False), ("list", True), ("list", False)}
-
-
-def ref_min_k(g1, g2, caps=SearchCaps()):
-    """min_k as it stood before it started at delta: the search from k = 1."""
-    require_capacity(g1)
-    require_capacity(g2)
-    n = g1.ground.size
-    for k in range(1, max(1, n) + 1):
-        if find_k_coloring(g1, g2, k, caps) is not None:
-            return k
-    # an injective coloring with n colors dominates any capacity-valid pair
-    raise RuntimeError("no coloring up to |U| colors (internal bug)")
 
 
 def test_min_k_matches_search_from_one(example_instance):
@@ -801,15 +789,6 @@ def test_k_coloring_at_delta_on_a_hard_encoding():
     assert dominates(coloring, g1).ok and dominates(coloring, g2).ok
 
 
-def _first_dominating(g1, g2, domains):
-    """Brute force: the first assignment in product order that dominates both."""
-    for colors in itertools.product(*domains):
-        coloring = dict(zip(g1.ground.names, colors))
-        if dominates(coloring, g1).ok and dominates(coloring, g2).ok:
-            return coloring
-    return None
-
-
 def test_the_search_itself_answers_no(monkeypatch):
     # three pairs that each need two colors: within capacity, and no bound
     # exceeds its set's size or two colors, so the pigeonhole rule passes
@@ -819,8 +798,8 @@ def test_the_search_itself_answers_no(monkeypatch):
     searches = _recorded(monkeypatch, "_search")
     assert find_k_coloring(g1, g2, 2) is None
     assert refusals == [False] and searches == [None]
-    assert _first_dominating(g1, g2, [(1, 2)] * 3) is None
-    want = _first_dominating(g1, g2, [(1, 2, 3)] * 3)
+    assert brute_force_coloring(g1, g2, [(1, 2)] * 3) is None
+    want = brute_force_coloring(g1, g2, [(1, 2, 3)] * 3)
     assert find_k_coloring(g1, g2, 3) == want == {"a": 1, "b": 2, "c": 3}
     assert delta(g1, g2) == 2 and min_k(g1, g2) == 3
     refusals.clear()

@@ -251,12 +251,12 @@ def test_a_pair_missing_elements_is_refused_as_the_reference_refuses(example_ins
     assert messages == [f"pair missing element {name!r}" for name in expected]
 
 
-def test_condition_report_keeps_its_witnesses():
-    """build's pair, then at one element: one side raised past (i)'s bound,
-    both sides raised past d_i (iii), and both sides lowered by one, which
-    may break (ii) on either side."""
+def _witness_candidates():
+    """Per config, (inst, build's pair, candidates): the pair, then at one
+    element: one side raised past (i)'s bound, both sides raised past d_i
+    (iii), and both sides lowered by one, which may break (ii) on either
+    side."""
     rng = random.Random(11)
-    failed = Counter()
     for cfg in mixed_configs(11, 300, n_max=8):
         inst = checked(*gen_instance(cfg))
         pair, _ = pi_mod.build(inst, check=False)
@@ -270,12 +270,37 @@ def test_condition_report_keeps_its_witnesses():
         candidates = [pair]
         for values in changes:
             candidates.append(PiPair(*({**pi, name: v} for pi, v in zip(pis, values))))
+        yield inst, pair, candidates
+
+
+def test_condition_report_keeps_its_witnesses():
+    failed = Counter()
+    for inst, pair, candidates in _witness_candidates():
         for candidate in candidates:
             report = pi_mod.condition_report(inst, candidate)
             assert report.to_dict() == ref_condition_report(inst, candidate).to_dict()
             failed.update(k for k in ("i_ok", "ii_ok", "iii_ok") if not getattr(report, k))
         assert pi_mod.condition_report(inst, pair).all_ok
     assert min(failed[k] for k in ("i_ok", "ii_ok", "iii_ok")) >= 20, failed
+
+
+def test_the_reference_does_not_count_through_the_kernel(monkeypatch):
+    """A _short_sets that stops counting at 2 values misses the sets of
+    bound 3 or more that see 2: condition_report must then disagree with
+    lemmas' reference on some candidate, and agree on it once restored."""
+    short_sets = pi_mod._short_sets
+    monkeypatch.setattr(
+        pi_mod, "_short_sets",
+        lambda colors, entries: [s for s in short_sets(colors, entries) if s[1] < 2],
+    )
+    for inst, _, candidates in _witness_candidates():
+        for candidate in candidates:
+            want = ref_condition_report(inst, candidate).to_dict()
+            if pi_mod.condition_report(inst, candidate).to_dict() != want:
+                monkeypatch.undo()
+                assert pi_mod.condition_report(inst, candidate).to_dict() == want
+                return
+    pytest.fail("the reference agrees with a _short_sets that stops counting at 2")
 
 
 def test_construct_pi_refuses_a_pair_that_fails_its_conditions(monkeypatch, example_instance):
