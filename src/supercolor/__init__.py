@@ -1,7 +1,6 @@
 """Exact combinatorial toolkit for supermodular colorings at desk scale."""
 
 from .core import (
-    GenerationError,
     GroundSet,
     InputError,
     Report,

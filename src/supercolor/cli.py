@@ -388,7 +388,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         text = dump_json(payload)
     except Exception as e:  # the exit code tells expected errors from internal ones
         return error_exit(e)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except Exception as e:  # a stdout that cannot take it is exit 4
+        # the unwritten bytes stay buffered: point fd 1 at the null device so
+        # that the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return error_exit(e)
     print(f"{args.command} finished in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

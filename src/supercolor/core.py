@@ -35,10 +35,6 @@ class ResourceLimitError(RuntimeError):
     """A configured search cap or sampling budget would be exceeded."""
 
 
-class GenerationError(ResourceLimitError):
-    """Instance generation exhausted its resampling budget."""
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered universe of distinct element names; element i <-> bit i.

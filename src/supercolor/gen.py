@@ -34,9 +34,9 @@ from itertools import islice
 from math import ceil, log
 
 from .core import (
-    GenerationError,
     GroundSet,
     InputError,
+    ResourceLimitError,
     SetFn,
     require_capacity,
     require_valid,
@@ -237,7 +237,7 @@ def _closure_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -> SetFn:
         if not _repair_supermodular(values, masks):
             continue
         return SetFn(ground, tuple(values.items()))
-    raise GenerationError(f"closure generation exhausted {cfg.max_attempts} attempts")
+    raise ResourceLimitError(f"closure generation exhausted {cfg.max_attempts} attempts")
 
 
 # -- rank complement ---------------------------------------------------------
@@ -273,7 +273,7 @@ def _rank_complement_fn(ground: GroundSet, rng: random.Random, cfg: GenConfig) -
         if masks is not None:
             pairs = tuple((m, rank_complement_value(m, blocks, caps)) for m in masks)
             return SetFn(ground, pairs)
-    raise GenerationError(f"family sampling exhausted {cfg.max_attempts} attempts")
+    raise ResourceLimitError(f"family sampling exhausted {cfg.max_attempts} attempts")
 
 
 # -- bipartite ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from supercolor import GenConfig, GenerationError, gen_instance, instance_payload
+from supercolor import GenConfig, ResourceLimitError, gen_instance, instance_payload
 from supercolor.cli import run
 from supercolor.gen import STRATEGIES
 
@@ -45,7 +45,7 @@ def shapes(valid, keys):
 def generated(cfg):
     try:
         return instance_payload(*gen_instance(cfg))
-    except GenerationError:
+    except ResourceLimitError:
         return {}
 
 

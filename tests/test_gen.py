@@ -7,8 +7,8 @@ import pytest
 
 from supercolor import (
     GenConfig,
-    GenerationError,
     InputError,
+    ResourceLimitError,
     bunch_partition,
     check_capacity,
     check_intersecting_family,
@@ -268,6 +268,6 @@ def test_sorted_sample_refuses_k_outside_the_population(n, k):
 def test_generation_refuses_once_its_attempts_run_out(strategy, message):
     # with no room for a family every attempt's closure is refused
     cfg = GenConfig(seed=1, n_elements=5, strategy=strategy, family_cap=0, max_attempts=1)
-    with pytest.raises(GenerationError) as e:
+    with pytest.raises(ResourceLimitError) as e:
         gen_instance(cfg)
     assert str(e.value) == message
